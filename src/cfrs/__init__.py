@@ -21,10 +21,9 @@ from .experiments import (DIFFUSION_SYSTEM, EXPERIMENT_IDS, FIGURE_PRESETS,
                           ConfigError, ExperimentSpec, held_out_envs,
                           parse_config, parse_config_text, run_experiment,
                           serialize_config, training_envs)
-from .geometry import (Geometry, LinkStatistics, Placement, correlation_matrix,
-                       draw_geometry, link_statistics, los_vector, path_loss,
-                       place_network, rician_split, sample_channel,
-                       sample_channels)
+from .geometry import (Geometry, LinkStatistics, Placement, draw_geometry,
+                       link_statistics, los_vector, path_loss, place_network,
+                       rician_split, sample_channel, sample_channels)
 from .monte_carlo import (AchievableReport, ChannelSampler, achievable_sum_se,
                           build_precoders, expected_tx_power,
                           instantaneous_sinrs, mc_moment_estimators,

@@ -3,8 +3,16 @@
 Subcommands: run a config file, reproduce a figure-style sweep, train and
 save the conditional optimizer, generate an allocation for an environment,
 and validate the closed forms against their Monte Carlo estimators. Errors
-print a single JSON object to stderr and exit nonzero so scripts can parse
-failures.
+print a single JSON object {"error": message} to stderr and exit nonzero so
+scripts can parse failures. Exit codes:
+
+    0  success
+    1  invalid value or I/O failure (ValueError, OSError)
+    2  bad config, unknown figure or missing file (ConfigError, FileNotFoundError)
+    3  validate: a Monte Carlo estimate missed its tolerance (report on stdout)
+    4  degenerate statistics: a normalizer or SINR denominator is not positive
+    5  channel estimation failed: a pilot observation covariance is singular
+    6  training diverged
 """
 
 import argparse
@@ -16,12 +24,12 @@ from dataclasses import replace
 import numpy as np
 
 from .allocation import GAConfig
-from .closed_form import PowerAllocation, sum_se_batch
+from .closed_form import DegenerateStatisticsError, PowerAllocation, sum_se_batch
 from .config import SystemConfig
-from .diffusion import (Environment, EpsNetwork, TrainConfig, build_expert_dataset,
-                        load_checkpoint, make_schedule, reverse_sample,
-                        save_checkpoint, train)
-from .estimation import assign_pilots, estimation_statistics
+from .diffusion import (Environment, EpsNetwork, TrainConfig, TrainingError,
+                        build_expert_dataset, load_checkpoint, make_schedule,
+                        reverse_sample, save_checkpoint, train)
+from .estimation import EstimationError, assign_pilots, estimation_statistics
 from .experiments import (DIFFUSION_SYSTEM, FIGURE_PRESETS, ConfigError,
                           parse_config, run_experiment, training_envs)
 from .geometry import draw_geometry, link_statistics
@@ -198,6 +206,12 @@ def main(argv=None):
         return _fail(f"file not found: {exc.filename}", code=2)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), code=1)
+    except DegenerateStatisticsError as exc:
+        return _fail(f"degenerate statistics: {exc}", code=4)
+    except EstimationError as exc:
+        return _fail(f"channel estimation failed: {exc}", code=5)
+    except TrainingError as exc:
+        return _fail(f"training failed: {exc}", code=6)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .estimation import EstimationStatistics, PilotAssignment
+from .estimation import EstimationStatistics, PilotAssignment, copilot_cross_moment
 from .geometry import LinkStatistics
 
 _REAL_TOL = 1e-10
@@ -52,6 +52,8 @@ class PowerAllocation:
         eta = np.asarray(self.eta, dtype=float)
         if rho.ndim != 1 or eta.ndim != 2 or eta.shape[1] != rho.shape[0]:
             raise ValueError("rho must be (L,) and eta (K, L)")
+        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(eta))):
+            raise ValueError("rho and eta must be finite")
         if np.any(rho < 0) or np.any(rho > 1):
             raise ValueError("rho entries must lie in [0, 1]")
         if np.any(eta < 0) or np.any(eta > 1):
@@ -105,15 +107,13 @@ def closed_moments(k, i, l, stats: LinkStatistics, est: EstimationStatistics,
     hk = stats.hbar[k, l]
     hi = stats.hbar[i, l]
     a = hk.conj() @ hi
-    copilot = pilots.pilot_of[k] == pilots.pilot_of[i]
-    first = a + (np.trace(est.Qbar[k, i, l]) if copilot else 0.0)
+    tq = np.trace(copilot_cross_moment(k, i, l, stats, est, pilots))  # 0 off pilot group
+    first = a + tq
     second = (np.abs(a) ** 2
               + (hi.conj() @ stats.R[k, l] @ hi).real
               + (hk.conj() @ est.Q[i, l] @ hk).real
               + np.trace(est.Q[i, l] @ stats.R[k, l]).real)
-    if copilot:
-        tq = np.trace(est.Qbar[k, i, l])
-        second += np.abs(tq) ** 2 + 2.0 * (np.conj(a) * tq).real
+    second += np.abs(tq) ** 2 + 2.0 * (np.conj(a) * tq).real
     return first, float(second)
 
 
@@ -125,29 +125,21 @@ def upsilon_moments(k, i, j, l, stats: LinkStatistics, est: EstimationStatistics
       u4 = E{(ghat_kl^H ghat_il)^* (ghat_kl^H ghat_jl)} and
       u5 = E{ghat_il^H C_kl ghat_jl},
     so that u4 + u5 = E{(g_kl^H ghat_il)^* (g_kl^H ghat_jl)}. The pilot
-    sharing pattern of (k, i, j) decides which coupling terms survive.
+    sharing pattern of (k, i, j) decides which coupling terms survive: the
+    cross-moments of users on different pilots are zero.
     """
     hk = stats.hbar[k, l]
     hi = stats.hbar[i, l]
     hj = stats.hbar[j, l]
     a_i = hk.conj() @ hi
     a_j = hk.conj() @ hj
-    ik = pilots.pilot_of[i] == pilots.pilot_of[k]
-    jk = pilots.pilot_of[j] == pilots.pilot_of[k]
-    ji = pilots.pilot_of[j] == pilots.pilot_of[i]
-    u4 = np.conj(a_i) * a_j + hi.conj() @ est.Q[k, l] @ hj
-    if ji:
-        u4 += hk.conj() @ est.Qbar[i, j, l] @ hk
-        u4 += np.trace(est.Qbar[i, j, l] @ est.Q[k, l])
-    if ik:
-        u4 += np.conj(np.trace(est.Qbar[k, i, l])) * a_j
-    if jk:
-        u4 += np.trace(est.Qbar[k, j, l]) * np.conj(a_i)
-    if ik and jk:
-        u4 += np.conj(np.trace(est.Qbar[k, i, l])) * np.trace(est.Qbar[k, j, l])
-    u5 = hi.conj() @ est.C[k, l] @ hj
-    if ji:
-        u5 += np.trace(est.Qbar[i, j, l] @ est.C[k, l])
+    Qbar_ij = copilot_cross_moment(i, j, l, stats, est, pilots)
+    tq_i = np.trace(copilot_cross_moment(k, i, l, stats, est, pilots))
+    tq_j = np.trace(copilot_cross_moment(k, j, l, stats, est, pilots))
+    u4 = (np.conj(a_i) * a_j + hi.conj() @ est.Q[k, l] @ hj
+          + hk.conj() @ Qbar_ij @ hk + np.trace(Qbar_ij @ est.Q[k, l])
+          + np.conj(tq_i) * a_j + tq_j * np.conj(a_i) + np.conj(tq_i) * tq_j)
+    u5 = hi.conj() @ est.C[k, l] @ hj + np.trace(Qbar_ij @ est.C[k, l])
     return complex(u4), complex(u5)
 
 
@@ -161,8 +153,7 @@ def normalization_coeffs(stats: LinkStatistics, est: EstimationStatistics,
     hbar = stats.hbar
     s = hbar.sum(axis=0)                                     # (L, N)
     common = np.einsum("ln,ln->l", s.conj(), s)              # ||sum_i hbar||^2
-    trQbar = np.trace(est.Qbar, axis1=-2, axis2=-1)          # (K, K, L)
-    common = common + trQbar.sum(axis=(0, 1))
+    common = common + est.trQbar.sum(axis=(0, 1))
     common = _ensure_real(common, "common normalizer")
     trQ = np.trace(est.Q, axis1=-2, axis2=-1)
     private = np.einsum("kln,kln->kl", hbar.conj(), hbar) + trQ
@@ -199,8 +190,7 @@ def build_cache(stats: LinkStatistics, est: EstimationStatistics,
     hbar = stats.hbar
     copilot = pilots.copilot
     hdot = np.einsum("kln,iln->kil", hbar.conj(), hbar)            # hbar_kl^H hbar_il
-    trQbar = np.trace(est.Qbar, axis1=-2, axis2=-1)                # (K, K, L)
-    p1 = hdot + trQbar * copilot[:, :, None]
+    p1 = hdot + est.trQbar
     c1 = p1.sum(axis=1)
 
     trQR = np.einsum("ilnm,klmn->kil", est.Q, stats.R, optimize=True)
@@ -210,14 +200,15 @@ def build_cache(stats: LinkStatistics, est: EstimationStatistics,
 
     p3 = hdot
 
-    # Common-precoder variance: pilot-coupled estimate cross-moments plus the
+    # Common-precoder variance: the estimate cross-moments summed over every
+    # user pair, M_l = sum_ij Qbar_ijl, seen through R_kl and hbar_kl, plus the
     # line-of-sight outer sum.
-    trQbarR = np.einsum("ijlnm,klmn->kijl", est.Qbar, stats.R, optimize=True)
-    hQbarh = np.einsum("kln,ijlnm,klm->kijl", hbar.conj(), est.Qbar, hbar, optimize=True)
+    M = est.Qbar_sum                                               # (L, N, N)
+    trMR = np.einsum("lnm,klmn->kl", M, stats.R, optimize=True)
+    hMh = np.einsum("kln,lnm,klm->kl", hbar.conj(), M, hbar, optimize=True)
     s = hbar.sum(axis=0)                                           # (L, N)
     sRs = np.einsum("ln,klnm,lm->kl", s.conj(), stats.R, s, optimize=True)
-    c2 = _ensure_real((trQbarR + hQbarh).sum(axis=(1, 2)) + sRs,
-                      "common variance terms")
+    c2 = _ensure_real(trMR + hMh + sRs, "common variance terms")
 
     mu_c, mu_p = normalization_coeffs(stats, est, pilots)
     return SECache(c1=c1, c2=c2, p1=p1, p2=p2, p3=p3, mu_c=mu_c, mu_p=mu_p,

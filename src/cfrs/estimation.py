@@ -9,7 +9,14 @@ where z_kl is the despread pilot observation (shared by all users on the same
 pilot) and Psi_kl = (sum_{i in P_k} p tau_p R_il + sigma^2 I)^{-1}. The
 estimation-error covariance is C_kl = R_kl - Q_kl with
 Q_kl = p tau_p R_kl Psi_kl R_kl, and the cross-moment of two co-pilot
-estimates is Qbar_kil = p tau_p R_il Psi_kl R_kl.
+estimates is Qbar_kil = p tau_p R_il Psi_kl R_kl; it vanishes when k and i use
+different pilots.
+
+The closed form needs Qbar only through its traces tr Qbar_kil (K, K, L) and
+its sum over all user pairs, sum_{k,i} Qbar_kil (L, N, N). Psi_kl is shared
+by the users of pilot t, so that sum collapses per pilot group to
+p tau_p A_tl Psi_tl A_tl with A_tl = sum_{i in t} R_il. EstimationStatistics
+stores those two reductions; copilot_cross_moment gives single entries.
 """
 
 from dataclasses import dataclass
@@ -58,10 +65,12 @@ def assign_pilots(K, tau_p, rng, balanced=True) -> PilotAssignment:
 
 @dataclass(frozen=True)
 class EstimationStatistics:
-    Psi: np.ndarray   # (K, L, N, N) inverse pilot-observation covariances
-    Q: np.ndarray     # (K, L, N, N) estimate covariances
-    C: np.ndarray     # (K, L, N, N) error covariances, R - Q
-    Qbar: np.ndarray  # (K, K, L, N, N) co-pilot estimate cross-moments; zero off pilot group
+    Psi: np.ndarray       # (K, L, N, N) inverse pilot-observation covariances
+    Q: np.ndarray         # (K, L, N, N) estimate covariances
+    C: np.ndarray         # (K, L, N, N) error covariances, R - Q
+    trQbar: np.ndarray    # (K, K, L) tr Qbar_kil; zero off pilot group, tr Q_kl on the diagonal
+    Qbar_sum: np.ndarray  # (L, N, N) sum of Qbar_kil over all user pairs (k, i)
+    ptau: float           # pilot energy p tau_p; 0 for perfect CSI
 
 
 def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
@@ -72,39 +81,56 @@ def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
     eye = np.eye(N)
     # One observation covariance per (pilot, AP); users on the same pilot share it.
     Psi = np.empty((K, L, N, N), dtype=complex)
-    per_pilot = {}
+    Qbar_sum = np.zeros((L, N, N), dtype=complex)
     for t in np.unique(pilots.pilot_of):
         members = np.flatnonzero(pilots.pilot_of == t)
-        S = ptau * stats.R[members].sum(axis=0) + cfg.noise_mw * eye  # (L, N, N)
+        A = stats.R[members].sum(axis=0)                        # (L, N, N)
+        S = ptau * A + cfg.noise_mw * eye
         try:
-            per_pilot[t] = np.linalg.inv(S)
+            Psi_t = np.linalg.inv(S)
         except np.linalg.LinAlgError as exc:
             raise EstimationError(f"pilot {t}: observation covariance is singular") from exc
-        Psi[members] = per_pilot[t][None]
+        Psi[members] = Psi_t[None]
+        Qbar_sum += ptau * (A @ Psi_t @ A)
     PsiR = np.einsum("klab,klbc->klac", Psi, stats.R)
-    copilot = pilots.copilot
-    Qbar = np.einsum("ilab,klbc->kilac", stats.R, PsiR) * ptau
-    Qbar = Qbar * copilot[:, :, None, None, None]
-    Q = Qbar[np.arange(K), np.arange(K)]  # Qbar_kkl == Q_kl by construction
+    Q = np.einsum("klab,klbc->klac", stats.R, PsiR) * ptau
     C = stats.R - Q
-    return EstimationStatistics(Psi=Psi, Q=Q, C=C, Qbar=Qbar)
+    # tr(R_il Psi_kl R_kl) = sum_ab R_il[a, b] (Psi_kl R_kl)[b, a]
+    trQbar = np.einsum("ilab,klba->kil", stats.R, PsiR, optimize=True) * ptau
+    trQbar = trQbar * pilots.copilot[:, :, None]
+    return EstimationStatistics(Psi=Psi, Q=Q, C=C, trQbar=trQbar, Qbar_sum=Qbar_sum,
+                                ptau=ptau)
 
 
 def perfect_csi_statistics(stats: LinkStatistics) -> EstimationStatistics:
     """Statistics of an oracle estimator that returns the true channel.
 
-    Q = R and C = 0, and estimates of different users are uncorrelated, so the
-    cross-moment tensor is diagonal. Keeps the downstream code path identical.
+    Q = R and C = 0, and estimates of different users are uncorrelated, so
+    Qbar_kil is R_kl for i = k and zero otherwise. Keeps the downstream code
+    path identical.
     """
     K, L, N = stats.K, stats.L, stats.N
-    Qbar = np.zeros((K, K, L, N, N), dtype=complex)
-    Qbar[np.arange(K), np.arange(K)] = stats.R
+    trQbar = np.zeros((K, K, L), dtype=complex)
+    trQbar[np.arange(K), np.arange(K)] = np.trace(stats.R, axis1=-2, axis2=-1)
     return EstimationStatistics(
         Psi=np.zeros((K, L, N, N), dtype=complex),
         Q=stats.R.copy(),
         C=np.zeros((K, L, N, N), dtype=complex),
-        Qbar=Qbar,
+        trQbar=trQbar,
+        Qbar_sum=stats.R.sum(axis=0),
+        ptau=0.0,
     )
+
+
+def copilot_cross_moment(k, i, l, stats: LinkStatistics, est: EstimationStatistics,
+                         pilots: PilotAssignment):
+    """One entry Qbar_kil (N, N) of the co-pilot cross-moments: Q_kl for
+    i = k, p tau_p R_il Psi_kl R_kl when k and i share a pilot, else zero."""
+    if i == k:
+        return est.Q[k, l]
+    if pilots.pilot_of[k] != pilots.pilot_of[i]:
+        return np.zeros_like(est.Q[k, l])
+    return est.ptau * (stats.R[i, l] @ (est.Psi[k, l] @ stats.R[k, l]))
 
 
 def estimate_channel(g, stats: LinkStatistics, est: EstimationStatistics,

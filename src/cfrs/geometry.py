@@ -128,41 +128,40 @@ def los_vector(beta_los, phi, N, d_H):
     return np.sqrt(beta_los) * np.exp(1j * 2.0 * np.pi * d_H * n * np.sin(phi))
 
 
-def cluster_angles(phi, n_clusters, rng):
-    """Draw nominal scattering-cluster angles uniformly within +-40 degrees
-    of the link angle. Drawn once per link and then held fixed."""
-    return rng.uniform(phi - _CLUSTER_HALF_WIDTH_RAD, phi + _CLUSTER_HALF_WIDTH_RAD, size=n_clusters)
-
-
 def correlation_matrix_from_angles(beta_nlos, angles, asd_rad, N):
-    """Spatial correlation matrix of the scattered component.
+    """Spatial correlation matrices of the scattered component.
 
-    Entry (s, m) averages exp(j pi (s-m) sin(phi_t)) over the clusters, each
-    damped by a Gaussian angular spread of std asd_rad around its nominal
-    angle. The result is projected onto the PSD cone (eigenvalue clipping)
-    and rescaled so that trace(R) = N * beta_nlos holds exactly.
+    angles has shape (..., N_c) and beta_nlos shape (...); the result has
+    shape (..., N, N), one matrix per leading index. Entry (s, m) averages
+    exp(j pi (s-m) sin(phi_t)) over the clusters, each damped by a Gaussian
+    angular spread of std asd_rad around its nominal angle. Each matrix is
+    projected onto the PSD cone (eigenvalue clipping) and rescaled so that
+    trace(R) = N * beta_nlos holds exactly; beta_nlos = 0 gives the zero
+    matrix.
     """
     angles = np.asarray(angles, dtype=float)
-    diff = np.arange(N)[:, None] - np.arange(N)[None, :]      # (N, N) integer s - m
-    arg = np.pi * diff[..., None] * np.sin(angles)            # (N, N, N_c)
-    damp = 0.5 * (asd_rad ** 2) * (np.pi * diff[..., None] * np.cos(angles)) ** 2
-    R = (beta_nlos / angles.size) * np.sum(np.exp(1j * arg - damp), axis=-1)
-    R = 0.5 * (R + R.conj().T)
-    if beta_nlos == 0.0:
-        return np.zeros((N, N), dtype=complex)
+    beta_nlos = np.asarray(beta_nlos, dtype=float)
+    # Entries depend on s - m only (Toeplitz), so sum each of the 2N - 1
+    # distinct offsets once and index them into place.
+    offsets = np.arange(1 - N, N)[:, None]                     # (2N-1, 1) integer s - m
+    sin = np.sin(angles)[..., None, :]                         # (..., 1, N_c)
+    cos = np.cos(angles)[..., None, :]
+    arg = np.pi * offsets * sin                                # (..., 2N-1, N_c)
+    damp = 0.5 * (asd_rad ** 2) * (np.pi * offsets * cos) ** 2
+    per_offset = np.sum(np.exp(1j * arg - damp), axis=-1)      # (..., 2N-1)
+    diff = np.arange(N)[:, None] - np.arange(N)[None, :]
+    R = (beta_nlos / angles.shape[-1])[..., None, None] * per_offset[..., diff + N - 1]
+    R = 0.5 * (R + np.swapaxes(R.conj(), -1, -2))
     w, V = np.linalg.eigh(R)
     w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
+    total = w.sum(axis=-1)
+    zero = beta_nlos == 0.0
+    if np.any((total <= 0.0) & ~zero):
         raise ValueError("correlation matrix collapsed to zero")
-    w *= N * beta_nlos / total
-    return (V * w) @ V.conj().T
-
-
-def correlation_matrix(beta_nlos, phi, cfg: SystemConfig, rng):
-    """Draw cluster angles for one link and build its correlation matrix."""
-    angles = cluster_angles(phi, cfg.N_c, rng)
-    return correlation_matrix_from_angles(beta_nlos, angles, math.radians(cfg.asd_deg), cfg.N)
+    w *= (N * beta_nlos / np.where(zero, 1.0, total))[..., None]
+    R = (V * w[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    R[zero] = 0.0
+    return R
 
 
 def draw_geometry(cfg: SystemConfig, rng) -> Geometry:
@@ -193,15 +192,10 @@ def link_statistics(cfg: SystemConfig, geometry: Geometry,
     kappa = db_to_linear(cfg.rician_db if rician_db is None else rician_db)
     asd = math.radians(cfg.asd_deg if asd_deg is None else asd_deg)
     beta_los, beta_nlos = rician_split(geometry.zeta, kappa)
-    K, L = geometry.zeta.shape
     n = np.arange(cfg.N)
     hbar = np.sqrt(beta_los)[..., None] * np.exp(
         1j * 2.0 * np.pi * cfg.d_H * n * np.sin(geometry.phi)[..., None])
-    R = np.empty((K, L, cfg.N, cfg.N), dtype=complex)
-    for k in range(K):
-        for l in range(L):
-            R[k, l] = correlation_matrix_from_angles(
-                beta_nlos[k, l], geometry.cluster_angles[k, l], asd, cfg.N)
+    R = correlation_matrix_from_angles(beta_nlos, geometry.cluster_angles, asd, cfg.N)
     return LinkStatistics(hbar=hbar, R=R, beta_los=beta_los, beta_nlos=beta_nlos,
                           zeta=geometry.zeta, phi=geometry.phi)
 

@@ -55,3 +55,31 @@ def random_allocation(K, L, rng):
 
     return PowerAllocation(rho=rng.uniform(0.05, 0.95, size=L),
                            eta=rng.uniform(0.05, 1.0, size=(K, L)))
+
+
+def dense_qbar(stats, est, pilots, cfg):
+    """Reference (K, K, L, N, N) co-pilot cross-moments built from R, Psi and
+    the pilots: Qbar_kil = p tau_p R_il Psi_kl R_kl on pilot groups, zero
+    elsewhere."""
+    ptau = cfg.p_pilot_mw * cfg.tau_p
+    PsiR = np.einsum("klab,klbc->klac", est.Psi, stats.R)
+    Qbar = np.einsum("ilab,klbc->kilac", stats.R, PsiR) * ptau
+    return Qbar * pilots.copilot[:, :, None, None, None]
+
+
+def dense_qbar_perfect(stats):
+    """Reference cross-moments of perfect CSI: R_kl on the diagonal only."""
+    K, L, N = stats.K, stats.L, stats.N
+    Qbar = np.zeros((K, K, L, N, N), dtype=complex)
+    Qbar[np.arange(K), np.arange(K)] = stats.R
+    return Qbar
+
+
+def max_rel_diff(a, b):
+    """Largest absolute difference relative to the largest magnitude of the
+    reference b; a zero reference must be matched exactly."""
+    diff = np.max(np.abs(np.asarray(a) - np.asarray(b)))
+    scale = np.max(np.abs(b))
+    if scale == 0:
+        return 0.0 if diff == 0 else np.inf
+    return diff / scale

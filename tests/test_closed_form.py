@@ -8,11 +8,13 @@ from cfrs.closed_form import (PowerAllocation, build_cache, closed_moments,
                               sum_se_batch, sum_se_closed, sum_se_uncorrelated,
                               uncorrelated_cache, upsilon_moments)
 from cfrs.config import SystemConfig
-from cfrs.estimation import assign_pilots, estimation_statistics
+from cfrs.estimation import (assign_pilots, estimation_statistics,
+                             perfect_csi_statistics)
 from cfrs.geometry import LinkStatistics
 from cfrs.monte_carlo import mc_moment_estimators
 from cfrs.rng import substream
-from conftest import random_allocation
+from conftest import (dense_qbar, dense_qbar_perfect, max_rel_diff,
+                      random_allocation)
 
 
 def test_power_allocation_roundtrip():
@@ -42,6 +44,13 @@ def test_power_allocation_validation():
         PowerAllocation(rho=np.array([0.5, 0.5]), eta=np.ones((2, 1)))
     with pytest.raises(ValueError):
         PowerAllocation.from_vector(np.zeros(5), 2, 2)
+    # NaN compares false against both bounds, so it needs its own check.
+    with pytest.raises(ValueError):
+        PowerAllocation(rho=[np.nan], eta=[[np.nan]])
+    with pytest.raises(ValueError):
+        PowerAllocation(rho=np.array([0.5]), eta=np.array([[np.inf]]))
+    with pytest.raises(ValueError):
+        PowerAllocation.from_vector(np.array([np.nan, 0.5]), 1, 1)
 
 
 def test_closed_moments_against_sampling(desk_pieces):
@@ -129,6 +138,37 @@ def test_wrapper_equals_cache_path(desk_pieces, desk_cache):
     a = sum_se_closed(stats, est, pilots, cfg, alloc)
     b = evaluate_cache(desk_cache, alloc)
     assert a.sum_se == pytest.approx(b.sum_se, rel=1e-14)
+
+
+def _dense_cache_fields(stats, Qbar, pilots):
+    """The cache fields that depend on the co-pilot cross-moments, written
+    directly on the dense (K, K, L, N, N) tensor: the common variance sums
+    tr(Qbar_ijl R_kl) + hbar_kl^H Qbar_ijl hbar_kl over every pair (i, j)."""
+    hbar = stats.hbar
+    trQbar = np.trace(Qbar, axis1=-2, axis2=-1)
+    p1 = np.einsum("kln,iln->kil", hbar.conj(), hbar) + trQbar * pilots.copilot[:, :, None]
+    trQbarR = np.einsum("ijlnm,klmn->kijl", Qbar, stats.R)
+    hQbarh = np.einsum("kln,ijlnm,klm->kijl", hbar.conj(), Qbar, hbar)
+    s = hbar.sum(axis=0)
+    sRs = np.einsum("ln,klnm,lm->kl", s.conj(), stats.R, s)
+    common = np.einsum("ln,ln->l", s.conj(), s) + trQbar.sum(axis=(0, 1))
+    return {"c1": p1.sum(axis=1), "p1": p1,
+            "c2": ((trQbarR + hQbarh).sum(axis=(1, 2)) + sRs).real,
+            "mu_c": 1.0 / common.real}
+
+
+@pytest.mark.parametrize("pieces", ["desk_pieces", "full_pieces", "perfect_csi"])
+def test_cache_matches_dense_oracle(pieces, request):
+    if pieces == "perfect_csi":
+        cfg, stats, _, pilots = request.getfixturevalue("full_pieces")
+        est = perfect_csi_statistics(stats)
+        Qbar = dense_qbar_perfect(stats)
+    else:
+        cfg, stats, est, pilots = request.getfixturevalue(pieces)
+        Qbar = dense_qbar(stats, est, pilots, cfg)
+    cache = build_cache(stats, est, pilots, cfg)
+    for name, expected in _dense_cache_fields(stats, Qbar, pilots).items():
+        assert max_rel_diff(getattr(cache, name), expected) <= 1e-12, name
 
 
 def _aligned_stats(beta_los, beta_nlos, N):

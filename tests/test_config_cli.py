@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from cfrs import cli
+from cfrs.closed_form import DegenerateStatisticsError
 from cfrs.config import SystemConfig, db_to_linear, dbm_to_mw
+from cfrs.diffusion import TrainingError
+from cfrs.estimation import EstimationError
 from cfrs.experiments import (EXPERIMENT_IDS, FIGURE_PRESETS, ConfigError,
                               ExperimentSpec, parse_config_text,
                               run_experiment, serialize_config)
@@ -196,3 +199,27 @@ def test_cli_train_and_infer(tmp_path, capsys):
 
     assert cli.main(["infer", "--kappa-db", "0", "--asd-deg", "30",
                      "--checkpoint", str(tmp_path / "nope.npz")]) == 2
+
+
+@pytest.mark.parametrize("target, argv, exc, code", [
+    ("estimation_statistics", ["validate", "--draws", "100"],
+     DegenerateStatisticsError("mu_c is not positive"), 4),
+    ("estimation_statistics", ["validate", "--draws", "100"],
+     EstimationError("pilot 0: observation covariance is singular"), 5),
+    ("train", ["train", "--steps", "5"], TrainingError("loss diverged at step 3"), 6),
+])
+def test_cli_numerical_errors_keep_contract(target, argv, exc, code, tmp_path, capsys,
+                                            monkeypatch):
+    """Numerical failures end in one JSON object on stderr and a documented
+    exit code, not a traceback."""
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    if argv[0] == "train":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert list(err) == ["error"] and str(exc) in err["error"]

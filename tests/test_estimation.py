@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cfrs.config import SystemConfig
-from cfrs.estimation import (assign_pilots, estimate_channel,
-                             estimation_statistics, perfect_csi_statistics)
+from cfrs.estimation import (assign_pilots, copilot_cross_moment,
+                             estimate_channel, estimation_statistics,
+                             perfect_csi_statistics)
 from cfrs.geometry import draw_geometry, link_statistics, sample_channels
 from cfrs.rng import substream
+from conftest import dense_qbar, dense_qbar_perfect, max_rel_diff
 
 
 def test_assign_pilots_balanced_counts():
@@ -41,14 +43,15 @@ def test_estimation_statistics_identities(desk_pieces):
     K, L = stats.K, stats.L
     # Error and estimate covariances partition R.
     np.testing.assert_allclose(est.Q + est.C, stats.R, atol=1e-14)
-    # Diagonal of the cross-moment tensor is the estimate covariance.
+    # Diagonal of the cross-moment traces is the trace of the estimate covariance.
     for k in range(K):
-        np.testing.assert_allclose(est.Qbar[k, k], est.Q[k], atol=1e-14)
+        np.testing.assert_allclose(est.trQbar[k, k], np.trace(est.Q[k], axis1=-2, axis2=-1),
+                                   atol=1e-14)
     # Off pilot group the cross-moments vanish identically.
     for k in range(K):
         for i in range(K):
             if pilots.pilot_of[k] != pilots.pilot_of[i]:
-                assert np.all(est.Qbar[k, i] == 0)
+                assert np.all(est.trQbar[k, i] == 0)
     # Q and C are PSD.
     for arr in (est.Q, est.C):
         w = np.linalg.eigvalsh(arr.reshape(K * L, cfg.N, cfg.N))
@@ -67,7 +70,8 @@ def test_estimation_noise_limit_kills_estimate(desk_pieces):
 
 def test_estimate_channel_moments(desk_pieces):
     """Empirical moments of the single-shot estimator match Q and Qbar, and
-    the residual is uncorrelated with the estimate."""
+    the residual is uncorrelated with the estimate. E{(ghat_k - hbar_k)
+    (ghat_i - hbar_i)^H} is Qbar_ik = p tau_p R_k Psi R_i."""
     cfg, stats, est, pilots = desk_pieces
     n = 20000
     g = sample_channels(stats, n, substream(21, "mc", "channels"))
@@ -94,7 +98,8 @@ def test_estimate_channel_moments(desk_pieces):
             ci = ghat[:, i, 0] - stats.hbar[i, 0]
             emp = np.einsum("bn,bm->nm", ck, ci.conj()) / n
             assert np.abs(emp).max() > 0
-            np.testing.assert_allclose(emp, est.Qbar[k, i, 0], atol=tol)
+            np.testing.assert_allclose(
+                emp, copilot_cross_moment(i, k, 0, stats, est, pilots), atol=tol)
             pairs += 1
     assert pairs > 0
 
@@ -115,8 +120,33 @@ def test_perfect_csi_statistics(desk_pieces):
     est = perfect_csi_statistics(stats)
     np.testing.assert_array_equal(est.Q, stats.R)
     assert np.all(est.C == 0)
+    np.testing.assert_array_equal(est.Qbar_sum, stats.R.sum(axis=0))
     for k in range(stats.K):
-        np.testing.assert_array_equal(est.Qbar[k, k], stats.R[k])
+        np.testing.assert_array_equal(est.trQbar[k, k],
+                                      np.trace(stats.R[k], axis1=-2, axis2=-1))
         for i in range(stats.K):
             if i != k:
-                assert np.all(est.Qbar[k, i] == 0)
+                assert np.all(est.trQbar[k, i] == 0)
+
+
+@pytest.mark.parametrize("pieces", ["desk_pieces", "full_pieces", "perfect_csi"])
+def test_reductions_match_dense_oracle(pieces, request):
+    """trQbar, the pair sum and single entries agree with the dense
+    (K, K, L, N, N) cross-moment tensor, and no field stores that tensor."""
+    if pieces == "perfect_csi":
+        cfg, stats, _, pilots = request.getfixturevalue("full_pieces")
+        est = perfect_csi_statistics(stats)
+        Qbar = dense_qbar_perfect(stats)
+    else:
+        cfg, stats, est, pilots = request.getfixturevalue(pieces)
+        Qbar = dense_qbar(stats, est, pilots, cfg)
+    K, L, N = stats.K, stats.L, stats.N
+    assert max_rel_diff(est.trQbar, np.trace(Qbar, axis1=-2, axis2=-1)) <= 1e-12
+    assert max_rel_diff(est.Qbar_sum, Qbar.sum(axis=(0, 1))) <= 1e-12
+    for k in range(K):
+        for i in range(K):
+            for l in range(L):
+                entry = copilot_cross_moment(k, i, l, stats, est, pilots)
+                assert max_rel_diff(entry, Qbar[k, i, l]) <= 1e-12
+    for name, value in vars(est).items():
+        assert np.shape(value) != (K, K, L, N, N), name

@@ -98,6 +98,30 @@ def test_correlation_small_spread_concentrates_energy():
     assert np.linalg.eigvalsh(narrow)[-1] == pytest.approx(4.0, rel=0.05)
 
 
+def test_correlation_matrix_batched_zero_and_collapse():
+    angles = np.array([[0.2, -0.4], [0.1, 0.5], [0.3, 0.3]])
+    R = correlation_matrix_from_angles(np.array([0.7, 0.0, 1.3]), angles, 0.2, 3)
+    assert R.shape == (3, 3, 3)
+    assert np.all(R[1] == 0)
+    np.testing.assert_array_equal(R[2], correlation_matrix_from_angles(1.3, angles[2], 0.2, 3))
+    with pytest.raises(ValueError, match="collapsed"):
+        correlation_matrix_from_angles(np.array([0.7, -1.0, 1.3]), angles, 0.2, 3)
+
+
+def test_link_statistics_equals_per_link_matrices():
+    """One batched call over all K x L links gives every link's matrix bit
+    for bit as a call for that link alone."""
+    cfg = SystemConfig(L=9, K=5, N=4, tau_p=2, seed=12)
+    geo = draw_geometry(cfg, substream(12, "geometry"))
+    stats = link_statistics(cfg, geo, asd_deg=25.0)
+    assert stats.R.shape == (5, 9, 4, 4)
+    for k in range(cfg.K):
+        for l in range(cfg.L):
+            single = correlation_matrix_from_angles(
+                stats.beta_nlos[k, l], geo.cluster_angles[k, l], math.radians(25.0), cfg.N)
+            np.testing.assert_array_equal(stats.R[k, l], single)
+
+
 def test_place_network_inside_area():
     cfg = SystemConfig(seed=5)
     p = place_network(cfg, substream(5, "geometry"))
