@@ -7,28 +7,25 @@ from .allocation import (GAConfig, GAResult, ga_optimize, heuristic_control,
                          optimize_rho)
 from .closed_form import (PowerAllocation, SECache, SEReport, build_cache,
                           closed_moments, evaluate_cache, normalization_coeffs,
-                          sum_se_batch, sum_se_closed, sum_se_uncorrelated,
-                          upsilon_moments)
+                          sum_se_batch, upsilon_moments)
 from .config import SystemConfig, db_to_linear, dbm_to_mw
 from .diffusion import (Environment, EpsNetwork, ExpertDataset, Schedule,
-                        TrainConfig, build_expert_dataset, forward_diffuse,
-                        load_checkpoint, make_schedule, reverse_sample,
-                        save_checkpoint, split_allocation, train)
+                        TrainConfig, forward_diffuse, load_checkpoint,
+                        make_schedule, reverse_sample, save_checkpoint)
 from .estimation import (EstimationStatistics, PilotAssignment, assign_pilots,
-                         estimate_channel, estimation_statistics,
-                         perfect_csi_statistics)
+                         estimation_statistics, perfect_csi_statistics)
 from .experiments import (DIFFUSION_SYSTEM, EXPERIMENT_IDS, FIGURE_PRESETS,
                           ConfigError, ExperimentSpec, held_out_envs,
                           parse_config, parse_config_text, run_experiment,
                           serialize_config, training_envs)
 from .geometry import (Geometry, LinkStatistics, Placement, draw_geometry,
-                       link_statistics, los_vector, path_loss, place_network,
-                       rician_split, sample_channel, sample_channels)
+                       link_statistics, path_loss, place_network, rician_split)
 from .monte_carlo import (AchievableReport, ChannelSampler, achievable_sum_se,
                           build_precoders, expected_tx_power,
                           instantaneous_sinrs, mc_moment_estimators,
                           mc_uatf_sinrs)
 from .rng import complex_normal, substream
-from .scenario import EnvScenario, verify_dataset
+from .scenario import (EnvScenario, build_expert_dataset, train_policy,
+                       verify_dataset)
 
 __version__ = "0.1.0"

@@ -70,6 +70,13 @@ class GAResult:
     mean_history: np.ndarray
 
 
+def _fitness(objective, pop):
+    fit = np.asarray(objective(pop), dtype=float)
+    if not np.all(np.isfinite(fit)):
+        raise ValueError("GA objective returned a non-finite value")
+    return fit
+
+
 def ga_optimize(objective, dim, ga_cfg: GAConfig, rng, bounds=(0.0, 1.0),
                 init=None) -> GAResult:
     """Maximize a batched objective over a box with a real-coded GA.
@@ -78,6 +85,7 @@ def ga_optimize(objective, dim, ga_cfg: GAConfig, rng, bounds=(0.0, 1.0),
     selection, blend crossover, Gaussian mutation clamped to the box, and
     elitism; with elites carried over unchanged the best-so-far trace never
     decreases. Optional init rows are injected into the initial population.
+    Raises ValueError if the objective returns a value that is not finite.
     """
     lo, hi = bounds
     P = ga_cfg.pop_size
@@ -88,7 +96,7 @@ def ga_optimize(objective, dim, ga_cfg: GAConfig, rng, bounds=(0.0, 1.0),
         init = np.atleast_2d(np.asarray(init, dtype=float))
         take = min(len(init), P)
         pop[:take] = np.clip(init[:take], lo, hi)
-    fit = np.asarray(objective(pop), dtype=float)
+    fit = _fitness(objective, pop)
     best_hist = []
     mean_hist = []
     n_child = P - ga_cfg.elitism
@@ -111,7 +119,7 @@ def ga_optimize(objective, dim, ga_cfg: GAConfig, rng, bounds=(0.0, 1.0),
         children = np.clip(children, lo, hi)
 
         pop = np.concatenate([elites, children], axis=0)
-        fit = np.concatenate([elite_fit, np.asarray(objective(children), dtype=float)])
+        fit = np.concatenate([elite_fit, _fitness(objective, children)])
         best_hist.append(fit.max())
         mean_hist.append(fit.mean())
     best = int(np.argmax(fit))
@@ -166,7 +174,7 @@ def optimize_joint(cache: SECache, ga_cfg: GAConfig, rng, init=None):
 
 def best_on_grid(cache: SECache, allocations):
     """Score a list of allocations on the cache; return (best_alloc, value, values)."""
-    values = np.array([sum_se_batch(cache, a.rho[None], a.eta[None])[0]
-                       for a in allocations])
+    values = sum_se_batch(cache, np.stack([a.rho for a in allocations]),
+                          np.stack([a.eta for a in allocations]))
     best = int(np.argmax(values))
     return allocations[best], float(values[best]), values

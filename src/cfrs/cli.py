@@ -23,19 +23,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from .allocation import GAConfig
-from .closed_form import DegenerateStatisticsError, PowerAllocation, sum_se_batch
+from .closed_form import (DegenerateStatisticsError, PowerAllocation,
+                          closed_moments, normalization_coeffs, sum_se_batch,
+                          upsilon_moments)
 from .config import SystemConfig
-from .diffusion import (Environment, EpsNetwork, TrainConfig, TrainingError,
-                        build_expert_dataset, load_checkpoint, make_schedule,
-                        reverse_sample, save_checkpoint, train)
-from .estimation import EstimationError, assign_pilots, estimation_statistics
+from .diffusion import (Environment, TrainConfig, TrainingError, load_checkpoint,
+                        reverse_sample, save_checkpoint)
+from .estimation import EstimationError
 from .experiments import (DIFFUSION_SYSTEM, FIGURE_PRESETS, ConfigError,
-                          parse_config, run_experiment, training_envs)
-from .geometry import draw_geometry, link_statistics
+                          ExperimentSpec, parse_config, run_experiment,
+                          training_envs)
 from .monte_carlo import mc_moment_estimators
 from .rng import substream
-from .scenario import EnvScenario
+from .scenario import EnvScenario, train_policy
 
 
 def _fail(message, code=1):
@@ -65,21 +65,14 @@ def _cmd_reproduce(args):
 
 
 def _cmd_train(args):
-    system = DIFFUSION_SYSTEM
-    scenario = EnvScenario(system, seed=args.seed)
-    ga_cfg = GAConfig(pop_size=24, generations=60)
-    dataset = build_expert_dataset(scenario, training_envs(), ga_cfg,
-                                   substream(args.seed, "expert"))
-    schedule = make_schedule()
-    K, L = scenario.dims
-    net = EpsNetwork(L + K * L, rng=substream(args.seed, "init"))
-    net, losses = train(dataset, schedule,
-                        TrainConfig(steps=args.steps, lr=args.lr),
-                        substream(args.seed, "train"), net=net)
+    _, dataset, trainer = train_policy(DIFFUSION_SYSTEM, args.seed, training_envs(),
+                                       ExperimentSpec().ga_config,
+                                       TrainConfig(lr=args.lr))
+    losses = trainer.run(args.steps)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt = os.path.join(args.out_dir, "diffusion.npz")
     ds_path = os.path.join(args.out_dir, "expert_dataset.csv")
-    save_checkpoint(ckpt, net, schedule)
+    save_checkpoint(ckpt, trainer.net, trainer.schedule)
     dataset.save_csv(ds_path)
     print(json.dumps({
         "written": [ckpt, ds_path],
@@ -118,12 +111,10 @@ def _cmd_infer(args):
 
 def _cmd_validate(args):
     cfg = SystemConfig(K=3, L=2, N=2, tau_p=2, seed=args.seed)
-    geometry = draw_geometry(cfg, substream(args.seed, "geometry"))
-    pilots = assign_pilots(cfg.K, cfg.tau_p, substream(args.seed, "pilots"))
-    stats = link_statistics(cfg, geometry)
-    est = estimation_statistics(stats, pilots, cfg)
+    scenario = EnvScenario(cfg)
+    pilots = scenario.pilots
+    stats, est = scenario.drop_statistics()
 
-    from .closed_form import closed_moments, normalization_coeffs, upsilon_moments
     checks = []
     rng = substream(args.seed, "mc")
     mu_c, mu_p = normalization_coeffs(stats, est, pilots)

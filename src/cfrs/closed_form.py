@@ -176,10 +176,8 @@ class SECache:
     c2: np.ndarray       # (K, L) real: common-precoder variance seen by user k
     p1: np.ndarray       # (K, K, L) complex: coherent private gain of stream i at k
     p2: np.ndarray       # (K, K, L) real: private variance terms
-    p3: np.ndarray       # (K, K, L) complex: line-of-sight-only coherent gain
     mu_c: np.ndarray     # (L,)
     mu_p: np.ndarray     # (K, L)
-    copilot: np.ndarray  # (K, K) bool
     p_dl: float
     noise: float
     prelog: float
@@ -188,7 +186,6 @@ class SECache:
 def build_cache(stats: LinkStatistics, est: EstimationStatistics,
                 pilots: PilotAssignment, cfg: SystemConfig) -> SECache:
     hbar = stats.hbar
-    copilot = pilots.copilot
     hdot = np.einsum("kln,iln->kil", hbar.conj(), hbar)            # hbar_kl^H hbar_il
     p1 = hdot + est.trQbar
     c1 = p1.sum(axis=1)
@@ -197,8 +194,6 @@ def build_cache(stats: LinkStatistics, est: EstimationStatistics,
     hQh = np.einsum("kln,ilnm,klm->kil", hbar.conj(), est.Q, hbar, optimize=True)
     hRh = np.einsum("iln,klnm,ilm->kil", hbar.conj(), stats.R, hbar, optimize=True)
     p2 = _ensure_real(trQR + hQh + hRh, "private variance terms")
-
-    p3 = hdot
 
     # Common-precoder variance: the estimate cross-moments summed over every
     # user pair, M_l = sum_ij Qbar_ijl, seen through R_kl and hbar_kl, plus the
@@ -211,9 +206,8 @@ def build_cache(stats: LinkStatistics, est: EstimationStatistics,
     c2 = _ensure_real(trMR + hMh + sRs, "common variance terms")
 
     mu_c, mu_p = normalization_coeffs(stats, est, pilots)
-    return SECache(c1=c1, c2=c2, p1=p1, p2=p2, p3=p3, mu_c=mu_c, mu_p=mu_p,
-                   copilot=copilot, p_dl=cfg.p_dl_mw, noise=cfg.noise_mw,
-                   prelog=cfg.prelog)
+    return SECache(c1=c1, c2=c2, p1=p1, p2=p2, mu_c=mu_c, mu_p=mu_p,
+                   p_dl=cfg.p_dl_mw, noise=cfg.noise_mw, prelog=cfg.prelog)
 
 
 def _sinr_terms(cache: SECache, rho, eta):
@@ -228,10 +222,10 @@ def _sinr_terms(cache: SECache, rho, eta):
     b = np.sqrt(w)
     Tp1 = np.abs(np.einsum("pil,kil->pki", b, cache.p1)) ** 2
     Tp2 = np.einsum("pil,kil->pki", w, cache.p2)
-    Tp3 = np.abs(np.einsum("pil,kil->pki", b, cache.p3)) ** 2
 
-    mask = cache.copilot[None]                                     # (1, K, K)
-    inter = Tp2.sum(axis=2) + np.where(mask, Tp1, Tp3).sum(axis=2)  # (P, K)
+    # Every pair (k, i) adds its coherent term: off the pilot groups p1 is the
+    # line-of-sight gain alone, because trQbar is zero there.
+    inter = Tp2.sum(axis=2) + Tp1.sum(axis=2)                      # (P, K)
     p_over_k = cache.p_dl / K
     den_c = cache.p_dl * Tc2 + p_over_k * inter + cache.noise
     if np.any(den_c <= 0):
@@ -268,13 +262,6 @@ def sum_se_batch(cache: SECache, rho, eta):
     return cache.prelog * se
 
 
-def sum_se_closed(stats: LinkStatistics, est: EstimationStatistics,
-                  pilots: PilotAssignment, cfg: SystemConfig,
-                  alloc: PowerAllocation) -> SEReport:
-    """Convenience wrapper: build the cache and score one allocation."""
-    return evaluate_cache(build_cache(stats, est, pilots, cfg), alloc)
-
-
 # ---------------------------------------------------------------------------
 # Scalar special case: spatially uncorrelated scattering with aligned
 # line-of-sight phases. Never touches matrix algebra.
@@ -303,8 +290,6 @@ def uncorrelated_cache(beta_los, beta_nlos, pilots: PilotAssignment,
     p2 = (N * beta_nlos[:, None, :] * gamma[None]
           + N * beta_los[:, None, :] * gamma[None]
           + N * beta_los[None] * beta_nlos[:, None, :])
-    p3 = los_ki
-
     pair = np.einsum("ij,il,jl->l", copilot.astype(float), sqrt_gam, sqrt_gam)
     c2 = (N * pair[None, :] * (beta_nlos + beta_los)
           + N * beta_nlos * (sqrt_los.sum(axis=0)[None, :] ** 2))
@@ -314,10 +299,5 @@ def uncorrelated_cache(beta_los, beta_nlos, pilots: PilotAssignment,
     if np.any(mu_c <= 0) or np.any(mu_p <= 0):
         raise DegenerateStatisticsError("precoder normalizer is not positive")
     return SECache(c1=c1.astype(complex), c2=c2, p1=p1.astype(complex), p2=p2,
-                   p3=p3.astype(complex), mu_c=mu_c, mu_p=mu_p, copilot=copilot,
-                   p_dl=cfg.p_dl_mw, noise=cfg.noise_mw, prelog=cfg.prelog)
-
-
-def sum_se_uncorrelated(beta_los, beta_nlos, pilots: PilotAssignment,
-                        cfg: SystemConfig, alloc: PowerAllocation) -> SEReport:
-    return evaluate_cache(uncorrelated_cache(beta_los, beta_nlos, pilots, cfg), alloc)
+                   mu_c=mu_c, mu_p=mu_p, p_dl=cfg.p_dl_mw, noise=cfg.noise_mw,
+                   prelog=cfg.prelog)

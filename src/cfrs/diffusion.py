@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import PowerAllocation
-
 KAPPA_RANGE_DB = (-10.0, 20.0)
 ASD_RANGE_DEG = (5.0, 90.0)
 T_EMBED = 16
@@ -112,11 +110,6 @@ def reverse_sample(model, schedule: Schedule, env: Environment, dim, rng,
     if clip_bounds is not None:
         x = np.clip(x, clip_bounds[0], clip_bounds[1])
     return x[0]
-
-
-def split_allocation(vec, K, L) -> PowerAllocation:
-    """Interpret a sampled vector as (rho, eta) for K users and L APs."""
-    return PowerAllocation.from_vector(np.asarray(vec, dtype=float), K, L)
 
 
 # ---------------------------------------------------------------------------
@@ -251,61 +244,20 @@ class ExpertDataset:
     def load_csv(cls, path):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        header = rows[0]
+        header = rows[0] if rows else []
         if (len(header) < 4 or header[0] != "env_kappa_db"
                 or header[-1] != "sum_se"):
             raise ValueError(f"{path}: not an expert dataset file")
+        if len(rows) == 1:
+            raise ValueError(f"{path}: the file has no expert records")
         dim = len(header) - 3
         data = np.array([[float(v) for v in row] for row in rows[1:]])
         return cls(kappa_db=data[:, 0], asd_deg=data[:, 1],
                    x0=data[:, 2:2 + dim], sum_se=data[:, -1])
 
 
-def build_expert_dataset(scenario, envs, ga_cfg, rng, cross_screen=True) -> ExpertDataset:
-    """Run the genetic expert on a fixed network drop for each environment.
-
-    Each grid point first gets its own warm-started GA run. With cross_screen
-    on, every environment is then re-scored against the whole pool of winners
-    and keeps the best vector for its own statistics. Near-optimal
-    allocations transfer well between neighbouring environments, so the
-    screen raises the stored values and, just as important for a conditional
-    model, removes the run-to-run GA scatter that would otherwise make the
-    env -> x0 map jump between unrelated near-optima.
-    """
-    from .closed_form import sum_se_batch
-
-    envs = list(envs)
-    K, L = scenario.dims
-    caches, vecs, values = [], [], []
-    for env in envs:
-        cache = scenario.cache(env)
-        alloc, value = scenario.expert(env, ga_cfg, rng, cache=cache)
-        caches.append(cache)
-        vecs.append(alloc.to_vector())
-        values.append(value)
-    vecs = np.stack(vecs)
-    values = np.array(values, dtype=float)
-    if cross_screen and len(envs) > 1:
-        for _ in range(4):
-            changed = 0
-            for m, cache in enumerate(caches):
-                pool = sum_se_batch(cache, vecs[:, :L],
-                                    vecs[:, L:].reshape(len(envs), K, L))
-                j = int(np.argmax(pool))
-                if pool[j] > values[m] + 1e-12:
-                    vecs[m] = vecs[j].copy()
-                    values[m] = float(pool[j])
-                    changed += 1
-            if not changed:
-                break
-    return ExpertDataset(kappa_db=np.array([e.kappa_db for e in envs], dtype=float),
-                         asd_deg=np.array([e.asd_deg for e in envs], dtype=float),
-                         x0=vecs, sum_se=values)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int = 20000
     batch_size: int = 64
     lr: float = 1e-4
     explore_noise: float = 0.01  # jitter on the expert targets, clamped to the box
@@ -346,18 +298,6 @@ class DiffusionTrainer:
         for _ in range(n_steps):
             self.step()
         return np.asarray(self.loss_history)
-
-
-def train(dataset: ExpertDataset, schedule: Schedule, cfg: TrainConfig, rng,
-          net: EpsNetwork = None):
-    """Train a noise-prediction network on an expert dataset.
-
-    Returns (net, loss_history)."""
-    if net is None:
-        net = EpsNetwork(dataset.dim, rng=rng)
-    trainer = DiffusionTrainer(net, schedule, dataset, cfg, rng)
-    history = trainer.run(cfg.steps)
-    return net, history
 
 
 # ---------------------------------------------------------------------------

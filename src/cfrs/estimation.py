@@ -25,7 +25,6 @@ import numpy as np
 
 from .config import SystemConfig
 from .geometry import LinkStatistics
-from .rng import complex_normal
 
 
 class EstimationError(RuntimeError):
@@ -132,20 +131,3 @@ def copilot_cross_moment(k, i, l, stats: LinkStatistics, est: EstimationStatisti
         return np.zeros_like(est.Q[k, l])
     return est.ptau * (stats.R[i, l] @ (est.Psi[k, l] @ stats.R[k, l]))
 
-
-def estimate_channel(g, stats: LinkStatistics, est: EstimationStatistics,
-                     pilots: PilotAssignment, cfg: SystemConfig, rng):
-    """Run the pilot phase for one channel realization.
-
-    g has shape (K, L, N). Returns (ghat, gtilde) with ghat + gtilde = g.
-    The despread pilot noise is drawn per (pilot, AP) and shared by all users
-    on that pilot, which is what correlates co-pilot estimation errors.
-    """
-    ptau = cfg.p_pilot_mw * cfg.tau_p
-    scattered = g - stats.hbar                       # (K, L, N)
-    noise = complex_normal(rng, (pilots.tau_p, stats.L, stats.N)) * np.sqrt(cfg.noise_mw)
-    indicator = (np.arange(pilots.tau_p)[:, None] == pilots.pilot_of[None, :]).astype(float)
-    innovation = np.sqrt(ptau) * np.einsum("ti,iln->tln", indicator, scattered) + noise
-    B = np.sqrt(ptau) * np.einsum("klab,klbc->klac", stats.R, est.Psi)
-    ghat = stats.hbar + np.einsum("klab,klb->kla", B, innovation[pilots.pilot_of])
-    return ghat, g - ghat

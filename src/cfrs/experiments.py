@@ -16,17 +16,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .allocation import (GAConfig, best_on_grid, heuristic_control,
-                         heuristic_split, optimize_eta, optimize_rho)
+from .allocation import (GAConfig, heuristic_control, heuristic_split,
+                         optimize_eta, optimize_rho)
 from .closed_form import PowerAllocation, build_cache, evaluate_cache, sum_se_batch
 from .config import SystemConfig
-from .diffusion import (Environment, EpsNetwork, TrainConfig, DiffusionTrainer,
-                        build_expert_dataset, make_schedule, reverse_sample)
-from .estimation import assign_pilots, estimation_statistics, perfect_csi_statistics
-from .geometry import draw_geometry, link_statistics
+from .diffusion import Environment, TrainConfig, reverse_sample
+from .estimation import perfect_csi_statistics
 from .monte_carlo import achievable_sum_se
 from .rng import substream
-from .scenario import EnvScenario
+from .scenario import DEFAULT_RHO_GRID, EnvScenario, train_policy
 
 EXPERIMENT_IDS = ("cdf", "power_sweep", "rho_sweep_split", "rho_sweep_control",
                   "ap_sweep", "rician_sweep", "train_diffusion", "eval_dynamic")
@@ -45,10 +43,6 @@ class ConfigError(ValueError):
     """Raised for config-file syntax or constraint problems."""
 
 
-def _default_rho_grid():
-    return tuple(float(x) for x in np.linspace(0.0, 0.99, 21))
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     experiment: str = "cdf"
@@ -57,7 +51,7 @@ class ExperimentSpec:
     out_dir: str = "results"
     n_geometries: int = 50
     n_blocks: int = 10000
-    rho_grid: tuple = field(default_factory=_default_rho_grid)
+    rho_grid: tuple = DEFAULT_RHO_GRID
     power_grid_dbm: tuple = (3.0, 13.0, 23.0, 33.0, 43.0)
     ap_grid: tuple = (4, 8, 12, 16, 20)
     kappa_grid_db: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
@@ -242,24 +236,10 @@ def _write_report(spec: ExperimentSpec, columns, rows, extra_meta=None):
     return [csv_path, sidecar_path]
 
 
-def _geometry_pieces(cfg: SystemConfig, seed, tag, index):
-    geometry = draw_geometry(cfg, substream(seed, tag, "geometry", str(index)))
-    pilots = assign_pilots(cfg.K, cfg.tau_p, substream(seed, tag, "pilots", str(index)),
-                           balanced=cfg.balanced_pilots)
-    stats = link_statistics(cfg, geometry)
-    est = estimation_statistics(stats, pilots, cfg)
-    return geometry, pilots, stats, est
-
-
-def _best_equal(cache, rho_grid, K, L):
-    allocs = [PowerAllocation.equal_split(K, L, r) for r in rho_grid]
-    return best_on_grid(cache, allocs)
-
-
-def _best_heuristic(cache, zeta, rho_grid):
-    eta = heuristic_control(zeta)
-    allocs = [PowerAllocation(rho=heuristic_split(zeta, r), eta=eta) for r in rho_grid]
-    return best_on_grid(cache, allocs)
+def _scenario(cfg: SystemConfig, seed, tag, index):
+    """Drop number index of a sweep, on the sweep's own substreams."""
+    return EnvScenario(cfg, rngs=(substream(seed, tag, "geometry", str(index)),
+                                  substream(seed, tag, "pilots", str(index))))
 
 
 # -- runners ------------------------------------------------------------------
@@ -267,11 +247,12 @@ def _best_heuristic(cache, zeta, rho_grid):
 def _cdf_item(args):
     spec, g = args
     cfg = spec.system
-    _, pilots, stats, est = _geometry_pieces(cfg, spec.seed, "cdf", g)
+    scenario = _scenario(cfg, spec.seed, "cdf", g)
+    pilots = scenario.pilots
+    stats, est = scenario.drop_statistics()
     cache = build_cache(stats, est, pilots, cfg)
-    K, L = cfg.K, cfg.L
-    no_rs = PowerAllocation.no_rs(K, L)
-    rs, _, _ = _best_equal(cache, spec.rho_grid, K, L)
+    no_rs = PowerAllocation.no_rs(cfg.K, cfg.L)
+    rs, _, _ = scenario.best_equal_split(cache, spec.rho_grid)
     out = {}
     out["uatf_no_rs"] = evaluate_cache(cache, no_rs).sum_se
     out["uatf_rs"] = evaluate_cache(cache, rs).sum_se
@@ -295,17 +276,18 @@ def _run_cdf(spec):
 def _power_item(args):
     spec, g = args
     cfg0 = spec.system
-    K, L = cfg0.K, cfg0.L
-    geometry, pilots, stats, _ = _geometry_pieces(cfg0, spec.seed, "power", g)
+    scenario = _scenario(cfg0, spec.seed, "power", g)
+    pilots = scenario.pilots
+    # The estimates do not depend on the downlink power.
+    stats, est_i = scenario.drop_statistics()
+    est_p = perfect_csi_statistics(stats)
+    no_rs = PowerAllocation.no_rs(cfg0.K, cfg0.L)
     out = {}
     for p_dbm in spec.power_grid_dbm:
         cfg = cfg0.with_overrides(p_dl_dbm=float(p_dbm))
-        est_i = estimation_statistics(stats, pilots, cfg)
-        est_p = perfect_csi_statistics(stats)
         for csi, est in (("imperfect", est_i), ("perfect", est_p)):
             cache = build_cache(stats, est, pilots, cfg)
-            no_rs = PowerAllocation.no_rs(K, L)
-            rs, _, _ = _best_equal(cache, spec.rho_grid, K, L)
+            rs, _, _ = scenario.best_equal_split(cache, spec.rho_grid)
             for variant, alloc in (("no_rs", no_rs), ("rs", rs)):
                 rep = achievable_sum_se(stats, est, pilots, cfg, alloc,
                                         spec.n_blocks,
@@ -340,10 +322,10 @@ def _split_item(args):
     for channel in ("rician", "rayleigh"):
         cfg = spec.system if channel == "rician" else \
             spec.system.with_overrides(rician_db=float("-inf"))
-        _, pilots, stats, est = _geometry_pieces(cfg, spec.seed, f"split-{channel}", g)
-        cache = build_cache(stats, est, pilots, cfg)
+        scenario = _scenario(cfg, spec.seed, f"split-{channel}", g)
+        cache = scenario.cache()
         K, L = cfg.K, cfg.L
-        zeta = stats.zeta
+        zeta = scenario.zeta
         eta_equal = np.ones((K, L))
         equal_rhos = np.stack([np.full(L, r) for r in spec.rho_grid])
         heur_rhos = np.stack([heuristic_split(zeta, r) for r in spec.rho_grid])
@@ -374,10 +356,10 @@ def _control_item(args):
     spec, g = args
     cfg = spec.system
     K, L = cfg.K, cfg.L
-    _, pilots, stats, est = _geometry_pieces(cfg, spec.seed, "control", g)
-    cache = build_cache(stats, est, pilots, cfg)
+    scenario = _scenario(cfg, spec.seed, "control", g)
+    cache = scenario.cache()
     eta_equal = np.ones((K, L))
-    eta_heur = heuristic_control(stats.zeta)
+    eta_heur = heuristic_control(scenario.zeta)
     n = len(spec.rho_grid)
     rhos = np.stack([np.full(L, r) for r in spec.rho_grid])
     out = {
@@ -407,12 +389,11 @@ def _run_rho_sweep_control(spec):
 def _ap_item(args):
     spec, n_aps, g = args
     cfg = spec.system.with_overrides(L=int(n_aps))
-    _, pilots, stats, est = _geometry_pieces(cfg, spec.seed, f"ap-{n_aps}", g)
-    cache = build_cache(stats, est, pilots, cfg)
-    K, L = cfg.K, cfg.L
-    no_rs = evaluate_cache(cache, PowerAllocation.no_rs(K, L)).sum_se
-    _, rs, _ = _best_equal(cache, spec.rho_grid, K, L)
-    _, rs_heur, _ = _best_heuristic(cache, stats.zeta, spec.rho_grid)
+    scenario = _scenario(cfg, spec.seed, f"ap-{n_aps}", g)
+    cache = scenario.cache()
+    no_rs = scenario.no_rs_value(cache)
+    _, rs, _ = scenario.best_equal_split(cache, spec.rho_grid)
+    _, rs_heur, _ = scenario.best_heuristic(cache, spec.rho_grid)
     return {"no_rs": no_rs, "rs": rs, "rs_heuristic": rs_heur}
 
 
@@ -433,12 +414,10 @@ def _rician_item(args):
     spec, kappa_db, n_ues, g = args
     cfg = spec.system.with_overrides(K=int(n_ues), tau_p=max(1, int(n_ues) // 2),
                                      rician_db=float(kappa_db))
-    _, pilots, stats, est = _geometry_pieces(cfg, spec.seed,
-                                             f"rician-{n_ues}-{kappa_db}", g)
-    cache = build_cache(stats, est, pilots, cfg)
-    K, L = cfg.K, cfg.L
-    no_rs = evaluate_cache(cache, PowerAllocation.no_rs(K, L)).sum_se
-    _, rs, _ = _best_equal(cache, spec.rho_grid, K, L)
+    scenario = _scenario(cfg, spec.seed, f"rician-{n_ues}-{kappa_db}", g)
+    cache = scenario.cache()
+    no_rs = scenario.no_rs_value(cache)
+    _, rs, _ = scenario.best_equal_split(cache, spec.rho_grid)
     return {"no_rs": no_rs, "rs": rs}
 
 
@@ -466,22 +445,14 @@ def held_out_envs():
     return [Environment(k, a) for k in HELD_OUT_KAPPAS_DB for a in HELD_OUT_ASDS_DEG]
 
 
-def _diffusion_pieces(spec):
-    scenario = EnvScenario(spec.system, seed=spec.seed)
-    dataset = build_expert_dataset(scenario, training_envs(), spec.ga_config,
-                                   substream(spec.seed, "expert"))
-    return scenario, dataset
+def _train_policy(spec):
+    return train_policy(spec.system, spec.seed, training_envs(), spec.ga_config,
+                        TrainConfig(lr=spec.train_lr))
 
 
 def _run_train_diffusion(spec):
-    scenario, dataset = _diffusion_pieces(spec)
+    scenario, dataset, trainer = _train_policy(spec)
     K, L = scenario.dims
-    dim = L + K * L
-    schedule = make_schedule()
-    net = EpsNetwork(dim, rng=substream(spec.seed, "init"))
-    trainer = DiffusionTrainer(net, schedule, dataset,
-                               TrainConfig(steps=spec.train_steps, lr=spec.train_lr),
-                               substream(spec.seed, "train"))
     held = held_out_envs()
     caches = [scenario.cache(env) for env in held]
     eval_every = max(500, spec.train_steps // 40)
@@ -494,7 +465,7 @@ def _run_train_diffusion(spec):
         window = np.mean(trainer.loss_history[-min(200, done):])
         values = []
         for i, env in enumerate(held):
-            x = reverse_sample(net, schedule, env, dim,
+            x = reverse_sample(trainer.net, trainer.schedule, env, trainer.net.dim,
                                substream(spec.seed, "eval", str(done), str(i)))
             alloc = PowerAllocation.from_vector(x, K, L)
             values.append(sum_se_batch(caches[i], alloc.rho[None], alloc.eta[None])[0])
@@ -504,21 +475,15 @@ def _run_train_diffusion(spec):
 
 
 def _run_eval_dynamic(spec):
-    scenario, dataset = _diffusion_pieces(spec)
+    scenario, dataset, trainer = _train_policy(spec)
     K, L = scenario.dims
-    dim = L + K * L
-    schedule = make_schedule()
-    net = EpsNetwork(dim, rng=substream(spec.seed, "init"))
-    trainer = DiffusionTrainer(net, schedule, dataset,
-                               TrainConfig(steps=spec.train_steps, lr=spec.train_lr),
-                               substream(spec.seed, "train"))
     trainer.run(spec.train_steps)
     rows = []
     for i, env in enumerate(held_out_envs()):
         cache = scenario.cache(env)
         no_rs = scenario.no_rs_value(cache)
         _, heur, _ = scenario.best_heuristic(cache)
-        x = reverse_sample(net, schedule, env, dim,
+        x = reverse_sample(trainer.net, trainer.schedule, env, trainer.net.dim,
                            substream(spec.seed, "sample", str(i)))
         alloc = PowerAllocation.from_vector(x, K, L)
         diff = float(sum_se_batch(cache, alloc.rho[None], alloc.eta[None])[0])

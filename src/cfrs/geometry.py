@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig, db_to_linear
-from .rng import complex_normal
 
 # Three-slope distance law in dB: -140.7 - 35 log10(d_km) beyond 50 m, a
 # 20 dB/decade segment between 10 m and 50 m, flat inside 10 m. The two inner
@@ -122,12 +121,6 @@ def rician_split(zeta, kappa):
     return beta_los, beta_nlos
 
 
-def los_vector(beta_los, phi, N, d_H):
-    """Line-of-sight mean vector sqrt(beta_los) * [1, e^{j2pi d_H sin(phi)}, ...]."""
-    n = np.arange(N)
-    return np.sqrt(beta_los) * np.exp(1j * 2.0 * np.pi * d_H * n * np.sin(phi))
-
-
 def correlation_matrix_from_angles(beta_nlos, angles, asd_rad, N):
     """Spatial correlation matrices of the scattered component.
 
@@ -206,15 +199,3 @@ def hermitian_sqrt(R):
     w = np.clip(w, 0.0, None)
     return (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
-
-def sample_channels(stats: LinkStatistics, n, rng):
-    """Draw n independent channel realizations, shape (n, K, L, N)."""
-    Rhalf = hermitian_sqrt(stats.R)
-    w = complex_normal(rng, (n, stats.K, stats.L, stats.N))
-    scattered = np.einsum("klnm,bklm->bkln", Rhalf, w)
-    return stats.hbar[None] + scattered
-
-
-def sample_channel(stats: LinkStatistics, rng):
-    """Draw a single channel realization, shape (K, L, N)."""
-    return sample_channels(stats, 1, rng)[0]

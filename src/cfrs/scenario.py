@@ -3,7 +3,9 @@
 The geometry (positions, large-scale gains, scattering-cluster angles) and
 the pilot assignment are frozen from the seed; the Rician factor and angular
 spread can then be swept without redrawing anything, which is what the
-environment-adaptive optimizer trains and evaluates on.
+environment-adaptive optimizer trains and evaluates on. This module is the
+only place a drop is built, and the one path from a drop to an expert
+dataset and a trained policy.
 """
 
 import numpy as np
@@ -13,19 +15,27 @@ from .allocation import (GAConfig, best_on_grid, heuristic_control,
 from .closed_form import (PowerAllocation, build_cache, evaluate_cache,
                           sum_se_batch)
 from .config import SystemConfig
+from .diffusion import (DiffusionTrainer, Environment, EpsNetwork,
+                        ExpertDataset, TrainConfig, make_schedule)
 from .estimation import assign_pilots, estimation_statistics
 from .geometry import draw_geometry, link_statistics
 from .rng import substream
 
-DEFAULT_RHO_GRID = np.linspace(0.0, 0.99, 21)
+DEFAULT_RHO_GRID = tuple(float(x) for x in np.linspace(0.0, 0.99, 21))
 
 
 class EnvScenario:
-    def __init__(self, cfg: SystemConfig, seed=None):
+    """One drop. rngs, if given, is the (geometry, pilots) generator pair;
+    by default they are the seed's "geometry" and "pilots" substreams."""
+
+    def __init__(self, cfg: SystemConfig, seed=None, rngs=None):
         self.cfg = cfg
-        self.seed = cfg.seed if seed is None else seed
-        self.geometry = draw_geometry(cfg, substream(self.seed, "geometry"))
-        self.pilots = assign_pilots(cfg.K, cfg.tau_p, substream(self.seed, "pilots"),
+        if rngs is None:
+            seed = cfg.seed if seed is None else seed
+            rngs = substream(seed, "geometry"), substream(seed, "pilots")
+        geometry_rng, pilot_rng = rngs
+        self.geometry = draw_geometry(cfg, geometry_rng)
+        self.pilots = assign_pilots(cfg.K, cfg.tau_p, pilot_rng,
                                     balanced=cfg.balanced_pilots)
 
     @property
@@ -42,9 +52,13 @@ class EnvScenario:
             kwargs = {"rician_db": env.kappa_db, "asd_deg": env.asd_deg}
         return link_statistics(self.cfg, self.geometry, **kwargs)
 
-    def cache(self, env=None):
+    def drop_statistics(self, env=None):
+        """Link and MMSE estimation statistics under env: (stats, est)."""
         stats = self.statistics(env)
-        est = estimation_statistics(stats, self.pilots, self.cfg)
+        return stats, estimation_statistics(stats, self.pilots, self.cfg)
+
+    def cache(self, env=None):
+        stats, est = self.drop_statistics(env)
         return build_cache(stats, est, self.pilots, self.cfg)
 
     # -- baseline allocations ------------------------------------------------
@@ -61,7 +75,6 @@ class EnvScenario:
     def best_heuristic(self, cache, rho_grid=DEFAULT_RHO_GRID):
         """Heuristic splitting swept over the initial factor, joined with the
         heuristic power control; best grid point by the closed-form value."""
-        K, L = self.dims
         eta = heuristic_control(self.zeta)
         allocs = [PowerAllocation(rho=heuristic_split(self.zeta, r), eta=eta)
                   for r in rho_grid]
@@ -94,13 +107,68 @@ class EnvScenario:
         return best, value
 
 
+def build_expert_dataset(scenario: EnvScenario, envs, ga_cfg: GAConfig, rng,
+                         cross_screen=True) -> ExpertDataset:
+    """Run the genetic expert on a fixed network drop for each environment.
+
+    Each grid point first gets its own warm-started GA run. With cross_screen
+    on, every environment is then re-scored against the whole pool of winners
+    and keeps the best vector for its own statistics. Near-optimal
+    allocations transfer well between neighbouring environments, so the
+    screen raises the stored values and, just as important for a conditional
+    model, removes the run-to-run GA scatter that would otherwise make the
+    env -> x0 map jump between unrelated near-optima.
+    """
+    envs = list(envs)
+    K, L = scenario.dims
+    caches, vecs, values = [], [], []
+    for env in envs:
+        cache = scenario.cache(env)
+        alloc, value = scenario.expert(env, ga_cfg, rng, cache=cache)
+        caches.append(cache)
+        vecs.append(alloc.to_vector())
+        values.append(value)
+    vecs = np.stack(vecs)
+    values = np.array(values, dtype=float)
+    if cross_screen and len(envs) > 1:
+        for _ in range(4):
+            changed = 0
+            for m, cache in enumerate(caches):
+                pool = sum_se_batch(cache, vecs[:, :L],
+                                    vecs[:, L:].reshape(len(envs), K, L))
+                j = int(np.argmax(pool))
+                if pool[j] > values[m] + 1e-12:
+                    vecs[m] = vecs[j].copy()
+                    values[m] = float(pool[j])
+                    changed += 1
+            if not changed:
+                break
+    return ExpertDataset(kappa_db=np.array([e.kappa_db for e in envs], dtype=float),
+                         asd_deg=np.array([e.asd_deg for e in envs], dtype=float),
+                         x0=vecs, sum_se=values)
+
+
+def train_policy(cfg: SystemConfig, seed, envs, ga_cfg: GAConfig,
+                 train_cfg: TrainConfig):
+    """Build the seed's drop, its expert dataset over envs, and a trainer for
+    a fresh noise-prediction network; nothing is trained yet.
+
+    Returns (scenario, dataset, trainer). trainer.run(n) takes n steps and
+    may be called repeatedly; the policy is trainer.net with trainer.schedule.
+    """
+    scenario = EnvScenario(cfg, seed=seed)
+    dataset = build_expert_dataset(scenario, envs, ga_cfg, substream(seed, "expert"))
+    K, L = scenario.dims
+    net = EpsNetwork(L + K * L, rng=substream(seed, "init"))
+    trainer = DiffusionTrainer(net, make_schedule(), dataset, train_cfg,
+                               substream(seed, "train"))
+    return scenario, dataset, trainer
+
+
 def verify_dataset(dataset, scenario: EnvScenario, tol=1e-10):
     """Re-score every expert vector on its environment's cache and compare to
     the stored value. Guards against loading a dataset into the wrong
     scenario. Raises ValueError on mismatch."""
-    from .closed_form import sum_se_batch
-    from .diffusion import Environment
-
     K, L = scenario.dims
     for m in range(len(dataset)):
         env = Environment(float(dataset.kappa_db[m]), float(dataset.asd_deg[m]))

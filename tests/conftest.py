@@ -11,9 +11,7 @@ import pytest
 
 from cfrs.closed_form import build_cache
 from cfrs.config import SystemConfig
-from cfrs.estimation import assign_pilots, estimation_statistics
-from cfrs.geometry import draw_geometry, link_statistics
-from cfrs.rng import substream
+from cfrs.scenario import EnvScenario
 
 
 @pytest.fixture(scope="session")
@@ -24,12 +22,9 @@ def desk_cfg():
 @pytest.fixture(scope="session")
 def desk_pieces(desk_cfg):
     """(cfg, stats, est, pilots) on the desk-scale network."""
-    geo = draw_geometry(desk_cfg, substream(desk_cfg.seed, "geometry"))
-    stats = link_statistics(desk_cfg, geo)
-    pilots = assign_pilots(desk_cfg.K, desk_cfg.tau_p,
-                           substream(desk_cfg.seed, "pilots"))
-    est = estimation_statistics(stats, pilots, desk_cfg)
-    return desk_cfg, stats, est, pilots
+    scenario = EnvScenario(desk_cfg)
+    stats, est = scenario.drop_statistics()
+    return desk_cfg, stats, est, scenario.pilots
 
 
 @pytest.fixture(scope="session")
@@ -42,11 +37,9 @@ def desk_cache(desk_pieces):
 def full_pieces():
     """One network drop at the default full scale (20 APs, 4 users)."""
     cfg = SystemConfig(seed=3)
-    geo = draw_geometry(cfg, substream(cfg.seed, "geometry"))
-    stats = link_statistics(cfg, geo)
-    pilots = assign_pilots(cfg.K, cfg.tau_p, substream(cfg.seed, "pilots"))
-    est = estimation_statistics(stats, pilots, cfg)
-    return cfg, stats, est, pilots
+    scenario = EnvScenario(cfg)
+    stats, est = scenario.drop_statistics()
+    return cfg, stats, est, scenario.pilots
 
 
 def random_allocation(K, L, rng):

@@ -13,16 +13,14 @@ from cfrs.closed_form import (PowerAllocation, build_cache, closed_moments,
                               evaluate_cache, normalization_coeffs,
                               upsilon_moments)
 from cfrs.config import SystemConfig
-from cfrs.diffusion import (Environment, EpsNetwork, TrainConfig,
-                            build_expert_dataset, make_schedule,
-                            reverse_sample, split_allocation, train)
+from cfrs.diffusion import EpsNetwork, TrainConfig, reverse_sample
 from cfrs.estimation import assign_pilots, estimation_statistics
 from cfrs.experiments import DIFFUSION_SYSTEM, held_out_envs, training_envs
 from cfrs.geometry import draw_geometry, link_statistics
 from cfrs.monte_carlo import (achievable_sum_se, mc_moment_estimators,
                               mc_uatf_sinrs)
 from cfrs.rng import substream
-from cfrs.scenario import DEFAULT_RHO_GRID, EnvScenario
+from cfrs.scenario import DEFAULT_RHO_GRID, train_policy
 from conftest import random_allocation
 from test_closed_form import _aligned_stats, _classical_private_sinrs
 
@@ -379,16 +377,11 @@ def test_criterion_09_network_gradients():
 
 @pytest.fixture(scope="module")
 def trained_policy():
-    scenario = EnvScenario(DIFFUSION_SYSTEM)
-    dataset = build_expert_dataset(scenario, training_envs(),
-                                   GAConfig(pop_size=24, generations=60),
-                                   substream(60, "expert"))
-    schedule = make_schedule()
-    net = EpsNetwork(dataset.dim, hidden=128, rng=substream(60, "init"))
-    net, history = train(dataset, schedule,
-                         TrainConfig(steps=30000, lr=1e-3),
-                         substream(60, "train"), net=net)
-    return scenario, dataset, schedule, net, history
+    scenario, dataset, trainer = train_policy(
+        DIFFUSION_SYSTEM, 60, training_envs(), GAConfig(pop_size=24, generations=60),
+        TrainConfig(lr=1e-3))
+    history = trainer.run(30000)
+    return scenario, dataset, trainer.schedule, trainer.net, history
 
 
 def test_criterion_10_policy_quality(trained_policy):
@@ -401,7 +394,7 @@ def test_criterion_10_policy_quality(trained_policy):
         cache = scenario.cache(env)
         vec = reverse_sample(net, schedule, env, dataset.dim,
                              substream(60, "sample", n))
-        alloc = split_allocation(vec, K, L)
+        alloc = PowerAllocation.from_vector(vec, K, L)
         diff_vals.append(evaluate_cache(cache, alloc).sum_se)
         _, ref = scenario.expert(env, ga_cfg, substream(60, "ref", n),
                                  cache=cache, candidates=dataset.x0)

@@ -94,6 +94,20 @@ def test_ga_respects_bounds_and_init():
                     substream(19, "x"))
 
 
+@pytest.mark.parametrize("where", ["everywhere", "half_box"])
+def test_ga_rejects_nonfinite_objective(where):
+    """A NaN objective must fail loudly, not come back as a NaN optimum."""
+    def objective(pop):
+        values = pop.sum(axis=1)
+        if where == "everywhere":
+            return np.full(len(pop), np.nan)
+        return np.where(pop[:, 0] > 0.5, np.nan, values)
+
+    with pytest.raises(ValueError, match="non-finite"):
+        ga_optimize(objective, 3, GAConfig(pop_size=12, generations=10),
+                    substream(21, "nan"))
+
+
 def test_optimizers_improve_on_seeds(desk_cache):
     rng = substream(23, "ga")
     ga_cfg = GAConfig(pop_size=20, generations=30)

@@ -5,14 +5,14 @@ import pytest
 
 from cfrs.closed_form import (PowerAllocation, build_cache, closed_moments,
                               evaluate_cache, normalization_coeffs,
-                              sum_se_batch, sum_se_closed, sum_se_uncorrelated,
-                              uncorrelated_cache, upsilon_moments)
+                              sum_se_batch, uncorrelated_cache, upsilon_moments)
 from cfrs.config import SystemConfig
 from cfrs.estimation import (assign_pilots, estimation_statistics,
                              perfect_csi_statistics)
-from cfrs.geometry import LinkStatistics
+from cfrs.geometry import LinkStatistics, draw_geometry, link_statistics
 from cfrs.monte_carlo import mc_moment_estimators
 from cfrs.rng import substream
+from cfrs.scenario import EnvScenario
 from conftest import (dense_qbar, dense_qbar_perfect, max_rel_diff,
                       random_allocation)
 
@@ -132,12 +132,20 @@ def test_batch_matches_scalar_evaluation(desk_cache):
     np.testing.assert_allclose(batch, single, rtol=1e-12)
 
 
-def test_wrapper_equals_cache_path(desk_pieces, desk_cache):
-    cfg, stats, est, pilots = desk_pieces
+def test_wrapper_equals_cache_path(desk_cfg):
+    """EnvScenario builds the same cache as the quick-start chain written out
+    step by step."""
+    cfg = desk_cfg
+    geo = draw_geometry(cfg, substream(cfg.seed, "geometry"))
+    stats = link_statistics(cfg, geo)
+    pilots = assign_pilots(cfg.K, cfg.tau_p, substream(cfg.seed, "pilots"))
+    est = estimation_statistics(stats, pilots, cfg)
+    by_hand = build_cache(stats, est, pilots, cfg)
+    scenario_cache = EnvScenario(cfg).cache()
+    for name, value in vars(by_hand).items():
+        np.testing.assert_array_equal(getattr(scenario_cache, name), value, err_msg=name)
     alloc = PowerAllocation.equal_split(3, 2, rho0=0.3)
-    a = sum_se_closed(stats, est, pilots, cfg, alloc)
-    b = evaluate_cache(desk_cache, alloc)
-    assert a.sum_se == pytest.approx(b.sum_se, rel=1e-14)
+    assert evaluate_cache(scenario_cache, alloc).sum_se == evaluate_cache(by_hand, alloc).sum_se
 
 
 def _dense_cache_fields(stats, Qbar, pilots):
@@ -169,6 +177,11 @@ def test_cache_matches_dense_oracle(pieces, request):
     cache = build_cache(stats, est, pilots, cfg)
     for name, expected in _dense_cache_fields(stats, Qbar, pilots).items():
         assert max_rel_diff(getattr(cache, name), expected) <= 1e-12, name
+    # Off the pilot groups p1 is exactly the line-of-sight product, which is
+    # what lets the SINR assembly use p1 for every user pair.
+    off = ~pilots.copilot
+    hdot = np.einsum("kln,iln->kil", stats.hbar.conj(), stats.hbar)
+    np.testing.assert_array_equal(cache.p1[off], hdot[off])
 
 
 def _aligned_stats(beta_los, beta_nlos, N):
@@ -200,7 +213,7 @@ def test_scalar_cache_matches_matrix_cache():
         np.testing.assert_allclose(a.sinr_common, b.sinr_common, rtol=1e-10)
         np.testing.assert_allclose(a.sinr_private, b.sinr_private, rtol=1e-10)
     alloc = PowerAllocation.equal_split(4, 3, rho0=0.5)
-    assert sum_se_uncorrelated(beta_los, beta_nlos, pilots, cfg, alloc).sum_se \
+    assert evaluate_cache(scalar_cache, alloc).sum_se \
         == pytest.approx(evaluate_cache(matrix_cache, alloc).sum_se, rel=1e-10)
 
 

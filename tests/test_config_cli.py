@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from cfrs import cli
+from cfrs import cli, scenario
 from cfrs.closed_form import DegenerateStatisticsError
 from cfrs.config import SystemConfig, db_to_linear, dbm_to_mw
-from cfrs.diffusion import TrainingError
+from cfrs.diffusion import DiffusionTrainer, TrainingError
 from cfrs.estimation import EstimationError
 from cfrs.experiments import (EXPERIMENT_IDS, FIGURE_PRESETS, ConfigError,
                               ExperimentSpec, parse_config_text,
@@ -142,6 +142,50 @@ def test_run_experiment_deterministic(tiny_run, tmp_path, monkeypatch):
     assert open(b[0]).read() == open(files[0]).read()
 
 
+# Header and row count of every runner at the tiny size below, with the
+# default grids: 21 splitting factors, 5 powers, 5 AP counts, 7 Rician
+# factors x 2 user counts, 12 held-out environments, and 600 training steps
+# evaluated every 500.
+_RUNNER_SHAPES = {
+    "cdf": ("geometry_id,variant,sum_se", 2 * 4),
+    "power_sweep": ("p_dl_dbm,csi,variant,sum_se_uatf,sum_se_achievable,"
+                    "achievable_stderr", 5 * 2 * 2),
+    "rho_sweep_split": ("channel,rho0,variant,sum_se", 2 * 21 * 3),
+    "rho_sweep_control": ("rho0,variant,sum_se", 21 * 3),
+    "ap_sweep": ("n_aps,variant,sum_se", 5 * 3),
+    "rician_sweep": ("kappa_db,n_ues,variant,sum_se", 7 * 2 * 2),
+    "train_diffusion": ("step,loss_window_mean,held_out_mean_sum_se", 2),
+    "eval_dynamic": ("env_kappa_db,env_asd_deg,variant,sum_se", 12 * 4),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_every_runner_writes_reproducible_outputs(experiment, tmp_path):
+    preset = next(p for p in FIGURE_PRESETS.values() if p.experiment == experiment)
+    tiny = ExperimentSpec(**{**preset.__dict__, "n_geometries": 2, "n_blocks": 200,
+                             "ga_pop": 8, "ga_generations": 5, "train_steps": 600})
+    first = run_experiment(ExperimentSpec(**{**tiny.__dict__,
+                                             "out_dir": str(tmp_path / "a")}))
+    header, n_rows = _RUNNER_SHAPES[experiment]
+    with open(first[0]) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + n_rows
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert np.isfinite(float(cells[-1])), line
+        for cell in cells:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert np.isfinite(value), line
+    second = run_experiment(ExperimentSpec(**{**tiny.__dict__,
+                                              "out_dir": str(tmp_path / "b")}))
+    for a, b in zip(first, second):
+        assert open(a, "rb").read() == open(b, "rb").read(), a
+
+
 def test_cli_run_and_errors(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(TINY_CONFIG)
@@ -201,21 +245,26 @@ def test_cli_train_and_infer(tmp_path, capsys):
                      "--checkpoint", str(tmp_path / "nope.npz")]) == 2
 
 
-@pytest.mark.parametrize("target, argv, exc, code", [
+# Stage name -> (owner, attribute) that the CLI reaches at that stage.
+_STAGES = {"estimation_statistics": (scenario, "estimation_statistics"),
+           "train": (DiffusionTrainer, "step")}
+
+
+@pytest.mark.parametrize("stage, argv, exc, code", [
     ("estimation_statistics", ["validate", "--draws", "100"],
      DegenerateStatisticsError("mu_c is not positive"), 4),
     ("estimation_statistics", ["validate", "--draws", "100"],
      EstimationError("pilot 0: observation covariance is singular"), 5),
     ("train", ["train", "--steps", "5"], TrainingError("loss diverged at step 3"), 6),
 ])
-def test_cli_numerical_errors_keep_contract(target, argv, exc, code, tmp_path, capsys,
+def test_cli_numerical_errors_keep_contract(stage, argv, exc, code, tmp_path, capsys,
                                             monkeypatch):
     """Numerical failures end in one JSON object on stderr and a documented
     exit code, not a traceback."""
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, target, fail)
+    monkeypatch.setattr(*_STAGES[stage], fail)
     if argv[0] == "train":
         argv = argv + ["--out-dir", str(tmp_path)]
     assert cli.main(argv) == code

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from cfrs.diffusion import (Adam, Environment, EpsNetwork, ExpertDataset,
-                            Schedule, TrainConfig, TrainingError,
-                            forward_diffuse, load_checkpoint, make_schedule,
-                            reverse_sample, save_checkpoint, split_allocation,
-                            train)
+from cfrs.closed_form import PowerAllocation
+from cfrs.diffusion import (Adam, DiffusionTrainer, Environment, EpsNetwork,
+                            ExpertDataset, Schedule, TrainConfig,
+                            TrainingError, forward_diffuse, load_checkpoint,
+                            make_schedule, reverse_sample, save_checkpoint)
 from cfrs.rng import substream
 
 
@@ -110,12 +110,14 @@ def test_reverse_sample_clipping_and_determinism():
 
 
 def test_split_allocation_layout():
+    # A sampled policy vector holds the L splitting factors first, then eta
+    # row by row.
     vec = np.arange(6) / 10.0
-    alloc = split_allocation(vec, K=2, L=2)
+    alloc = PowerAllocation.from_vector(vec, K=2, L=2)
     np.testing.assert_allclose(alloc.rho, [0.0, 0.1])
     np.testing.assert_allclose(alloc.eta, [[0.2, 0.3], [0.4, 0.5]])
     with pytest.raises(ValueError):
-        split_allocation(vec, K=3, L=2)
+        PowerAllocation.from_vector(vec, K=3, L=2)
 
 
 def test_network_shapes_and_gradients():
@@ -197,12 +199,26 @@ def test_expert_dataset_validation(tmp_path):
         ExpertDataset.load_csv(bad)
 
 
+def test_expert_dataset_rejects_header_only_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    _toy_dataset().save_csv(path)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(ValueError, match="no expert records"):
+        ExpertDataset.load_csv(path)
+
+
 def test_training_reduces_loss_and_is_deterministic():
     ds = _toy_dataset()
     s = make_schedule()
-    cfg = TrainConfig(steps=1500, lr=1e-3)
-    net1, hist1 = train(ds, s, cfg, substream(19, "train"))
-    net2, hist2 = train(ds, s, cfg, substream(19, "train"))
+    cfg = TrainConfig(lr=1e-3)
+
+    def run():
+        rng = substream(19, "train")
+        net = EpsNetwork(ds.dim, rng=rng)
+        return net, DiffusionTrainer(net, s, ds, cfg, rng).run(1500)
+
+    net1, hist1 = run()
+    net2, hist2 = run()
     np.testing.assert_array_equal(hist1, hist2)
     for key in net1.params:
         np.testing.assert_array_equal(net1.params[key], net2.params[key])
@@ -212,8 +228,11 @@ def test_training_reduces_loss_and_is_deterministic():
 def test_training_guard_catches_nonfinite_state():
     ds = _toy_dataset()
     ds.x0[0, 0] = np.nan  # poisoned record propagates to a non-finite loss
+    rng = substream(23, "t")
+    trainer = DiffusionTrainer(EpsNetwork(ds.dim, rng=rng), make_schedule(), ds,
+                               TrainConfig(), rng)
     with pytest.raises(TrainingError):
-        train(ds, make_schedule(), TrainConfig(steps=50), substream(23, "t"))
+        trainer.run(50)
 
 
 def test_degenerate_target_reconstruction():
@@ -223,9 +242,9 @@ def test_degenerate_target_reconstruction():
     ds = ExpertDataset(kappa_db=np.array([5.0]), asd_deg=np.array([15.0]),
                        x0=x0[None], sum_se=np.array([1.0]))
     s = make_schedule()
-    cfg = TrainConfig(steps=20000, lr=1e-3, explore_noise=0.0)
+    cfg = TrainConfig(lr=1e-3, explore_noise=0.0)
     net = EpsNetwork(6, hidden=64, rng=substream(29, "init"))
-    net, hist = train(ds, s, cfg, substream(29, "train"), net=net)
+    hist = DiffusionTrainer(net, s, ds, cfg, substream(29, "train")).run(20000)
     env = Environment(5.0, 15.0)
     worst = 0.0
     for trial in range(8):

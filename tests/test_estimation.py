@@ -5,9 +5,7 @@ import pytest
 
 from cfrs.config import SystemConfig
 from cfrs.estimation import (assign_pilots, copilot_cross_moment,
-                             estimate_channel, estimation_statistics,
-                             perfect_csi_statistics)
-from cfrs.geometry import draw_geometry, link_statistics, sample_channels
+                             estimation_statistics, perfect_csi_statistics)
 from cfrs.rng import substream
 from conftest import dense_qbar, dense_qbar_perfect, max_rel_diff
 
@@ -66,53 +64,6 @@ def test_estimation_noise_limit_kills_estimate(desk_pieces):
     est = estimation_statistics(stats, pilots, deaf)
     assert np.abs(est.Q).max() < 1e-9 * np.abs(stats.R).max()
     np.testing.assert_allclose(est.C, stats.R, rtol=1e-6, atol=1e-18)
-
-
-def test_estimate_channel_moments(desk_pieces):
-    """Empirical moments of the single-shot estimator match Q and Qbar, and
-    the residual is uncorrelated with the estimate. E{(ghat_k - hbar_k)
-    (ghat_i - hbar_i)^H} is Qbar_ik = p tau_p R_k Psi R_i."""
-    cfg, stats, est, pilots = desk_pieces
-    n = 20000
-    g = sample_channels(stats, n, substream(21, "mc", "channels"))
-    rng = substream(21, "mc", "noise")
-    ghat = np.empty_like(g)
-    for b in range(n):
-        ghat[b], _ = estimate_channel(g[b], stats, est, pilots, cfg, rng)
-    gtilde = g - ghat
-    tol = 8 * stats.zeta.max() / np.sqrt(n)
-    for k in range(stats.K):
-        for l in range(stats.L):
-            ce = ghat[:, k, l] - stats.hbar[k, l]
-            emp_q = np.einsum("bn,bm->nm", ce, ce.conj()) / n
-            np.testing.assert_allclose(emp_q, est.Q[k, l], atol=tol)
-            cross = np.einsum("bn,bm->nm", ce, gtilde[:, k, l].conj()) / n
-            np.testing.assert_allclose(cross, 0.0, atol=tol)
-    # Co-pilot users share despread noise, so their estimates correlate.
-    pairs = 0
-    for k in range(stats.K):
-        for i in range(stats.K):
-            if i == k or pilots.pilot_of[i] != pilots.pilot_of[k]:
-                continue
-            ck = ghat[:, k, 0] - stats.hbar[k, 0]
-            ci = ghat[:, i, 0] - stats.hbar[i, 0]
-            emp = np.einsum("bn,bm->nm", ck, ci.conj()) / n
-            assert np.abs(emp).max() > 0
-            np.testing.assert_allclose(
-                emp, copilot_cross_moment(i, k, 0, stats, est, pilots), atol=tol)
-            pairs += 1
-    assert pairs > 0
-
-
-def test_estimate_channel_single_draw(desk_pieces):
-    cfg, stats, est, pilots = desk_pieces
-    g = sample_channels(stats, 1, substream(5, "one"))[0]
-    ghat, gtilde = estimate_channel(g, stats, est, pilots, cfg, substream(5, "pn"))
-    assert ghat.shape == g.shape
-    np.testing.assert_allclose(ghat + gtilde, g, atol=1e-14)
-    # Same channel and same pilot-noise stream reproduce the same estimate.
-    same = estimate_channel(g, stats, est, pilots, cfg, substream(5, "pn"))[0]
-    np.testing.assert_array_equal(ghat, same)
 
 
 def test_perfect_csi_statistics(desk_pieces):

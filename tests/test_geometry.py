@@ -7,8 +7,8 @@ import pytest
 
 from cfrs.config import SystemConfig, db_to_linear
 from cfrs.geometry import (correlation_matrix_from_angles, draw_geometry,
-                           link_statistics, los_vector, path_loss,
-                           place_network, rician_split, sample_channels)
+                           link_statistics, path_loss, place_network,
+                           rician_split)
 from cfrs.rng import substream
 
 
@@ -58,14 +58,21 @@ def test_rician_split_rayleigh_limit():
         rician_split(np.array([1.0]), -0.1)
 
 
-def test_los_vector_structure():
-    v = los_vector(4.0, 0.3, 5, 0.5)
-    np.testing.assert_allclose(np.abs(v), 2.0, rtol=1e-12)
-    # Uniform linear array: constant phase increment along the array.
-    steps = np.angle(v[1:] / v[:-1])
-    np.testing.assert_allclose(steps, steps[0], atol=1e-12)
-    assert steps[0] == pytest.approx(2 * np.pi * 0.5 * np.sin(0.3))
-    assert v[0] == pytest.approx(2.0)
+def test_link_statistics_los_structure():
+    cfg = SystemConfig(L=3, K=2, N=5, d_H=0.5, rician_db=6.0, seed=4)
+    geo = draw_geometry(cfg, substream(4, "geometry"))
+    stats = link_statistics(cfg, geo)
+    hbar = stats.hbar
+    np.testing.assert_allclose(
+        np.abs(hbar), np.broadcast_to(np.sqrt(stats.beta_los)[..., None], hbar.shape),
+        rtol=1e-12)
+    # Uniform linear array: constant phase increment 2 pi d_H sin(phi) along
+    # the array, starting from a real first entry.
+    steps = hbar[..., 1:] / hbar[..., :-1]
+    expected = np.exp(1j * 2 * np.pi * cfg.d_H * np.sin(geo.phi))[..., None]
+    np.testing.assert_allclose(steps, np.broadcast_to(expected, steps.shape),
+                               atol=1e-12)
+    np.testing.assert_allclose(hbar[..., 0], np.sqrt(stats.beta_los), rtol=1e-12)
 
 
 def test_correlation_matrix_trace_and_psd():
@@ -157,20 +164,3 @@ def test_link_statistics_env_overrides_keep_geometry():
     np.testing.assert_allclose(np.sum(np.abs(hot.hbar) ** 2, axis=-1),
                                cfg.N * hot.beta_los, rtol=1e-12)
 
-
-def test_sample_channels_match_statistics():
-    cfg = SystemConfig(L=2, K=2, N=2, tau_p=2, seed=13)
-    geo = draw_geometry(cfg, substream(13, "geometry"))
-    stats = link_statistics(cfg, geo)
-    g = sample_channels(stats, 40000, substream(13, "mc"))
-    assert g.shape == (40000, 2, 2, 2)
-    mean = g.mean(axis=0)
-    np.testing.assert_allclose(mean, stats.hbar,
-                               atol=6 * np.abs(stats.hbar).max() / np.sqrt(40000))
-    centered = g - stats.hbar[None]
-    for k in range(2):
-        for l in range(2):
-            emp = np.einsum("bn,bm->nm", centered[:, k, l],
-                            centered[:, k, l].conj()) / 40000
-            np.testing.assert_allclose(emp, stats.R[k, l],
-                                       atol=8 * stats.zeta[k, l] / np.sqrt(40000))

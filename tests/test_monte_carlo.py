@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from cfrs.closed_form import PowerAllocation, build_cache, evaluate_cache
+from cfrs.config import SystemConfig
+from cfrs.estimation import copilot_cross_moment
 from cfrs.monte_carlo import (ChannelSampler, achievable_sum_se,
                               build_precoders, expected_tx_power,
                               mc_moment_estimators, mc_uatf_sinrs)
 from cfrs.rng import substream
+from cfrs.scenario import EnvScenario
 from conftest import random_allocation
 
 
@@ -39,6 +42,70 @@ def test_sampler_estimates_match_statistics(desk_pieces):
             ce = ghat[:, k, l] - stats.hbar[k, l]
             emp = np.einsum("bn,bm->nm", ce, ce.conj()) / n
             np.testing.assert_allclose(emp, est.Q[k, l], atol=tol)
+
+
+def test_sampler_channels_match_statistics():
+    cfg = SystemConfig(L=2, K=2, N=2, tau_p=2, seed=13)
+    scenario = EnvScenario(cfg)
+    stats, est = scenario.drop_statistics()
+    sampler = ChannelSampler(stats, est, scenario.pilots, cfg)
+    g, _ = sampler.draw(40000, substream(13, "mc"))
+    assert g.shape == (40000, 2, 2, 2)
+    mean = g.mean(axis=0)
+    np.testing.assert_allclose(mean, stats.hbar,
+                               atol=6 * np.abs(stats.hbar).max() / np.sqrt(40000))
+    centered = g - stats.hbar[None]
+    for k in range(2):
+        for l in range(2):
+            emp = np.einsum("bn,bm->nm", centered[:, k, l],
+                            centered[:, k, l].conj()) / 40000
+            np.testing.assert_allclose(emp, stats.R[k, l],
+                                       atol=8 * stats.zeta[k, l] / np.sqrt(40000))
+
+
+def test_sampler_estimate_moments(desk_pieces):
+    """Empirical moments of the sampled estimates match Q and Qbar, and the
+    residual is uncorrelated with the estimate. E{(ghat_k - hbar_k)
+    (ghat_i - hbar_i)^H} is Qbar_ik = p tau_p R_k Psi R_i."""
+    cfg, stats, est, pilots = desk_pieces
+    n = 20000
+    g, ghat = ChannelSampler(stats, est, pilots, cfg).draw(n, substream(21, "mc"))
+    gtilde = g - ghat
+    tol = 8 * stats.zeta.max() / np.sqrt(n)
+    for k in range(stats.K):
+        for l in range(stats.L):
+            ce = ghat[:, k, l] - stats.hbar[k, l]
+            emp_q = np.einsum("bn,bm->nm", ce, ce.conj()) / n
+            np.testing.assert_allclose(emp_q, est.Q[k, l], atol=tol)
+            cross = np.einsum("bn,bm->nm", ce, gtilde[:, k, l].conj()) / n
+            np.testing.assert_allclose(cross, 0.0, atol=tol)
+    # Co-pilot users share despread noise, so their estimates correlate. The
+    # cross-moment is far below zeta.max(), so it is held to a tolerance
+    # relative to its own size: 10%, about seven standard errors at this n.
+    pairs = 0
+    for k in range(stats.K):
+        for i in range(stats.K):
+            if i == k or pilots.pilot_of[i] != pilots.pilot_of[k]:
+                continue
+            for l in range(stats.L):
+                ck = ghat[:, k, l] - stats.hbar[k, l]
+                ci = ghat[:, i, l] - stats.hbar[i, l]
+                emp = np.einsum("bn,bm->nm", ck, ci.conj()) / n
+                ref = copilot_cross_moment(i, k, l, stats, est, pilots)
+                assert np.abs(emp - ref).max() <= 0.1 * np.abs(ref).max()
+                pairs += 1
+    assert pairs > 0
+
+
+def test_sampler_single_draw(desk_pieces):
+    cfg, stats, est, pilots = desk_pieces
+    sampler = ChannelSampler(stats, est, pilots, cfg)
+    g, ghat = sampler.draw(1, substream(5, "one"))
+    assert g.shape == ghat.shape == (1, stats.K, stats.L, stats.N)
+    # The same stream reproduces the same channel and estimate.
+    same_g, same_ghat = sampler.draw(1, substream(5, "one"))
+    np.testing.assert_array_equal(g, same_g)
+    np.testing.assert_array_equal(ghat, same_ghat)
 
 
 def test_sampler_perfect_csi_returns_truth(desk_pieces):

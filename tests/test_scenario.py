@@ -6,9 +6,10 @@ import pytest
 from cfrs.allocation import GAConfig, heuristic_control
 from cfrs.closed_form import PowerAllocation, evaluate_cache
 from cfrs.config import SystemConfig
-from cfrs.diffusion import Environment, build_expert_dataset
+from cfrs.diffusion import Environment
 from cfrs.rng import substream
-from cfrs.scenario import DEFAULT_RHO_GRID, EnvScenario, verify_dataset
+from cfrs.scenario import (DEFAULT_RHO_GRID, EnvScenario, build_expert_dataset,
+                           verify_dataset)
 
 CFG = SystemConfig(L=3, K=2, N=2, tau_p=2, seed=19)
 TINY_GA = GAConfig(pop_size=12, generations=12)
@@ -40,7 +41,7 @@ def test_baselines_score_consistently(scenario):
         evaluate_cache(cache, PowerAllocation.no_rs(2, 3)).sum_se)
 
     alloc, value, values = scenario.best_equal_split(cache)
-    assert values.shape == DEFAULT_RHO_GRID.shape
+    assert values.shape == (len(DEFAULT_RHO_GRID),)
     assert value == pytest.approx(values.max())
     assert np.all(alloc.eta == 1.0)
     manual = max(evaluate_cache(cache, PowerAllocation.equal_split(2, 3, r)).sum_se
