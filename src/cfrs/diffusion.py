@@ -96,6 +96,8 @@ def reverse_sample(model, schedule: Schedule, env: Environment, dim, rng,
     model(x, t, env_features) predicts the injected noise for a batch x of
     shape (B, dim) with integer steps t of shape (B,). Fresh noise is added
     at every step except the last, and the result is clamped to the box.
+    Raises ValueError if the chain ends non-finite (a diverged or corrupted
+    model), since clamping would pass NaN through as an allocation.
     """
     feats = env.features()[None, :]
     x = rng.standard_normal((1, dim))
@@ -107,6 +109,9 @@ def reverse_sample(model, schedule: Schedule, env: Environment, dim, rng,
         x = x / np.sqrt(at) - vt / np.sqrt(at * (1.0 - abt)) * eps
         if t > 1:
             x = x + np.sqrt(vt) * rng.standard_normal(x.shape)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("reverse chain produced a non-finite allocation; "
+                         "the model or checkpoint is corrupt")
     if clip_bounds is not None:
         x = np.clip(x, clip_bounds[0], clip_bounds[1])
     return x[0]

@@ -253,14 +253,14 @@ def _cdf_item(args):
     cache = build_cache(stats, est, pilots, cfg)
     no_rs = PowerAllocation.no_rs(cfg.K, cfg.L)
     rs, _, _ = scenario.best_equal_split(cache, spec.rho_grid)
+    # (sum SE, MC standard error); the closed-form bound has none.
     out = {}
-    out["uatf_no_rs"] = evaluate_cache(cache, no_rs).sum_se
-    out["uatf_rs"] = evaluate_cache(cache, rs).sum_se
+    out["uatf_no_rs"] = (evaluate_cache(cache, no_rs).sum_se, 0.0)
+    out["uatf_rs"] = (evaluate_cache(cache, rs).sum_se, 0.0)
     mc_rng = substream(spec.seed, "cdf", "mc", str(g))
-    out["achievable_no_rs"] = achievable_sum_se(stats, est, pilots, cfg, no_rs,
-                                                spec.n_blocks, mc_rng).sum_se
-    out["achievable_rs"] = achievable_sum_se(stats, est, pilots, cfg, rs,
-                                             spec.n_blocks, mc_rng).sum_se
+    for variant, alloc in (("achievable_no_rs", no_rs), ("achievable_rs", rs)):
+        rep = achievable_sum_se(stats, est, pilots, cfg, alloc, spec.n_blocks, mc_rng)
+        out[variant] = (rep.sum_se, rep.stderr)
     return out
 
 
@@ -269,8 +269,8 @@ def _run_cdf(spec):
     rows = []
     for g, out in enumerate(results):
         for variant in ("uatf_no_rs", "uatf_rs", "achievable_no_rs", "achievable_rs"):
-            rows.append((g, variant, out[variant]))
-    return ("geometry_id", "variant", "sum_se"), rows
+            rows.append((g, variant, *out[variant]))
+    return ("geometry_id", "variant", "sum_se", "stderr"), rows
 
 
 def _power_item(args):

@@ -4,7 +4,9 @@ Draws coherence blocks (channel, pilot noise, estimates), forms the common
 and private precoders, and evaluates either the per-block achievable rates
 (successive decoding of the common message, then the private one) or the
 sample-moment version of the statistical lower bound. Also hosts the sample
-estimators of every closed-form moment used by the validation suite.
+estimators of every closed-form moment used by the validation suite. A block
+costs one (K, L*N) GEMM for the effective channels plus O(K L N^2) work for
+the estimation-error terms.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,8 @@ from .estimation import (EstimationStatistics, PilotAssignment,
 from .geometry import LinkStatistics, hermitian_sqrt
 from .rng import complex_normal
 
-_CHUNK_ENTRY_BUDGET = 4_000_000
+# Entries of a chunk's largest per-block tensor: (K, L, N), or (L, N, N) if N > K.
+_CHUNK_ENTRY_BUDGET = 1_000_000
 
 
 class ChannelSampler:
@@ -32,7 +35,6 @@ class ChannelSampler:
     def __init__(self, stats: LinkStatistics, est: EstimationStatistics,
                  pilots: PilotAssignment, cfg: SystemConfig, perfect_csi=False):
         self.stats = stats
-        self.est = est
         self.pilots = pilots
         self.cfg = cfg
         self.perfect_csi = perfect_csi
@@ -44,25 +46,26 @@ class ChannelSampler:
         self.mu_c, self.mu_p = normalization_coeffs(stats, est, pilots)
 
     def draw(self, n, rng):
-        """Return (g, ghat), each of shape (n, K, L, N)."""
+        """Return (g, ghat), each C-contiguous of shape (n, K, L, N). Rhalf, the
+        pilot-group sum and Bmat act as matmuls on blocks-last (K, L, N, n) views."""
         stats, cfg = self.stats, self.cfg
         w = complex_normal(rng, (n, stats.K, stats.L, stats.N))
-        scattered = np.einsum("klnm,bklm->bkln", self.Rhalf, w)
-        g = stats.hbar[None] + scattered
+        scattered = self.Rhalf @ np.moveaxis(w, 0, -1)              # (K, L, N, n)
+        g = np.add(stats.hbar[None], np.moveaxis(scattered, -1, 0), order="C")
         if self.perfect_csi:
             return g, g
-        ptau = cfg.p_pilot_mw * cfg.tau_p
         noise = complex_normal(rng, (n, self.pilots.tau_p, stats.L, stats.N))
-        innovation = (np.sqrt(ptau)
-                      * np.einsum("ti,biln->btln", self.indicator, scattered)
-                      + np.sqrt(cfg.noise_mw) * noise)
-        innovation = innovation[:, self.pilots.pilot_of]            # (n, K, L, N)
-        ghat = stats.hbar[None] + np.einsum("klxy,bkly->bklx", self.Bmat, innovation)
+        innovation = (self.indicator @ scattered.reshape(stats.K, -1)).reshape(
+            self.pilots.tau_p, *scattered.shape[1:])                 # (tau_p, L, N, n)
+        innovation *= np.sqrt(cfg.p_pilot_mw * cfg.tau_p)
+        innovation += np.sqrt(cfg.noise_mw) * np.moveaxis(noise, 0, -1)
+        spread = self.Bmat @ innovation[self.pilots.pilot_of]       # (K, L, N, n)
+        ghat = np.add(stats.hbar[None], np.moveaxis(spread, -1, 0), order="C")
         return g, ghat
 
     def chunk_size(self, requested):
-        per_block = self.stats.K ** 2 * self.stats.L * self.stats.N
-        return max(1, min(requested, _CHUNK_ENTRY_BUDGET // max(per_block, 1)))
+        per_block = self.stats.L * self.stats.N * max(self.stats.K, self.stats.N)
+        return max(1, min(requested, _CHUNK_ENTRY_BUDGET // per_block))
 
 
 def build_precoders(ghat, mu_c, mu_p):
@@ -76,41 +79,54 @@ def build_precoders(ghat, mu_c, mu_p):
     return v_c, v_p
 
 
+def _weighted_precoders(v_c, v_p, alloc: PowerAllocation):
+    """sqrt(rho_l) v_c,l and sqrt(w_il) v_il, with w_il = (1 - rho_l) eta_il."""
+    w = (1.0 - alloc.rho)[None, :] * alloc.eta
+    return np.sqrt(alloc.rho)[:, None] * v_c, np.sqrt(w)[:, :, None] * v_p
+
+
+def _effective_gains(h, u_c, u_p):
+    """s_c[k] = sum_l h_kl^H u_c,l and s_p[k, i] = sum_l h_kl^H u_il, one GEMM
+    each over the flattened (L*N) antennas of h and u_p, both (..., K, L, N)."""
+    *batch, K, L, N = h.shape
+    hH = h.reshape(*batch, K, L * N).conj()
+    s_c = hH @ u_c.reshape(*batch, L * N, 1)
+    s_p = hH @ u_p.reshape(*batch, K, L * N).swapaxes(-1, -2)
+    return s_c[..., 0], s_p
+
+
 def instantaneous_sinrs(ghat, v_c, v_p, C, alloc: PowerAllocation, cfg: SystemConfig):
     """Per-block SINRs of the common and private messages at every user.
 
     Each user decodes the common message first (all private streams are
-    noise), strips it, then decodes its own private stream. Estimation-error
-    power enters through the error covariances C. Leading axes of ghat are
-    batch axes; returns (sinr_c, sinr_p) of shape (..., K).
+    noise), strips it, then decodes its own private stream. With
+    w_il = (1 - rho_l) eta_il, p = p_d / K and the noise power s2:
+
+      s_c[k] = sum_l sqrt(rho_l) ghat_kl^H v_c,l,  e_c[k] = sum_l rho_l v_c,l^H C_kl v_c,l
+      s_p[k, i] = sum_l sqrt(w_il) ghat_kl^H v_il,  e_p[k] = sum_il w_il v_il^H C_kl v_il
+      sinr_c[k] = p_d |s_c[k]|^2 / (p_d e_c[k] + p (sum_i |s_p[k, i]|^2 + e_p[k]) + s2)
+      sinr_p[k] = p |s_p[k, k]|^2 / (p (sum_{i != k} |s_p[k, i]|^2 + e_p[k]) + s2)
+
+    Leading axes of ghat are batch axes; returns (sinr_c, sinr_p), (..., K).
     """
-    K = ghat.shape[-3]
+    *batch, K, L, N = ghat.shape
     p_d = cfg.p_dl_mw
-    rho = alloc.rho
-    w = (1.0 - rho)[None, :] * alloc.eta                            # (K, L)
-    sw = np.sqrt(w)
+    u_c, u_p = _weighted_precoders(v_c, v_p, alloc)
+    s_c, s_p = _effective_gains(ghat, u_c, u_p)
+    coh = np.abs(s_p) ** 2                                          # (..., K, K)
 
-    a_c = np.einsum("...kln,...ln->...kl", ghat.conj(), v_c)
-    m = np.einsum("...kln,...iln->...kil", ghat.conj(), v_p, optimize=True)
-    Cv_c = np.einsum("klnm,...lm->...kln", C, v_c, optimize=True)
-    cc = np.einsum("...ln,...kln->...kl", v_c.conj(), Cv_c).real
-    Cv_p = np.einsum("klnm,...ilm->...kiln", C, v_p, optimize=True)
-    cp = np.einsum("...iln,...kiln->...kil", v_p.conj(), Cv_p).real
-
-    s_c = np.einsum("l,...kl->...k", np.sqrt(rho), a_c)
-    s_p = np.einsum("il,...kil->...ki", sw, m)                      # (..., K, K)
-    coh = np.abs(s_p) ** 2
-    err_c = np.einsum("l,...kl->...k", rho, cc)
-    err_p = np.einsum("il,...kil->...k", w, cp)
-
-    num_c = p_d * np.abs(s_c) ** 2
+    # e = sum_l tr(C_kl S_l), S_l = u_c,l u_c,l^H or sum_i u_il u_il^H; as
+    # tr(C S) = sum_nm C[n, m] S[m, n], C meets S transposed: conj(u)[n] u[m].
+    Ct = C.reshape(K, L * N * N).T
+    S_c = u_c.conj()[..., :, None] * u_c[..., None, :]              # (..., L, N, N)
+    u_l = np.moveaxis(u_p, -3, -2)                                  # (..., L, K, N)
+    S_p = u_l.conj().swapaxes(-1, -2) @ u_l
+    err_c = (S_c.reshape(*batch, -1) @ Ct).real
+    err_p = (S_p.reshape(*batch, -1) @ Ct).real
     den_c = p_d * err_c + (p_d / K) * (coh.sum(axis=-1) + err_p) + cfg.noise_mw
-    sinr_c = num_c / den_c
-
     own = coh[..., np.arange(K), np.arange(K)]
     den_p = (p_d / K) * (coh.sum(axis=-1) - own + err_p) + cfg.noise_mw
-    sinr_p = (p_d / K) * own / den_p
-    return sinr_c, sinr_p
+    return p_d * np.abs(s_c) ** 2 / den_c, (p_d / K) * own / den_p
 
 
 @dataclass(frozen=True)
@@ -151,10 +167,9 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
         done += n
     total = np.concatenate(totals)
     prelog = cfg.prelog
-    stderr = prelog * total.std(ddof=1) / np.sqrt(n_blocks)
     return AchievableReport(
         sum_se=float(prelog * total.mean()),
-        stderr=float(stderr),
+        stderr=float(prelog * total.std(ddof=1) / np.sqrt(n_blocks)),
         se_common=float(prelog * se_c_sum / n_blocks),
         se_private=prelog * se_p_sum / n_blocks,
         n_blocks=n_blocks,
@@ -177,42 +192,35 @@ def mc_uatf_sinrs(stats: LinkStatistics, est: EstimationStatistics,
     sampler = ChannelSampler(stats, est, pilots, cfg, perfect_csi=perfect_csi)
     chunk = sampler.chunk_size(chunk)
     K = stats.K
-    sqrho = np.sqrt(alloc.rho)
-    sw = np.sqrt((1.0 - alloc.rho)[None, :] * alloc.eta)
-    mean_c = np.zeros(K, dtype=complex)
-    msq_c = np.zeros(K)
-    mean_p = np.zeros(K, dtype=complex)
-    msq_p = np.zeros((K, K))
+    sums = [0.0] * 4           # sum rec_c, |rec_c|^2, rec_p[k, k], |rec_p|^2
     done = 0
     while done < n_draws:
         n = min(chunk, n_draws - done)
         g, ghat = sampler.draw(n, rng)
-        v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
-        rec_c = np.einsum("l,bkln,bln->bk", sqrho, g.conj(), v_c, optimize=True)
-        rec_p = np.einsum("il,bkln,biln->bki", sw, g.conj(), v_p, optimize=True)
-        mean_c += rec_c.sum(axis=0)
-        msq_c += (np.abs(rec_c) ** 2).sum(axis=0)
-        mean_p += rec_p[:, np.arange(K), np.arange(K)].sum(axis=0)
-        msq_p += (np.abs(rec_p) ** 2).sum(axis=0)
+        u_c, u_p = _weighted_precoders(
+            *build_precoders(ghat, sampler.mu_c, sampler.mu_p), alloc)
+        rec_c, rec_p = _effective_gains(g, u_c, u_p)
+        terms = (rec_c, np.abs(rec_c) ** 2, rec_p[:, np.arange(K), np.arange(K)],
+                 np.abs(rec_p) ** 2)
+        sums = [acc + t.sum(axis=0) for acc, t in zip(sums, terms)]
         done += n
-    mean_c /= n_draws
-    msq_c /= n_draws
-    mean_p /= n_draws
-    msq_p /= n_draws
+    mean_c, msq_c, mean_p, msq_p = (acc / n_draws for acc in sums)
     p_d = cfg.p_dl_mw
-    var_c = msq_c - np.abs(mean_c) ** 2
-    den_c = p_d * var_c + (p_d / K) * msq_p.sum(axis=1) + cfg.noise_mw
-    sinr_c = p_d * np.abs(mean_c) ** 2 / den_c
+    den_c = p_d * (msq_c - np.abs(mean_c) ** 2) + (p_d / K) * msq_p.sum(axis=1) + cfg.noise_mw
     own = np.abs(mean_p) ** 2
     den_p = (p_d / K) * (msq_p.sum(axis=1) - own) + cfg.noise_mw
-    sinr_p = (p_d / K) * own / den_p
-    return sinr_c, sinr_p
+    return p_d * np.abs(mean_c) ** 2 / den_c, (p_d / K) * own / den_p
 
 
 def expected_tx_power(alloc: PowerAllocation, cfg: SystemConfig):
     """Analytic per-AP average transmit power, shape (L,)."""
     return cfg.p_dl_mw * (alloc.rho
                           + (1.0 - alloc.rho) * alloc.eta.sum(axis=0) / alloc.eta.shape[0])
+
+
+def _inner(a, b):
+    """Per-block inner products a_b^H b_b of (n, N) rows."""
+    return np.einsum("bn,bn->b", a.conj(), b)
 
 
 def mc_moment_estimators(stats: LinkStatistics, est: EstimationStatistics,
@@ -244,22 +252,14 @@ def mc_moment_estimators(stats: LinkStatistics, est: EstimationStatistics,
     while done < n_draws:
         n = min(chunk, n_draws - done)
         g, ghat = sampler.draw(n, rng)
-        if name == "first":
+        if name in ("first", "second"):
             k, i, l = idx
-            vals = np.einsum("bn,bn->b", g[:, k, l].conj(), ghat[:, i, l])
-        elif name == "second":
-            k, i, l = idx
-            vals = np.abs(np.einsum("bn,bn->b", g[:, k, l].conj(), ghat[:, i, l])) ** 2
-        elif name == "upsilon3":
+            vals = _inner(g[:, k, l], ghat[:, i, l])
+            vals = np.abs(vals) ** 2 if name == "second" else vals
+        elif name in ("upsilon3", "upsilon4"):
             k, i, j, l = idx
-            xi = np.einsum("bn,bn->b", g[:, k, l].conj(), ghat[:, i, l])
-            xj = np.einsum("bn,bn->b", g[:, k, l].conj(), ghat[:, j, l])
-            vals = xi.conj() * xj
-        elif name == "upsilon4":
-            k, i, j, l = idx
-            xi = np.einsum("bn,bn->b", ghat[:, k, l].conj(), ghat[:, i, l])
-            xj = np.einsum("bn,bn->b", ghat[:, k, l].conj(), ghat[:, j, l])
-            vals = xi.conj() * xj
+            h = (g if name == "upsilon3" else ghat)[:, k, l]
+            vals = _inner(h, ghat[:, i, l]).conj() * _inner(h, ghat[:, j, l])
         elif name == "upsilon5":
             k, i, j, l = idx
             vals = np.einsum("bn,nm,bm->b", ghat[:, i, l].conj(), est.C[k, l],
@@ -267,10 +267,10 @@ def mc_moment_estimators(stats: LinkStatistics, est: EstimationStatistics,
         elif name == "common_norm":
             (l,) = idx
             s = ghat[:, :, l].sum(axis=1)
-            vals = np.einsum("bn,bn->b", s.conj(), s).real
+            vals = _inner(s, s).real
         elif name == "private_norm":
             i, l = idx
-            vals = np.einsum("bn,bn->b", ghat[:, i, l].conj(), ghat[:, i, l]).real
+            vals = _inner(ghat[:, i, l], ghat[:, i, l]).real
         elif name == "tx_power":
             (l,) = idx
             v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
@@ -281,7 +281,7 @@ def mc_moment_estimators(stats: LinkStatistics, est: EstimationStatistics,
                             / stats.K)
             x = (amp_c * v_c[:, l] * s_c[:, None]
                  + np.einsum("i,bin,bi->bn", amp_p, v_p[:, :, l], s_i))
-            vals = np.einsum("bn,bn->b", x.conj(), x).real
+            vals = _inner(x, x).real
         else:
             raise ValueError(f"unknown selector {name!r}")
         samples.append(vals)

@@ -8,7 +8,8 @@ import pytest
 from cfrs import cli, scenario
 from cfrs.closed_form import DegenerateStatisticsError
 from cfrs.config import SystemConfig, db_to_linear, dbm_to_mw
-from cfrs.diffusion import DiffusionTrainer, TrainingError
+from cfrs.diffusion import (DiffusionTrainer, EpsNetwork, TrainingError,
+                            make_schedule, save_checkpoint)
 from cfrs.estimation import EstimationError
 from cfrs.experiments import (EXPERIMENT_IDS, FIGURE_PRESETS, ConfigError,
                               ExperimentSpec, parse_config_text,
@@ -147,7 +148,7 @@ def test_run_experiment_deterministic(tiny_run, tmp_path, monkeypatch):
 # factors x 2 user counts, 12 held-out environments, and 600 training steps
 # evaluated every 500.
 _RUNNER_SHAPES = {
-    "cdf": ("geometry_id,variant,sum_se", 2 * 4),
+    "cdf": ("geometry_id,variant,sum_se,stderr", 2 * 4),
     "power_sweep": ("p_dl_dbm,csi,variant,sum_se_uatf,sum_se_achievable,"
                     "achievable_stderr", 5 * 2 * 2),
     "rho_sweep_split": ("channel,rho0,variant,sum_se", 2 * 21 * 3),
@@ -180,6 +181,12 @@ def test_every_runner_writes_reproducible_outputs(experiment, tmp_path):
             except ValueError:
                 continue
             assert np.isfinite(value), line
+        # A Monte Carlo standard error is positive on simulated rows and
+        # exactly 0 on closed-form rows.
+        for name, cell in zip(header.split(","), cells):
+            if name.endswith("stderr"):
+                simulated = experiment != "cdf" or cells[1].startswith("achievable")
+                assert (float(cell) > 0.0) if simulated else float(cell) == 0.0, line
     second = run_experiment(ExperimentSpec(**{**tiny.__dict__,
                                               "out_dir": str(tmp_path / "b")}))
     for a, b in zip(first, second):
@@ -243,6 +250,23 @@ def test_cli_train_and_infer(tmp_path, capsys):
 
     assert cli.main(["infer", "--kappa-db", "0", "--asd-deg", "30",
                      "--checkpoint", str(tmp_path / "nope.npz")]) == 2
+
+
+def test_cli_infer_rejects_nan_checkpoint(tmp_path, capsys):
+    """One NaN weight makes the reverse chain non-finite: exit 1 with one
+    JSON object on stderr, not a NaN allocation on stdout."""
+    K, L = 4, 8
+    net = EpsNetwork(L + K * L, hidden=16, rng=np.random.default_rng(3))
+    net.params["W3"][0, 0] = np.nan
+    ckpt = tmp_path / "nan.npz"
+    save_checkpoint(str(ckpt), net, make_schedule())
+    rc = cli.main(["infer", "--kappa-db", "5", "--asd-deg", "30",
+                   "--checkpoint", str(ckpt)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert list(err) == ["error"] and "non-finite" in err["error"]
 
 
 # Stage name -> (owner, attribute) that the CLI reaches at that stage.

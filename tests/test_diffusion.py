@@ -109,6 +109,24 @@ def test_reverse_sample_clipping_and_determinism():
     np.testing.assert_allclose(np.clip(raw, 0.0, 1.0), a, rtol=1e-12)
 
 
+class _NaNEps:
+    """Noise predictor of a corrupted model: NaN in the last coordinate."""
+
+    def __call__(self, x, t, env):
+        out = np.zeros_like(x)
+        out[:, -1] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("clip_bounds", [(0.0, 1.0), None])
+def test_reverse_sample_rejects_nonfinite_chain(clip_bounds):
+    """Clamping must not turn a NaN chain into an allocation."""
+    s = make_schedule()
+    with pytest.raises(ValueError, match="non-finite"):
+        reverse_sample(_NaNEps(), s, Environment(0.0, 30.0), 3,
+                       substream(13, "rev"), clip_bounds=clip_bounds)
+
+
 def test_split_allocation_layout():
     # A sampled policy vector holds the L splitting factors first, then eta
     # row by row.

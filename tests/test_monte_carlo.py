@@ -6,12 +6,107 @@ import pytest
 from cfrs.closed_form import PowerAllocation, build_cache, evaluate_cache
 from cfrs.config import SystemConfig
 from cfrs.estimation import copilot_cross_moment
+from cfrs.geometry import hermitian_sqrt
 from cfrs.monte_carlo import (ChannelSampler, achievable_sum_se,
                               build_precoders, expected_tx_power,
-                              mc_moment_estimators, mc_uatf_sinrs)
-from cfrs.rng import substream
+                              instantaneous_sinrs, mc_moment_estimators,
+                              mc_uatf_sinrs)
+from cfrs.rng import complex_normal, substream
 from cfrs.scenario import EnvScenario
-from conftest import random_allocation
+from conftest import max_rel_diff, random_allocation
+
+
+@pytest.fixture(scope="module")
+def copilot_pieces():
+    """A drop with K=8 users on tau_p=3 pilots over L=6 APs."""
+    cfg = SystemConfig(L=6, K=8, N=4, tau_p=3, seed=17)
+    scenario = EnvScenario(cfg)
+    stats, est = scenario.drop_statistics()
+    return cfg, stats, est, scenario.pilots
+
+
+ORACLE_DROPS = ["desk_pieces", "full_pieces", "copilot_pieces"]
+
+
+def _sinrs_by_hand(ghat, v_c, v_p, C, alloc, cfg):
+    """The SINRs of one block, term by term as instantaneous_sinrs defines them."""
+    K, L, _ = ghat.shape
+    p_d, p, s2 = cfg.p_dl_mw, cfg.p_dl_mw / K, cfg.noise_mw
+    w = (1.0 - alloc.rho)[None, :] * alloc.eta
+    sinr_c, sinr_p = np.empty(K), np.empty(K)
+    for k in range(K):
+        s_c = sum(np.sqrt(alloc.rho[l]) * np.vdot(ghat[k, l], v_c[l]) for l in range(L))
+        coh = [abs(sum(np.sqrt(w[i, l]) * np.vdot(ghat[k, l], v_p[i, l])
+                       for l in range(L))) ** 2 for i in range(K)]
+        e_c = sum(alloc.rho[l] * np.vdot(v_c[l], C[k, l] @ v_c[l]).real for l in range(L))
+        e_p = sum(w[i, l] * np.vdot(v_p[i, l], C[k, l] @ v_p[i, l]).real
+                  for i in range(K) for l in range(L))
+        others = sum(coh[i] for i in range(K) if i != k)
+        sinr_c[k] = p_d * abs(s_c) ** 2 / (p_d * e_c + p * (sum(coh) + e_p) + s2)
+        sinr_p[k] = p * coh[k] / (p * (others + e_p) + s2)
+    return sinr_c, sinr_p
+
+
+@pytest.mark.parametrize("drop", ORACLE_DROPS)
+def test_instantaneous_sinrs_match_hand_loop(drop, request):
+    cfg, stats, est, pilots = request.getfixturevalue(drop)
+    sampler = ChannelSampler(stats, est, pilots, cfg)
+    _, ghat = sampler.draw(6, substream(79, drop, "draw"))
+    v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
+    allocs = [PowerAllocation.no_rs(stats.K, stats.L),
+              PowerAllocation.equal_split(stats.K, stats.L, 0.6),
+              random_allocation(stats.K, stats.L, substream(79, drop, "alloc"))]
+    for alloc in allocs:
+        batched = instantaneous_sinrs(ghat, v_c, v_p, est.C, alloc, cfg)
+        grid = instantaneous_sinrs(ghat.reshape(2, 3, *ghat.shape[1:]),
+                                   v_c.reshape(2, 3, *v_c.shape[1:]),
+                                   v_p.reshape(2, 3, *v_p.shape[1:]), est.C, alloc, cfg)
+        for b in range(ghat.shape[0]):
+            ref = _sinrs_by_hand(ghat[b], v_c[b], v_p[b], est.C, alloc, cfg)
+            single = instantaneous_sinrs(ghat[b], v_c[b], v_p[b], est.C, alloc, cfg)
+            for got in (single, tuple(x[b] for x in batched),
+                        tuple(x[b // 3, b % 3] for x in grid)):
+                for value, expected in zip(got, ref):
+                    assert value.shape == (stats.K,)
+                    np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0)
+
+
+def test_complex_normal_stream_order():
+    """Every real part first, then every imaginary part, scaled by 1/sqrt(2):
+    the order the sampler's random streams rest on."""
+    z = complex_normal(substream(89, "cn"), (4, 3, 2))
+    rng = substream(89, "cn")
+    re, im = rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3, 2))
+    np.testing.assert_allclose(z, (re + 1j * im) / np.sqrt(2.0), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("drop", ORACLE_DROPS)
+def test_sampler_draw_matches_per_link_reference(drop, request):
+    """g = hbar + R^1/2 w per link, and ghat = hbar + sqrt(p tau_p) R Psi y
+    with y the despread pilot signal of the user's group, on the same stream."""
+    cfg, stats, est, pilots = request.getfixturevalue(drop)
+    n = 5
+    g, ghat = ChannelSampler(stats, est, pilots, cfg).draw(n, substream(83, drop))
+    rng = substream(83, drop)
+    w = complex_normal(rng, (n, stats.K, stats.L, stats.N))
+    noise = complex_normal(rng, (n, pilots.tau_p, stats.L, stats.N))
+    ptau = cfg.p_pilot_mw * cfg.tau_p
+    Rhalf = hermitian_sqrt(stats.R)
+    g_ref = np.empty_like(g)
+    ghat_ref = np.empty_like(ghat)
+    for b in range(n):
+        for l in range(stats.L):
+            scattered = [Rhalf[k, l] @ w[b, k, l] for k in range(stats.K)]
+            for k in range(stats.K):
+                g_ref[b, k, l] = stats.hbar[k, l] + scattered[k]
+                t = pilots.pilot_of[k]
+                y = (np.sqrt(ptau) * sum(scattered[i] for i in range(stats.K)
+                                         if pilots.pilot_of[i] == t)
+                     + np.sqrt(cfg.noise_mw) * noise[b, t, l])
+                ghat_ref[b, k, l] = (stats.hbar[k, l] + np.sqrt(ptau)
+                                     * stats.R[k, l] @ est.Psi[k, l] @ y)
+    assert max_rel_diff(g, g_ref) <= 1e-12
+    assert max_rel_diff(ghat, ghat_ref) <= 1e-12
 
 
 def test_expected_tx_power_hand_values():
