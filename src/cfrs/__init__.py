@@ -21,9 +21,7 @@ from .experiments import (DIFFUSION_SYSTEM, EXPERIMENT_IDS, FIGURE_PRESETS,
 from .geometry import (Geometry, LinkStatistics, Placement, draw_geometry,
                        link_statistics, path_loss, place_network, rician_split)
 from .monte_carlo import (AchievableReport, ChannelSampler, achievable_sum_se,
-                          build_precoders, expected_tx_power,
-                          instantaneous_sinrs, mc_moment_estimators,
-                          mc_uatf_sinrs)
+                          build_precoders, instantaneous_sinrs, sample_moments)
 from .rng import complex_normal, substream
 from .scenario import (EnvScenario, build_expert_dataset, train_policy,
                        verify_dataset)

@@ -33,7 +33,7 @@ from .estimation import EstimationError
 from .experiments import (DIFFUSION_SYSTEM, FIGURE_PRESETS, ConfigError,
                           ExperimentSpec, parse_config, run_experiment,
                           training_envs)
-from .monte_carlo import mc_moment_estimators
+from .monte_carlo import sample_moments
 from .rng import substream
 from .scenario import EnvScenario, train_policy
 
@@ -114,26 +114,24 @@ def _cmd_validate(args):
     scenario = EnvScenario(cfg)
     pilots = scenario.pilots
     stats, est = scenario.drop_statistics()
+    m = sample_moments(stats, est, pilots, cfg, args.draws, substream(args.seed, "mc"))
+    mu_c, mu_p = normalization_coeffs(stats, est, pilots)
+    first, second = closed_moments(0, 1, 0, stats, est, pilots)
+    u4, u5 = upsilon_moments(0, 1, 2, 0, stats, est, pilots)
 
     checks = []
-    rng = substream(args.seed, "mc")
-    mu_c, mu_p = normalization_coeffs(stats, est, pilots)
-
-    def check(name, closed, selector, tol):
-        estimate, _ = mc_moment_estimators(stats, est, pilots, cfg, selector,
-                                           args.draws, rng)
+    for name, closed, (mean, err), idx, tol in [
+            ("first_moment[0,1,0]", first, m.first, (0, 1, 0), 0.01),
+            ("second_moment[0,1,0]", second, m.second, (0, 1, 0), 0.02),
+            ("upsilon4[0,1,2,0]", u4, m.upsilon4, (0, 1, 2, 0), 0.02),
+            ("upsilon5[0,1,2,0]", u5, m.upsilon5, (0, 1, 2, 0), 0.02),
+            ("common_normalizer[0]", 1.0 / mu_c[0], m.common_norm, (0,), 0.02),
+            ("private_normalizer[0,0]", 1.0 / mu_p[0, 0], m.private_norm, (0, 0), 0.02)]:
+        estimate = mean[idx]
         rel = abs(estimate - closed) / max(abs(closed), 1e-300)
         checks.append({"name": name, "closed": _c2j(closed), "monte_carlo": _c2j(estimate),
-                       "rel_err": float(rel), "tol": tol, "ok": bool(rel <= tol)})
-
-    first, second = closed_moments(0, 1, 0, stats, est, pilots)
-    check("first_moment[0,1,0]", first, ("first", 0, 1, 0), 0.01)
-    check("second_moment[0,1,0]", second, ("second", 0, 1, 0), 0.02)
-    u4, u5 = upsilon_moments(0, 1, 2, 0, stats, est, pilots)
-    check("upsilon4[0,1,2,0]", u4, ("upsilon4", 0, 1, 2, 0), 0.02)
-    check("upsilon5[0,1,2,0]", u5, ("upsilon5", 0, 1, 2, 0), 0.02)
-    check("common_normalizer[0]", 1.0 / mu_c[0], ("common_norm", 0), 0.02)
-    check("private_normalizer[0,0]", 1.0 / mu_p[0, 0], ("private_norm", 0, 0), 0.02)
+                       "stderr": float(err[idx]), "rel_err": float(rel), "tol": tol,
+                       "ok": bool(rel <= tol)})
 
     ok = all(c["ok"] for c in checks)
     print(json.dumps({"ok": ok, "draws": args.draws, "checks": checks}, indent=2))

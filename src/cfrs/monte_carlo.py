@@ -3,13 +3,14 @@
 Draws coherence blocks (channel, pilot noise, estimates), forms the common
 and private precoders, and evaluates either the per-block achievable rates
 (successive decoding of the common message, then the private one) or the
-sample-moment version of the statistical lower bound. Also hosts the sample
-estimators of every closed-form moment used by the validation suite. A block
-costs one (K, L*N) GEMM for the effective channels plus O(K L N^2) work for
-the estimation-error terms.
+sample-moment version of the statistical lower bound. A block costs one
+(K, L*N) GEMM for the effective channels plus O(K L N^2) work for the
+estimation-error terms. sample_moments estimates every closed-form moment
+from one pass, for `cfrs validate` and the tests.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,12 @@ from .rng import complex_normal
 
 # Entries of a chunk's largest per-block tensor: (K, L, N), or (L, N, N) if N > K.
 _CHUNK_ENTRY_BUDGET = 1_000_000
+# Blocks per chunk asked of chunk_size; the random streams depend on them.
+_ACHIEVABLE_CHUNK = 2048
+_UATF_CHUNK = 4096
+# Entries per chunk of sample_moments' largest per-block tensor,
+# K^2 L max(K, N^2): 694 blocks at desk scale (K=3, L=2, N=2).
+_MOMENT_ENTRY_BUDGET = 50_000
 
 
 class ChannelSampler:
@@ -142,20 +149,19 @@ class AchievableReport:
 def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
                       pilots: PilotAssignment, cfg: SystemConfig,
                       alloc: PowerAllocation, n_blocks, rng,
-                      perfect_csi=False, chunk=2048) -> AchievableReport:
+                      perfect_csi=False) -> AchievableReport:
     """Ergodic achievable sum SE averaged over sampled coherence blocks."""
     if n_blocks < 2:
         raise ValueError("n_blocks must be at least 2")
     if perfect_csi:
         est = perfect_csi_statistics(stats)
     sampler = ChannelSampler(stats, est, pilots, cfg, perfect_csi=perfect_csi)
-    chunk = sampler.chunk_size(chunk)
+    chunk = sampler.chunk_size(_ACHIEVABLE_CHUNK)
     se_c_sum = 0.0
     se_p_sum = np.zeros(stats.K)
-    done = 0
     totals = []
-    while done < n_blocks:
-        n = min(chunk, n_blocks - done)
+    for start in range(0, n_blocks, chunk):
+        n = min(chunk, n_blocks - start)
         _, ghat = sampler.draw(n, rng)
         v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
         sinr_c, sinr_p = instantaneous_sinrs(ghat, v_c, v_p, est.C, alloc, cfg)
@@ -164,7 +170,6 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
         se_c_sum += se_c.sum()
         se_p_sum += se_p.sum(axis=0)
         totals.append(se_c + se_p.sum(axis=-1))
-        done += n
     total = np.concatenate(totals)
     prelog = cfg.prelog
     return AchievableReport(
@@ -179,23 +184,19 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
 
 def mc_uatf_sinrs(stats: LinkStatistics, est: EstimationStatistics,
                   pilots: PilotAssignment, cfg: SystemConfig,
-                  alloc: PowerAllocation, n_draws, rng,
-                  perfect_csi=False, chunk=4096):
+                  alloc: PowerAllocation, n_draws, rng):
     """Sample-moment assembly of the statistical SINR lower bounds.
 
     Estimates the mean and mean-square of the effective common and private
     channels over n_draws blocks and assembles them exactly as the
     closed-form bound does. Returns (sinr_c, sinr_p), each (K,).
     """
-    if perfect_csi:
-        est = perfect_csi_statistics(stats)
-    sampler = ChannelSampler(stats, est, pilots, cfg, perfect_csi=perfect_csi)
-    chunk = sampler.chunk_size(chunk)
+    sampler = ChannelSampler(stats, est, pilots, cfg)
+    chunk = sampler.chunk_size(_UATF_CHUNK)
     K = stats.K
     sums = [0.0] * 4           # sum rec_c, |rec_c|^2, rec_p[k, k], |rec_p|^2
-    done = 0
-    while done < n_draws:
-        n = min(chunk, n_draws - done)
+    for start in range(0, n_draws, chunk):
+        n = min(chunk, n_draws - start)
         g, ghat = sampler.draw(n, rng)
         u_c, u_p = _weighted_precoders(
             *build_precoders(ghat, sampler.mu_c, sampler.mu_p), alloc)
@@ -203,7 +204,6 @@ def mc_uatf_sinrs(stats: LinkStatistics, est: EstimationStatistics,
         terms = (rec_c, np.abs(rec_c) ** 2, rec_p[:, np.arange(K), np.arange(K)],
                  np.abs(rec_p) ** 2)
         sums = [acc + t.sum(axis=0) for acc, t in zip(sums, terms)]
-        done += n
     mean_c, msq_c, mean_p, msq_p = (acc / n_draws for acc in sums)
     p_d = cfg.p_dl_mw
     den_c = p_d * (msq_c - np.abs(mean_c) ** 2) + (p_d / K) * msq_p.sum(axis=1) + cfg.noise_mw
@@ -212,85 +212,85 @@ def mc_uatf_sinrs(stats: LinkStatistics, est: EstimationStatistics,
     return p_d * np.abs(mean_c) ** 2 / den_c, (p_d / K) * own / den_p
 
 
-def expected_tx_power(alloc: PowerAllocation, cfg: SystemConfig):
-    """Analytic per-AP average transmit power, shape (L,)."""
-    return cfg.p_dl_mw * (alloc.rho
-                          + (1.0 - alloc.rho) * alloc.eta.sum(axis=0) / alloc.eta.shape[0])
+class Estimate(NamedTuple):
+    """Sample means and their standard errors, entry by entry."""
+    mean: np.ndarray
+    stderr: np.ndarray        # ddof=1; var(re) + var(im) for complex samples
 
 
-def _inner(a, b):
-    """Per-block inner products a_b^H b_b of (n, N) rows."""
-    return np.einsum("bn,bn->b", a.conj(), b)
+@dataclass(frozen=True)
+class SampleMoments:
+    """Sample means of the closed-form moments over n_draws blocks.
 
-
-def mc_moment_estimators(stats: LinkStatistics, est: EstimationStatistics,
-                         pilots: PilotAssignment, cfg: SystemConfig,
-                         selector, n_draws, rng, alloc: PowerAllocation = None,
-                         chunk=8192):
-    """Sample estimator of one closed-form moment.
-
-    selector is a tuple naming the quantity and its indices:
-      ("first", k, i, l)           E{g_kl^H ghat_il}
-      ("second", k, i, l)          E{|g_kl^H ghat_il|^2}
-      ("upsilon3", k, i, j, l)     E{(g_kl^H ghat_il)^* (g_kl^H ghat_jl)}
-      ("upsilon4", k, i, j, l)     E{(ghat_kl^H ghat_il)^* (ghat_kl^H ghat_jl)}
-      ("upsilon5", k, i, j, l)     E{ghat_il^H C_kl ghat_jl}
-      ("common_norm", l)           E{|| sum_i ghat_il ||^2}
-      ("private_norm", i, l)       E{|| ghat_il ||^2}
-      ("tx_power", l)              E{|| x_l ||^2} with fresh data symbols (needs alloc)
-
-    Returns (estimate, stderr); the estimate is complex for the moments that
-    are complex-valued.
+    Indices follow closed_moments(k, i, l) and upsilon_moments(k, i, j, l):
+      first[k, i, l]           E{g_kl^H ghat_il}
+      second[k, i, l]          E{|g_kl^H ghat_il|^2}
+      upsilon3[k, i, j, l]     E{(g_kl^H ghat_il)^* (g_kl^H ghat_jl)}
+      upsilon4[k, i, j, l]     E{(ghat_kl^H ghat_il)^* (ghat_kl^H ghat_jl)}
+      upsilon5[k, i, j, l]     E{ghat_il^H C_kl ghat_jl}
+      common_norm[l]           E{|| sum_i ghat_il ||^2}
+      private_norm[i, l]       E{|| ghat_il ||^2}
     """
-    name, *idx = selector
-    if name == "tx_power" and alloc is None:
-        raise ValueError("tx_power selector requires an allocation")
+    first: Estimate
+    second: Estimate
+    upsilon3: Estimate
+    upsilon4: Estimate
+    upsilon5: Estimate
+    common_norm: Estimate
+    private_norm: Estimate
+
+
+def _pairs(x):
+    """[..., k, i, j] = conj(x[..., k, i]) x[..., k, j]."""
+    return x.conj()[..., :, None] * x[..., None, :]
+
+
+def _moment_samples(g, ghat, C):
+    """Yield (x, axes) for every SampleMoments field in field order: x holds
+    the per-block samples, C-contiguous with the block axis at 1, and axes
+    takes x's other axes to the field's index order. Batched matmuls form the
+    inner products; one GEMM per AP contracts the outer products with C."""
+    gl, hl = g.transpose(2, 0, 1, 3), ghat.transpose(2, 0, 1, 3)   # (L, n, K, N)
+    L, n, K, N = hl.shape
+    kil, kijl = (1, 2, 0), (1, 2, 3, 0)
+    a = gl.conj() @ hl.swapaxes(-1, -2)             # [l, b, k, i] = g_kl^H ghat_il
+    yield a, kil
+    yield np.abs(a) ** 2, kil
+    yield _pairs(a), kijl
+    yield _pairs(hl.conj() @ hl.swapaxes(-1, -2)), kijl   # of ghat_kl^H ghat_il
+    # [l, b, i, j, k] = ghat_il^H C_kl ghat_jl: the outer products
+    # conj(ghat_il) ghat_jl^T, flattened over their (N, N) axes, against C_kl.
+    u5 = ((hl.conj()[..., :, None, :, None] * hl[..., None, :, None, :]).reshape(L, -1, N * N)
+          @ C.transpose(1, 2, 3, 0).reshape(L, N * N, K))
+    yield u5.reshape(L, n, K, K, K), (3, 1, 2, 0)
+    yield (np.abs(hl.sum(axis=2)) ** 2).sum(axis=-1), (0,)
+    yield (np.abs(hl) ** 2).sum(axis=-1), (1, 0)
+
+
+def sample_moments(stats: LinkStatistics, est: EstimationStatistics,
+                   pilots: PilotAssignment, cfg: SystemConfig,
+                   n_draws, rng) -> SampleMoments:
+    """Estimate every closed-form moment from one pass of n_draws blocks."""
+    if n_draws < 2:
+        raise ValueError("n_draws must be at least 2")
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    chunk = sampler.chunk_size(chunk)
-    samples = []
-    done = 0
-    while done < n_draws:
-        n = min(chunk, n_draws - done)
-        g, ghat = sampler.draw(n, rng)
-        if name in ("first", "second"):
-            k, i, l = idx
-            vals = _inner(g[:, k, l], ghat[:, i, l])
-            vals = np.abs(vals) ** 2 if name == "second" else vals
-        elif name in ("upsilon3", "upsilon4"):
-            k, i, j, l = idx
-            h = (g if name == "upsilon3" else ghat)[:, k, l]
-            vals = _inner(h, ghat[:, i, l]).conj() * _inner(h, ghat[:, j, l])
-        elif name == "upsilon5":
-            k, i, j, l = idx
-            vals = np.einsum("bn,nm,bm->b", ghat[:, i, l].conj(), est.C[k, l],
-                             ghat[:, j, l])
-        elif name == "common_norm":
-            (l,) = idx
-            s = ghat[:, :, l].sum(axis=1)
-            vals = _inner(s, s).real
-        elif name == "private_norm":
-            i, l = idx
-            vals = _inner(ghat[:, i, l], ghat[:, i, l]).real
-        elif name == "tx_power":
-            (l,) = idx
-            v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
-            s_c = complex_normal(rng, (n,))
-            s_i = complex_normal(rng, (n, stats.K))
-            amp_c = np.sqrt(cfg.p_dl_mw * alloc.rho[l])
-            amp_p = np.sqrt(cfg.p_dl_mw * (1.0 - alloc.rho[l]) * alloc.eta[:, l]
-                            / stats.K)
-            x = (amp_c * v_c[:, l] * s_c[:, None]
-                 + np.einsum("i,bin,bi->bn", amp_p, v_p[:, :, l], s_i))
-            vals = _inner(x, x).real
-        else:
-            raise ValueError(f"unknown selector {name!r}")
-        samples.append(vals)
-        done += n
-    samples = np.concatenate(samples)
-    mean = samples.mean()
-    if np.iscomplexobj(samples):
-        var = samples.real.var(ddof=1) + samples.imag.var(ddof=1)
-    else:
-        var = samples.var(ddof=1)
-        mean = float(mean)
-    return mean, float(np.sqrt(var / n_draws))
+    per_block = stats.K ** 2 * stats.L * max(stats.K, stats.N ** 2)
+    chunk = max(1, min(n_draws, _MOMENT_ENTRY_BUDGET // per_block))
+    # Per field: x_0, sum(x - x_0) and sum |x - x_0|^2, with x_0 the first
+    # block's sample. Unshifted, the variance of an entry whose mean dwarfs its
+    # spread (a LoS-dominated norm) loses digits in proportion to mean^2 / var.
+    acc = []
+    for start in range(0, n_draws, chunk):
+        n = min(chunk, n_draws - start)
+        for f, (x, axes) in enumerate(_moment_samples(*sampler.draw(n, rng), est.C)):
+            if f == len(acc):
+                acc.append([x[:, :1].copy(), 0.0, 0.0, axes])
+            d = x - acc[f][0]
+            acc[f][1] += d.sum(axis=1)
+            acc[f][2] += (np.abs(d) ** 2).sum(axis=1)
+    estimates = []
+    for x0, s1, s2, axes in acc:
+        var = (s2 - np.abs(s1) ** 2 / n_draws) / (n_draws - 1)
+        estimates.append(Estimate((x0[:, 0] + s1 / n_draws).transpose(axes),
+                                  np.sqrt(var / n_draws).transpose(axes)))
+    return SampleMoments(*estimates)

@@ -11,6 +11,8 @@ import pytest
 
 from cfrs.closed_form import build_cache
 from cfrs.config import SystemConfig
+from cfrs.monte_carlo import ChannelSampler, build_precoders
+from cfrs.rng import complex_normal
 from cfrs.scenario import EnvScenario
 
 
@@ -76,3 +78,30 @@ def max_rel_diff(a, b):
     if scale == 0:
         return 0.0 if diff == 0 else np.inf
     return diff / scale
+
+
+def expected_tx_power(alloc, cfg):
+    """Analytic per-AP average transmit power, shape (L,)."""
+    return cfg.p_dl_mw * (alloc.rho
+                          + (1.0 - alloc.rho) * alloc.eta.sum(axis=0) / alloc.eta.shape[0])
+
+
+def sample_tx_power(stats, est, pilots, cfg, alloc, l, n_draws, rng):
+    """Sample mean and standard error of ||x_l||^2, the power AP l radiates
+    with the normalized precoders and fresh unit-power data symbols."""
+    sampler = ChannelSampler(stats, est, pilots, cfg)
+    chunk = sampler.chunk_size(8192)
+    amp_c = np.sqrt(cfg.p_dl_mw * alloc.rho[l])
+    amp_p = np.sqrt(cfg.p_dl_mw * (1.0 - alloc.rho[l]) * alloc.eta[:, l] / stats.K)
+    samples = []
+    for start in range(0, n_draws, chunk):
+        n = min(chunk, n_draws - start)
+        _, ghat = sampler.draw(n, rng)
+        v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
+        s_c = complex_normal(rng, (n,))
+        s_i = complex_normal(rng, (n, stats.K))
+        x = (amp_c * v_c[:, l] * s_c[:, None]
+             + np.einsum("i,bin,bi->bn", amp_p, v_p[:, :, l], s_i))
+        samples.append(np.einsum("bn,bn->b", x.conj(), x).real)
+    samples = np.concatenate(samples)
+    return float(samples.mean()), float(np.sqrt(samples.var(ddof=1) / n_draws))

@@ -17,11 +17,10 @@ from cfrs.diffusion import EpsNetwork, TrainConfig, reverse_sample
 from cfrs.estimation import assign_pilots, estimation_statistics
 from cfrs.experiments import DIFFUSION_SYSTEM, held_out_envs, training_envs
 from cfrs.geometry import draw_geometry, link_statistics
-from cfrs.monte_carlo import (achievable_sum_se, mc_moment_estimators,
-                              mc_uatf_sinrs)
+from cfrs.monte_carlo import achievable_sum_se, mc_uatf_sinrs, sample_moments
 from cfrs.rng import substream
 from cfrs.scenario import DEFAULT_RHO_GRID, train_policy
-from conftest import random_allocation
+from conftest import random_allocation, sample_tx_power
 from test_closed_form import _aligned_stats, _classical_private_sinrs
 
 MC_DRAWS = 200_000
@@ -53,22 +52,9 @@ def test_criterion_01_moment_formulas_match_sampling(desk_pieces):
     worst = {"first": 0.0, "second": 0.0, "upsilon4": 0.0, "upsilon5": 0.0,
              "norm": 0.0}
 
-    for k in range(stats.K):
-        for i in range(stats.K):
-            for l in range(stats.L):
-                first, second = closed_moments(k, i, l, stats, est, pilots)
-                mc, _ = mc_moment_estimators(stats, est, pilots, cfg,
-                                             ("first", k, i, l), MC_DRAWS,
-                                             substream(101, "c1", k, i, l))
-                worst["first"] = max(worst["first"], _rel(mc, first))
-                mc, _ = mc_moment_estimators(stats, est, pilots, cfg,
-                                             ("second", k, i, l), MC_DRAWS,
-                                             substream(102, "c1", k, i, l))
-                worst["second"] = max(worst["second"], _rel(mc, second))
-
     # Four of the five pilot patterns exist at tau_p = 2; the all-distinct
     # pattern needs three pilot groups, so it runs on the same drop with
-    # tau_p = 3 (every user on its own pilot).
+    # tau_p = 3 (every user on its own pilot). One pass per assignment.
     cases = _pattern_tuples(pilots, stats.K)
     assert len(cases) == 4
     cfg3 = cfg.with_overrides(tau_p=3)
@@ -76,31 +62,30 @@ def test_criterion_01_moment_formulas_match_sampling(desk_pieces):
     est3 = estimation_statistics(stats, pilots3, cfg3)
     cases3 = _pattern_tuples(pilots3, stats.K)
     assert (False, False, False) in cases3
+    m = sample_moments(stats, est, pilots, cfg, MC_DRAWS, substream(101, "c1"))
+    m3 = sample_moments(stats, est3, pilots3, cfg3, MC_DRAWS, substream(202, "c1"))
 
-    jobs = [(cfg, est, pilots, kij, 201) for kij in cases.values()]
-    jobs.append((cfg3, est3, pilots3, cases3[(False, False, False)], 202))
-    for job_cfg, job_est, job_pilots, (k, i, j), tag in jobs:
+    for k in range(stats.K):
+        for i in range(stats.K):
+            for l in range(stats.L):
+                first, second = closed_moments(k, i, l, stats, est, pilots)
+                worst["first"] = max(worst["first"], _rel(m.first.mean[k, i, l], first))
+                worst["second"] = max(worst["second"],
+                                      _rel(m.second.mean[k, i, l], second))
+
+    jobs = [(est, pilots, m, kij) for kij in cases.values()]
+    jobs.append((est3, pilots3, m3, cases3[(False, False, False)]))
+    for job_est, job_pilots, job_m, (k, i, j) in jobs:
         u4, u5 = upsilon_moments(k, i, j, 0, stats, job_est, job_pilots)
-        mc4, _ = mc_moment_estimators(stats, job_est, job_pilots, job_cfg,
-                                      ("upsilon4", k, i, j, 0), MC_DRAWS,
-                                      substream(tag, "u4", k, i, j))
-        worst["upsilon4"] = max(worst["upsilon4"], _rel(mc4, u4))
-        mc5, _ = mc_moment_estimators(stats, job_est, job_pilots, job_cfg,
-                                      ("upsilon5", k, i, j, 0), MC_DRAWS,
-                                      substream(tag, "u5", k, i, j))
-        worst["upsilon5"] = max(worst["upsilon5"], _rel(mc5, u5))
+        worst["upsilon4"] = max(worst["upsilon4"], _rel(job_m.upsilon4.mean[k, i, j, 0], u4))
+        worst["upsilon5"] = max(worst["upsilon5"], _rel(job_m.upsilon5.mean[k, i, j, 0], u5))
 
     mu_c, mu_p = normalization_coeffs(stats, est, pilots)
     for l in range(stats.L):
-        mc, _ = mc_moment_estimators(stats, est, pilots, cfg,
-                                     ("common_norm", l), MC_DRAWS,
-                                     substream(103, "cn", l))
-        worst["norm"] = max(worst["norm"], _rel(mc, 1.0 / mu_c[l]))
+        worst["norm"] = max(worst["norm"], _rel(m.common_norm.mean[l], 1.0 / mu_c[l]))
         for i in range(stats.K):
-            mc, _ = mc_moment_estimators(stats, est, pilots, cfg,
-                                         ("private_norm", i, l), MC_DRAWS,
-                                         substream(103, "pn", i, l))
-            worst["norm"] = max(worst["norm"], _rel(mc, 1.0 / mu_p[i, l]))
+            worst["norm"] = max(worst["norm"],
+                                _rel(m.private_norm.mean[i, l], 1.0 / mu_p[i, l]))
 
     elapsed = time.monotonic() - start
     print(f"criterion 01 PASS: worst rel err first {worst['first']:.4f} "
@@ -446,9 +431,8 @@ def test_criterion_11_power_constraint(desk_pieces):
     for name, alloc in cases:
         exact = name in ("all_common", "full_private")
         for l in range(stats.L):
-            mc, err = mc_moment_estimators(stats, est, pilots, cfg,
-                                           ("tx_power", l), 40000,
-                                           substream(131, name, l), alloc=alloc)
+            mc, err = sample_tx_power(stats, est, pilots, cfg, alloc, l, 40000,
+                                      substream(131, name, l))
             assert mc <= p_d + 3 * err, (name, l)
             worst_slack = min(worst_slack, (p_d - mc) / p_d)
             if exact:

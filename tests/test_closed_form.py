@@ -10,7 +10,7 @@ from cfrs.config import SystemConfig
 from cfrs.estimation import (assign_pilots, estimation_statistics,
                              perfect_csi_statistics)
 from cfrs.geometry import LinkStatistics, draw_geometry, link_statistics
-from cfrs.monte_carlo import mc_moment_estimators
+from cfrs.monte_carlo import sample_moments
 from cfrs.rng import substream
 from cfrs.scenario import EnvScenario
 from conftest import (dense_qbar, dense_qbar_perfect, max_rel_diff,
@@ -53,11 +53,17 @@ def test_power_allocation_validation():
         PowerAllocation.from_vector(np.array([np.nan, 0.5]), 1, 1)
 
 
-def test_closed_moments_against_sampling(desk_pieces):
+@pytest.fixture(scope="module")
+def desk_moments(desk_pieces):
+    """One 40,000-draw pass of every sampled moment on the desk drop."""
+    cfg, stats, est, pilots = desk_pieces
+    return sample_moments(stats, est, pilots, cfg, 40000, substream(31, "moments"))
+
+
+def test_closed_moments_against_sampling(desk_pieces, desk_moments):
     """Spot check of the per-tuple moment formulas; the acceptance suite
     sweeps every tuple at a much larger draw count."""
-    cfg, stats, est, pilots = desk_pieces
-    n = 40000
+    _, stats, est, pilots = desk_pieces
     cop = pilots.copilot
     picked = []
     for k in range(stats.K):
@@ -73,39 +79,32 @@ def test_closed_moments_against_sampling(desk_pieces):
     assert picked
     for k, i in picked[:3]:
         first, second = closed_moments(k, i, 0, stats, est, pilots)
-        mc1, _ = mc_moment_estimators(stats, est, pilots, cfg, ("first", k, i, 0),
-                                      n, substream(31, "m1", k, i))
-        mc2, _ = mc_moment_estimators(stats, est, pilots, cfg, ("second", k, i, 0),
-                                      n, substream(31, "m2", k, i))
+        mc1 = desk_moments.first.mean[k, i, 0]
+        mc2 = desk_moments.second.mean[k, i, 0]
         assert abs(mc1 - first) <= 0.05 * abs(first)
         assert abs(mc2 - second) <= 0.05 * second
 
 
-def test_upsilon_decomposition_against_sampling(desk_pieces):
+def test_upsilon_decomposition_against_sampling(desk_pieces, desk_moments):
     """u4 + u5 reproduces the combined third moment estimated directly."""
-    cfg, stats, est, pilots = desk_pieces
-    n = 40000
+    _, stats, est, pilots = desk_pieces
     combos = [(0, 1, 2), (1, 0, 2), (2, 2, 1), (0, 0, 0)]
     for k, i, j in combos:
         u4, u5 = upsilon_moments(k, i, j, 0, stats, est, pilots)
-        mc3, err = mc_moment_estimators(stats, est, pilots, cfg,
-                                        ("upsilon3", k, i, j, 0),
-                                        n, substream(37, "u3", k, i, j))
+        mc3 = desk_moments.upsilon3.mean[k, i, j, 0]
+        err = desk_moments.upsilon3.stderr[k, i, j, 0]
         scale = max(abs(u4 + u5), 10 * err)
         assert abs(mc3 - (u4 + u5)) <= 0.06 * scale
 
 
-def test_normalizers_match_sampling(desk_pieces):
-    cfg, stats, est, pilots = desk_pieces
+def test_normalizers_match_sampling(desk_pieces, desk_moments):
+    _, stats, est, pilots = desk_pieces
     mu_c, mu_p = normalization_coeffs(stats, est, pilots)
     assert np.all(mu_c > 0) and np.all(mu_p > 0)
-    n = 40000
     for l in range(stats.L):
-        mc, _ = mc_moment_estimators(stats, est, pilots, cfg, ("common_norm", l),
-                                     n, substream(41, "cn", l))
+        mc = desk_moments.common_norm.mean[l]
         assert abs(mc - 1.0 / mu_c[l]) <= 0.03 / mu_c[l]
-    mc, _ = mc_moment_estimators(stats, est, pilots, cfg, ("private_norm", 1, 0),
-                                 n, substream(41, "pn"))
+    mc = desk_moments.private_norm.mean[1, 0]
     assert abs(mc - 1.0 / mu_p[1, 0]) <= 0.03 / mu_p[1, 0]
 
 

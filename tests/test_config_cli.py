@@ -223,6 +223,8 @@ def test_cli_validate(capsys):
     assert out["ok"] is True
     assert out["draws"] == 40000
     assert all(check["rel_err"] <= check["tol"] for check in out["checks"])
+    assert all(np.isfinite(check["stderr"]) and check["stderr"] > 0
+               for check in out["checks"])
 
 
 def test_cli_train_and_infer(tmp_path, capsys):

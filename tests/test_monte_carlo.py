@@ -1,5 +1,7 @@
 """Monte Carlo channel sampling, precoding, and achievable-rate estimates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,18 +10,28 @@ from cfrs.config import SystemConfig
 from cfrs.estimation import copilot_cross_moment
 from cfrs.geometry import hermitian_sqrt
 from cfrs.monte_carlo import (ChannelSampler, achievable_sum_se,
-                              build_precoders, expected_tx_power,
-                              instantaneous_sinrs, mc_moment_estimators,
-                              mc_uatf_sinrs)
+                              build_precoders, instantaneous_sinrs,
+                              mc_uatf_sinrs, sample_moments)
 from cfrs.rng import complex_normal, substream
 from cfrs.scenario import EnvScenario
-from conftest import max_rel_diff, random_allocation
+from conftest import (expected_tx_power, max_rel_diff, random_allocation,
+                      sample_tx_power)
 
 
 @pytest.fixture(scope="module")
 def copilot_pieces():
     """A drop with K=8 users on tau_p=3 pilots over L=6 APs."""
     cfg = SystemConfig(L=6, K=8, N=4, tau_p=3, seed=17)
+    scenario = EnvScenario(cfg)
+    stats, est = scenario.drop_statistics()
+    return cfg, stats, est, scenario.pilots
+
+
+@pytest.fixture(scope="module")
+def los_pieces():
+    """The desk network under strong LoS (30 dB Rician factor): sample norms
+    whose mean dwarfs their spread."""
+    cfg = SystemConfig(L=2, K=3, N=2, tau_p=2, rician_db=30.0, seed=7)
     scenario = EnvScenario(cfg)
     stats, est = scenario.drop_statistics()
     return cfg, stats, est, scenario.pilots
@@ -107,6 +119,63 @@ def test_sampler_draw_matches_per_link_reference(drop, request):
                                      * stats.R[k, l] @ est.Psi[k, l] @ y)
     assert max_rel_diff(g, g_ref) <= 1e-12
     assert max_rel_diff(ghat, ghat_ref) <= 1e-12
+
+
+def _moment_samples_by_hand(g, ghat, C):
+    """Every SampleMoments sample, tuple by tuple as its docstring defines
+    them, each (n, *field shape); g and ghat are (n, K, L, N)."""
+    _, K, L, _ = g.shape
+
+    def inner(x, y):
+        return np.sum(x.conj() * y, axis=-1)
+
+    first = np.empty((len(g), K, K, L), dtype=complex)
+    u3, u4, u5 = (np.empty((len(g), K, K, K, L), dtype=complex) for _ in range(3))
+    for k, i, l in itertools.product(range(K), range(K), range(L)):
+        first[:, k, i, l] = inner(g[:, k, l], ghat[:, i, l])
+    for k, i, j, l in itertools.product(range(K), range(K), range(K), range(L)):
+        u3[:, k, i, j, l] = (inner(g[:, k, l], ghat[:, i, l]).conj()
+                             * inner(g[:, k, l], ghat[:, j, l]))
+        u4[:, k, i, j, l] = (inner(ghat[:, k, l], ghat[:, i, l]).conj()
+                             * inner(ghat[:, k, l], ghat[:, j, l]))
+        u5[:, k, i, j, l] = inner(ghat[:, i, l], ghat[:, j, l] @ C[k, l].T)
+    common = np.stack([inner(ghat[:, :, l].sum(axis=1), ghat[:, :, l].sum(axis=1)).real
+                       for l in range(L)], axis=-1)
+    private = np.stack([[inner(ghat[:, i, l], ghat[:, i, l]).real for l in range(L)]
+                        for i in range(K)]).transpose(2, 0, 1)
+    return first, np.abs(first) ** 2, u3, u4, u5, common, private
+
+
+@pytest.mark.parametrize("drop", ["desk_pieces", "copilot_pieces", "los_pieces"])
+def test_sample_moments_match_hand_loop(drop, request):
+    """One pass equals the per-tuple sample means and their ddof=1 standard
+    errors (var(re) + var(im) for complex moments) on the same stream. The
+    draw counts span several chunks and end on a partial one."""
+    cfg, stats, est, pilots = request.getfixturevalue(drop)
+    n = {"desk_pieces": 1500, "copilot_pieces": 300, "los_pieces": 1500}[drop]
+    moments = sample_moments(stats, est, pilots, cfg, n, substream(97, drop))
+    rng = substream(97, drop)
+    sampler = ChannelSampler(stats, est, pilots, cfg)
+    chunk = 50_000 // (stats.K ** 2 * stats.L * max(stats.K, stats.N ** 2))
+    assert 1 < n // chunk and n % chunk
+    draws = [sampler.draw(min(chunk, n - start), rng) for start in range(0, n, chunk)]
+    g, ghat = (np.concatenate(parts) for parts in zip(*draws))
+    for name, x in zip(["first", "second", "upsilon3", "upsilon4", "upsilon5",
+                        "common_norm", "private_norm"],
+                       _moment_samples_by_hand(g, ghat, est.C)):
+        got = getattr(moments, name)
+        var = x.real.var(axis=0, ddof=1) + x.imag.var(axis=0, ddof=1)
+        assert got.mean.shape == got.stderr.shape == x.shape[1:], name
+        np.testing.assert_allclose(got.mean, x.mean(axis=0), rtol=1e-12, atol=0,
+                                   err_msg=name)
+        np.testing.assert_allclose(got.stderr, np.sqrt(var / n), rtol=1e-12, atol=0,
+                                   err_msg=name)
+
+
+def test_sample_moments_rejects_single_draw(desk_pieces):
+    cfg, stats, est, pilots = desk_pieces
+    with pytest.raises(ValueError):
+        sample_moments(stats, est, pilots, cfg, 1, substream(97, "one"))
 
 
 def test_expected_tx_power_hand_values():
@@ -283,16 +352,6 @@ def test_tx_power_estimator_matches_analytic(desk_pieces):
     alloc = random_allocation(3, 2, substream(73, "alloc"))
     expected = expected_tx_power(alloc, cfg)
     for l in range(stats.L):
-        mc, err = mc_moment_estimators(stats, est, pilots, cfg, ("tx_power", l),
-                                       30000, substream(73, "tx", l), alloc=alloc)
+        mc, err = sample_tx_power(stats, est, pilots, cfg, alloc, l, 30000,
+                                  substream(73, "tx", l))
         assert abs(mc - expected[l]) <= 4 * err
-    with pytest.raises(ValueError):
-        mc_moment_estimators(stats, est, pilots, cfg, ("tx_power", 0),
-                             100, substream(73, "x"))
-
-
-def test_unknown_selector_rejected(desk_pieces):
-    cfg, stats, est, pilots = desk_pieces
-    with pytest.raises(ValueError):
-        mc_moment_estimators(stats, est, pilots, cfg, ("nonsense", 0),
-                             100, substream(1, "x"))
