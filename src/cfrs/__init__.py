@@ -17,7 +17,7 @@ from .estimation import (EstimationStatistics, PilotAssignment, assign_pilots,
 from .experiments import (DIFFUSION_SYSTEM, EXPERIMENT_IDS, FIGURE_PRESETS,
                           ConfigError, ExperimentSpec, held_out_envs,
                           parse_config, parse_config_text, run_experiment,
-                          serialize_config, training_envs)
+                          training_envs)
 from .geometry import (Geometry, LinkStatistics, Placement, draw_geometry,
                        link_statistics, path_loss, place_network, rician_split)
 from .monte_carlo import (AchievableReport, ChannelSampler, achievable_sum_se,

@@ -260,44 +260,3 @@ def sum_se_batch(cache: SECache, rho, eta):
                                  np.asarray(eta, dtype=float))
     se = np.log2(1.0 + sinr_c.min(axis=1)) + np.log2(1.0 + sinr_p).sum(axis=1)
     return cache.prelog * se
-
-
-# ---------------------------------------------------------------------------
-# Scalar special case: spatially uncorrelated scattering with aligned
-# line-of-sight phases. Never touches matrix algebra.
-# ---------------------------------------------------------------------------
-
-def uncorrelated_cache(beta_los, beta_nlos, pilots: PilotAssignment,
-                       cfg: SystemConfig) -> SECache:
-    """Cache for R_kl = beta_nlos_kl I and phase-aligned LoS vectors, built
-    from scalar formulas only."""
-    beta_los = np.asarray(beta_los, dtype=float)
-    beta_nlos = np.asarray(beta_nlos, dtype=float)
-    K, L = beta_los.shape
-    N = cfg.N
-    ptau = cfg.p_pilot_mw * cfg.tau_p
-    copilot = pilots.copilot
-
-    denom = ptau * np.einsum("ki,il->kl", copilot.astype(float), beta_nlos) + cfg.noise_mw
-    gamma = ptau * beta_nlos ** 2 / denom
-
-    sqrt_los = np.sqrt(beta_los)
-    sqrt_gam = np.sqrt(gamma)
-    los_ki = N * sqrt_los[:, None, :] * sqrt_los[None, :, :]       # (K, K, L)
-    gam_ki = N * sqrt_gam[:, None, :] * sqrt_gam[None, :, :]
-    p1 = los_ki + gam_ki * copilot[:, :, None]
-    c1 = p1.sum(axis=1)
-    p2 = (N * beta_nlos[:, None, :] * gamma[None]
-          + N * beta_los[:, None, :] * gamma[None]
-          + N * beta_los[None] * beta_nlos[:, None, :])
-    pair = np.einsum("ij,il,jl->l", copilot.astype(float), sqrt_gam, sqrt_gam)
-    c2 = (N * pair[None, :] * (beta_nlos + beta_los)
-          + N * beta_nlos * (sqrt_los.sum(axis=0)[None, :] ** 2))
-
-    mu_c = 1.0 / c1.sum(axis=0).real
-    mu_p = 1.0 / (N * beta_los + N * gamma)
-    if np.any(mu_c <= 0) or np.any(mu_p <= 0):
-        raise DegenerateStatisticsError("precoder normalizer is not positive")
-    return SECache(c1=c1.astype(complex), c2=c2, p1=p1.astype(complex), p2=p2,
-                   mu_c=mu_c, mu_p=mu_p, p_dl=cfg.p_dl_mw, noise=cfg.noise_mw,
-                   prelog=cfg.prelog)

@@ -41,6 +41,15 @@ class SystemConfig:
     balanced_pilots: bool = True
 
     def __post_init__(self):
+        for name in ("area_side", "asd_deg", "p_pilot_dbm", "p_dl_dbm", "noise_dbm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if math.isnan(self.rician_db) or self.rician_db == math.inf:
+            raise ValueError("rician_db must be finite or -inf")
+        # Perfect CSI is recognised by zero pilot energy, so a real pilot
+        # power must not underflow to 0 mW.
+        if self.p_pilot_mw == 0:
+            raise ValueError("p_pilot_dbm is too small: the pilot power underflows to 0")
         if self.L < 1:
             raise ValueError("L must be a positive integer")
         if self.K < 1:
@@ -71,10 +80,6 @@ class SystemConfig:
     @property
     def noise_mw(self):
         return dbm_to_mw(self.noise_dbm)
-
-    @property
-    def rician_linear(self):
-        return db_to_linear(self.rician_db)
 
     @property
     def prelog(self):

@@ -41,9 +41,6 @@ class PilotAssignment:
         """(K, K) boolean matrix; entry (k, i) is True iff i shares k's pilot."""
         return self.pilot_of[:, None] == self.pilot_of[None, :]
 
-    def copilot_set(self, k):
-        return np.flatnonzero(self.pilot_of == self.pilot_of[k])
-
 
 def assign_pilots(K, tau_p, rng, balanced=True) -> PilotAssignment:
     """Assign each of K users one of tau_p pilots.

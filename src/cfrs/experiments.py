@@ -4,12 +4,16 @@ Every experiment writes exactly one CSV (fixed column set per experiment id)
 plus a JSON sidecar holding the fully resolved configuration and seed, so a
 result file can always be traced back to the run that produced it. All
 randomness flows from the single spec seed through named substreams; reruns
-of the same spec are byte-identical. Geometry-indexed work items can be
-dispatched to a process pool sized by the CFRS_WORKERS environment variable
-without changing any output.
+of the same spec are byte-identical. A geometry sweep maps one item per
+(setting, drop) to {row key: values}, keys in CSV row order, and writes each
+key with the means of its values over the drops. The items can be dispatched
+to a process pool sized by the CFRS_WORKERS environment variable without
+changing any output.
 """
 
+import itertools
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -25,9 +29,6 @@ from .estimation import perfect_csi_statistics
 from .monte_carlo import achievable_sum_se
 from .rng import substream
 from .scenario import DEFAULT_RHO_GRID, EnvScenario, train_policy
-
-EXPERIMENT_IDS = ("cdf", "power_sweep", "rho_sweep_split", "rho_sweep_control",
-                  "ap_sweep", "rician_sweep", "train_diffusion", "eval_dynamic")
 
 # Small network used for the conditional-optimizer experiments. The
 # statistical heuristics need an AP-rich drop to behave as designed, so this
@@ -69,10 +70,16 @@ class ExperimentSpec:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         for name in ("rho_grid", "power_grid_dbm", "ap_grid", "kappa_grid_db", "ue_grid"):
-            if len(getattr(self, name)) == 0:
+            grid = getattr(self, name)
+            if len(grid) == 0:
                 raise ConfigError(f"{name} must not be empty")
-        if self.train_lr <= 0:
-            raise ConfigError("train_lr must be positive")
+            if not all(math.isfinite(v) for v in grid):
+                raise ConfigError(f"{name} must hold finite values")
+            # A grid value keys its CSV rows, so a repeat would merge rows.
+            if len(set(grid)) != len(grid):
+                raise ConfigError(f"{name} must not repeat a value")
+        if not (math.isfinite(self.train_lr) and self.train_lr > 0):
+            raise ConfigError("train_lr must be positive and finite")
 
     @property
     def ga_config(self):
@@ -158,22 +165,6 @@ def parse_config(path) -> ExperimentSpec:
         return parse_config_text(fh.read(), path=str(path))
 
 
-def serialize_config(spec: ExperimentSpec) -> str:
-    """Render a spec as config text; parse_config_text() restores it exactly."""
-    lines = []
-    for key in _SPEC_STR_KEYS:
-        lines.append(f"{key} = {getattr(spec, key)}")
-    for key in _SPEC_INT_KEYS + _SPEC_FLOAT_KEYS:
-        lines.append(f"{key} = {getattr(spec, key)!r}")
-    for key in _SPEC_FLOAT_GRID_KEYS + _SPEC_INT_GRID_KEYS:
-        lines.append(f"{key} = {', '.join(repr(v) for v in getattr(spec, key))}")
-    for key in _SYSTEM_INT_KEYS + _SYSTEM_FLOAT_KEYS:
-        lines.append(f"{key} = {getattr(spec.system, key)!r}")
-    for key in _SYSTEM_BOOL_KEYS:
-        lines.append(f"{key} = {'true' if getattr(spec.system, key) else 'false'}")
-    return "\n".join(lines) + "\n"
-
-
 # -- shared plumbing ----------------------------------------------------------
 
 def _pmap(fn, items):
@@ -200,35 +191,26 @@ def _fmt(value):
     return str(value)
 
 
-def _write_report(spec: ExperimentSpec, columns, rows, extra_meta=None):
+def _write_report(spec: ExperimentSpec, columns, rows, extra=None):
     os.makedirs(spec.out_dir, exist_ok=True)
     csv_path = os.path.join(spec.out_dir, f"{spec.experiment}.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    parameters = asdict(spec)
+    for name in ("experiment", "seed", "system", "out_dir"):
+        del parameters[name]
     meta = {
         "experiment": spec.experiment,
         "seed": spec.seed,
         "system": asdict(spec.system),
-        "parameters": {
-            "n_geometries": spec.n_geometries,
-            "n_blocks": spec.n_blocks,
-            "rho_grid": list(spec.rho_grid),
-            "power_grid_dbm": list(spec.power_grid_dbm),
-            "ap_grid": list(spec.ap_grid),
-            "kappa_grid_db": list(spec.kappa_grid_db),
-            "ue_grid": list(spec.ue_grid),
-            "ga_pop": spec.ga_pop,
-            "ga_generations": spec.ga_generations,
-            "train_steps": spec.train_steps,
-            "train_lr": spec.train_lr,
-        },
+        "parameters": parameters,
         "columns": list(columns),
         "rows": len(rows),
     }
-    if extra_meta:
-        meta.update(extra_meta)
+    if extra:
+        meta.update(extra)
     sidecar_path = csv_path + ".json"
     with open(sidecar_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -242,7 +224,7 @@ def _scenario(cfg: SystemConfig, seed, tag, index):
                                   substream(seed, tag, "pilots", str(index))))
 
 
-# -- runners ------------------------------------------------------------------
+# -- geometry sweeps -----------------------------------------------------------
 
 def _cdf_item(args):
     spec, g = args
@@ -255,22 +237,13 @@ def _cdf_item(args):
     rs, _, _ = scenario.best_equal_split(cache, spec.rho_grid)
     # (sum SE, MC standard error); the closed-form bound has none.
     out = {}
-    out["uatf_no_rs"] = (evaluate_cache(cache, no_rs).sum_se, 0.0)
-    out["uatf_rs"] = (evaluate_cache(cache, rs).sum_se, 0.0)
+    out[(g, "uatf_no_rs")] = (evaluate_cache(cache, no_rs).sum_se, 0.0)
+    out[(g, "uatf_rs")] = (evaluate_cache(cache, rs).sum_se, 0.0)
     mc_rng = substream(spec.seed, "cdf", "mc", str(g))
     for variant, alloc in (("achievable_no_rs", no_rs), ("achievable_rs", rs)):
         rep = achievable_sum_se(stats, est, pilots, cfg, alloc, spec.n_blocks, mc_rng)
-        out[variant] = (rep.sum_se, rep.stderr)
+        out[(g, variant)] = (rep.sum_se, rep.stderr)
     return out
-
-
-def _run_cdf(spec):
-    results = _pmap(_cdf_item, [(spec, g) for g in range(spec.n_geometries)])
-    rows = []
-    for g, out in enumerate(results):
-        for variant in ("uatf_no_rs", "uatf_rs", "achievable_no_rs", "achievable_rs"):
-            rows.append((g, variant, *out[variant]))
-    return ("geometry_id", "variant", "sum_se", "stderr"), rows
 
 
 def _power_item(args):
@@ -292,28 +265,16 @@ def _power_item(args):
                 rep = achievable_sum_se(stats, est, pilots, cfg, alloc,
                                         spec.n_blocks,
                                         substream(spec.seed, "power", "mc",
-                                                  str(g), csi, variant, repr(float(p_dbm))),
-                                        perfect_csi=(csi == "perfect"))
+                                                  str(g), csi, variant, repr(float(p_dbm))))
+                # The squared error; _pooled_stderr turns its mean into the
+                # standard error of the mean over drops.
                 out[(float(p_dbm), csi, variant)] = (
-                    evaluate_cache(cache, alloc).sum_se, rep.sum_se, rep.stderr)
+                    evaluate_cache(cache, alloc).sum_se, rep.sum_se, rep.stderr ** 2)
     return out
 
 
-def _run_power_sweep(spec):
-    results = _pmap(_power_item, [(spec, g) for g in range(spec.n_geometries)])
-    rows = []
-    for p_dbm in spec.power_grid_dbm:
-        for csi in ("imperfect", "perfect"):
-            for variant in ("no_rs", "rs"):
-                key = (float(p_dbm), csi, variant)
-                closed = np.mean([r[key][0] for r in results])
-                ach = np.mean([r[key][1] for r in results])
-                stderr = np.sqrt(np.mean([r[key][2] ** 2 for r in results])
-                                 / len(results))
-                rows.append((float(p_dbm), csi, variant, float(closed),
-                             float(ach), float(stderr)))
-    return ("p_dl_dbm", "csi", "variant", "sum_se_uatf",
-            "sum_se_achievable", "achievable_stderr"), rows
+def _pooled_stderr(spec, row):
+    return (*row[:-1], np.sqrt(row[-1] / spec.n_geometries))
 
 
 def _split_item(args):
@@ -330,26 +291,17 @@ def _split_item(args):
         equal_rhos = np.stack([np.full(L, r) for r in spec.rho_grid])
         heur_rhos = np.stack([heuristic_split(zeta, r) for r in spec.rho_grid])
         eta_batch = np.broadcast_to(eta_equal, (len(spec.rho_grid), K, L))
-        out[(channel, "equal")] = sum_se_batch(cache, equal_rhos, eta_batch)
-        out[(channel, "heuristic")] = sum_se_batch(cache, heur_rhos, eta_batch)
-        init = [equal_rhos[int(np.argmax(out[(channel, "equal")]))],
-                heur_rhos[int(np.argmax(out[(channel, "heuristic")]))]]
+        equal = sum_se_batch(cache, equal_rhos, eta_batch)
+        heur = sum_se_batch(cache, heur_rhos, eta_batch)
+        init = [equal_rhos[int(np.argmax(equal))], heur_rhos[int(np.argmax(heur))]]
         res = optimize_rho(cache, eta_equal, spec.ga_config,
                            substream(spec.seed, f"split-{channel}", "ga", str(g)),
                            init=init)
-        out[(channel, "ga")] = np.full(len(spec.rho_grid), res.value)
-    return out
-
-
-def _run_rho_sweep_split(spec):
-    results = _pmap(_split_item, [(spec, g) for g in range(spec.n_geometries)])
-    rows = []
-    for channel in ("rician", "rayleigh"):
         for i, rho0 in enumerate(spec.rho_grid):
-            for variant in ("equal", "heuristic", "ga"):
-                mean = np.mean([r[(channel, variant)][i] for r in results])
-                rows.append((channel, float(rho0), variant, float(mean)))
-    return ("channel", "rho0", "variant", "sum_se"), rows
+            for variant, value in (("equal", equal[i]), ("heuristic", heur[i]),
+                                   ("ga", res.value)):
+                out[(channel, float(rho0), variant)] = (value,)
+    return out
 
 
 def _control_item(args):
@@ -362,28 +314,17 @@ def _control_item(args):
     eta_heur = heuristic_control(scenario.zeta)
     n = len(spec.rho_grid)
     rhos = np.stack([np.full(L, r) for r in spec.rho_grid])
-    out = {
-        "equal": sum_se_batch(cache, rhos, np.broadcast_to(eta_equal, (n, K, L))),
-        "heuristic": sum_se_batch(cache, rhos, np.broadcast_to(eta_heur, (n, K, L))),
-    }
-    ga = np.empty(n)
+    equal = sum_se_batch(cache, rhos, np.broadcast_to(eta_equal, (n, K, L)))
+    heur = sum_se_batch(cache, rhos, np.broadcast_to(eta_heur, (n, K, L)))
+    out = {}
     for i, rho0 in enumerate(spec.rho_grid):
         res = optimize_eta(cache, rhos[i], spec.ga_config,
                            substream(spec.seed, "control", "ga", str(g), repr(float(rho0))),
                            init=[eta_equal.ravel(), eta_heur.ravel()])
-        ga[i] = res.value
-    out["ga"] = ga
+        for variant, value in (("equal", equal[i]), ("heuristic", heur[i]),
+                               ("ga", res.value)):
+            out[(float(rho0), variant)] = (value,)
     return out
-
-
-def _run_rho_sweep_control(spec):
-    results = _pmap(_control_item, [(spec, g) for g in range(spec.n_geometries)])
-    rows = []
-    for i, rho0 in enumerate(spec.rho_grid):
-        for variant in ("equal", "heuristic", "ga"):
-            mean = np.mean([r[variant][i] for r in results])
-            rows.append((float(rho0), variant, float(mean)))
-    return ("rho0", "variant", "sum_se"), rows
 
 
 def _ap_item(args):
@@ -394,20 +335,8 @@ def _ap_item(args):
     no_rs = scenario.no_rs_value(cache)
     _, rs, _ = scenario.best_equal_split(cache, spec.rho_grid)
     _, rs_heur, _ = scenario.best_heuristic(cache, spec.rho_grid)
-    return {"no_rs": no_rs, "rs": rs, "rs_heuristic": rs_heur}
-
-
-def _run_ap_sweep(spec):
-    items = [(spec, n_aps, g) for n_aps in spec.ap_grid
-             for g in range(spec.n_geometries)]
-    results = _pmap(_ap_item, items)
-    rows = []
-    for j, n_aps in enumerate(spec.ap_grid):
-        chunk = results[j * spec.n_geometries:(j + 1) * spec.n_geometries]
-        for variant in ("no_rs", "rs", "rs_heuristic"):
-            rows.append((int(n_aps), variant,
-                         float(np.mean([c[variant] for c in chunk]))))
-    return ("n_aps", "variant", "sum_se"), rows
+    return {(int(n_aps), "no_rs"): (no_rs,), (int(n_aps), "rs"): (rs,),
+            (int(n_aps), "rs_heuristic"): (rs_heur,)}
 
 
 def _rician_item(args):
@@ -418,23 +347,30 @@ def _rician_item(args):
     cache = scenario.cache()
     no_rs = scenario.no_rs_value(cache)
     _, rs, _ = scenario.best_equal_split(cache, spec.rho_grid)
-    return {"no_rs": no_rs, "rs": rs}
+    key = (float(kappa_db), int(n_ues))
+    return {(*key, "no_rs"): (no_rs,), (*key, "rs"): (rs,)}
 
 
-def _run_rician_sweep(spec):
-    items = [(spec, kappa_db, n_ues, g) for kappa_db in spec.kappa_grid_db
-             for n_ues in spec.ue_grid for g in range(spec.n_geometries)]
-    results = _pmap(_rician_item, items)
-    rows = []
-    idx = 0
-    for kappa_db in spec.kappa_grid_db:
-        for n_ues in spec.ue_grid:
-            chunk = results[idx:idx + spec.n_geometries]
-            idx += spec.n_geometries
-            for variant in ("no_rs", "rs"):
-                rows.append((float(kappa_db), int(n_ues), variant,
-                             float(np.mean([c[variant] for c in chunk]))))
-    return ("kappa_db", "n_ues", "variant", "sum_se"), rows
+def _mean_rows(results):
+    """Merge the items' {row key: values} in first-seen key order into rows
+    (*key, *per-column means). Each mean runs over a 1-D sequence in drop
+    order, which fixes the summation order and so the last bits."""
+    merged = {}
+    for out in results:
+        for key, values in out.items():
+            merged.setdefault(key, []).append(values)
+    return [(*key, *(np.mean(column) for column in zip(*values)))
+            for key, values in merged.items()]
+
+
+def _sweep(item, columns, settings=lambda spec: [()], finish=None):
+    """Runner that maps item over spec.n_geometries drops at every setting,
+    passing (spec, *setting, drop index), and averages its rows over drops."""
+    def run(spec):
+        rows = _mean_rows(_pmap(item, [(spec, *setting, g) for setting in settings(spec)
+                                       for g in range(spec.n_geometries)]))
+        return columns, [finish(spec, row) for row in rows] if finish else rows, None
+    return run
 
 
 def training_envs():
@@ -493,19 +429,25 @@ def _run_eval_dynamic(spec):
         for variant, value in (("no_rs", no_rs), ("heuristic", heur),
                                ("diffusion", diff), ("expert", expert)):
             rows.append((env.kappa_db, env.asd_deg, variant, float(value)))
-    return ("env_kappa_db", "env_asd_deg", "variant", "sum_se"), rows
+    return ("env_kappa_db", "env_asd_deg", "variant", "sum_se"), rows, None
 
 
 _RUNNERS = {
-    "cdf": _run_cdf,
-    "power_sweep": _run_power_sweep,
-    "rho_sweep_split": _run_rho_sweep_split,
-    "rho_sweep_control": _run_rho_sweep_control,
-    "ap_sweep": _run_ap_sweep,
-    "rician_sweep": _run_rician_sweep,
+    "cdf": _sweep(_cdf_item, ("geometry_id", "variant", "sum_se", "stderr")),
+    "power_sweep": _sweep(_power_item, ("p_dl_dbm", "csi", "variant", "sum_se_uatf",
+                                        "sum_se_achievable", "achievable_stderr"),
+                          finish=_pooled_stderr),
+    "rho_sweep_split": _sweep(_split_item, ("channel", "rho0", "variant", "sum_se")),
+    "rho_sweep_control": _sweep(_control_item, ("rho0", "variant", "sum_se")),
+    "ap_sweep": _sweep(_ap_item, ("n_aps", "variant", "sum_se"),
+                       settings=lambda spec: [(n,) for n in spec.ap_grid]),
+    "rician_sweep": _sweep(_rician_item, ("kappa_db", "n_ues", "variant", "sum_se"),
+                           settings=lambda spec: itertools.product(spec.kappa_grid_db,
+                                                                   spec.ue_grid)),
     "train_diffusion": _run_train_diffusion,
     "eval_dynamic": _run_eval_dynamic,
 }
+EXPERIMENT_IDS = tuple(_RUNNERS)
 
 # reproduce <figure-id> presets: one spec per figure-style sweep
 FIGURE_PRESETS = {
@@ -522,13 +464,5 @@ FIGURE_PRESETS = {
 
 def run_experiment(spec: ExperimentSpec):
     """Execute one experiment; returns the list of files written."""
-    runner = _RUNNERS.get(spec.experiment)
-    if runner is None:
-        raise ConfigError(f"unknown experiment id {spec.experiment!r}")
-    out = runner(spec)
-    if len(out) == 3:
-        columns, rows, extra = out
-    else:
-        columns, rows = out
-        extra = None
-    return _write_report(spec, columns, rows, extra_meta=extra)
+    columns, rows, extra = _RUNNERS[spec.experiment](spec)
+    return _write_report(spec, columns, rows, extra)

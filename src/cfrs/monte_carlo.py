@@ -1,11 +1,10 @@
 """Monte Carlo evaluation of the rate-splitting downlink.
 
 Draws coherence blocks (channel, pilot noise, estimates), forms the common
-and private precoders, and evaluates either the per-block achievable rates
-(successive decoding of the common message, then the private one) or the
-sample-moment version of the statistical lower bound. A block costs one
-(K, L*N) GEMM for the effective channels plus O(K L N^2) work for the
-estimation-error terms. sample_moments estimates every closed-form moment
+and private precoders, and evaluates the per-block achievable rates
+(successive decoding of the common message, then the private one). A block
+costs one (K, L*N) GEMM for the effective channels plus O(K L N^2) work for
+the estimation-error terms. sample_moments estimates every closed-form moment
 from one pass, for `cfrs validate` and the tests.
 """
 
@@ -16,8 +15,7 @@ import numpy as np
 
 from .closed_form import PowerAllocation, normalization_coeffs
 from .config import SystemConfig
-from .estimation import (EstimationStatistics, PilotAssignment,
-                         perfect_csi_statistics)
+from .estimation import EstimationStatistics, PilotAssignment
 from .geometry import LinkStatistics, hermitian_sqrt
 from .rng import complex_normal
 
@@ -25,7 +23,6 @@ from .rng import complex_normal
 _CHUNK_ENTRY_BUDGET = 1_000_000
 # Blocks per chunk asked of chunk_size; the random streams depend on them.
 _ACHIEVABLE_CHUNK = 2048
-_UATF_CHUNK = 4096
 # Entries per chunk of sample_moments' largest per-block tensor,
 # K^2 L max(K, N^2): 694 blocks at desk scale (K=3, L=2, N=2).
 _MOMENT_ENTRY_BUDGET = 50_000
@@ -36,15 +33,17 @@ class ChannelSampler:
 
     The pilot noise of a coherence block is drawn once per (pilot, AP) and
     shared by every user on that pilot, which reproduces the estimation-error
-    correlation between co-pilot users.
+    correlation between co-pilot users. Statistics without pilot energy
+    (est.ptau == 0, as from perfect_csi_statistics) give perfect CSI: the
+    estimate is the channel itself.
     """
 
     def __init__(self, stats: LinkStatistics, est: EstimationStatistics,
-                 pilots: PilotAssignment, cfg: SystemConfig, perfect_csi=False):
+                 pilots: PilotAssignment, cfg: SystemConfig):
         self.stats = stats
         self.pilots = pilots
         self.cfg = cfg
-        self.perfect_csi = perfect_csi
+        self.perfect_csi = est.ptau == 0
         self.Rhalf = hermitian_sqrt(stats.R)
         ptau = cfg.p_pilot_mw * cfg.tau_p
         self.Bmat = np.sqrt(ptau) * np.einsum("klab,klbc->klac", stats.R, est.Psi)
@@ -148,14 +147,11 @@ class AchievableReport:
 
 def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
                       pilots: PilotAssignment, cfg: SystemConfig,
-                      alloc: PowerAllocation, n_blocks, rng,
-                      perfect_csi=False) -> AchievableReport:
+                      alloc: PowerAllocation, n_blocks, rng) -> AchievableReport:
     """Ergodic achievable sum SE averaged over sampled coherence blocks."""
     if n_blocks < 2:
         raise ValueError("n_blocks must be at least 2")
-    if perfect_csi:
-        est = perfect_csi_statistics(stats)
-    sampler = ChannelSampler(stats, est, pilots, cfg, perfect_csi=perfect_csi)
+    sampler = ChannelSampler(stats, est, pilots, cfg)
     chunk = sampler.chunk_size(_ACHIEVABLE_CHUNK)
     se_c_sum = 0.0
     se_p_sum = np.zeros(stats.K)
@@ -180,36 +176,6 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
         n_blocks=n_blocks,
         prelog=prelog,
     )
-
-
-def mc_uatf_sinrs(stats: LinkStatistics, est: EstimationStatistics,
-                  pilots: PilotAssignment, cfg: SystemConfig,
-                  alloc: PowerAllocation, n_draws, rng):
-    """Sample-moment assembly of the statistical SINR lower bounds.
-
-    Estimates the mean and mean-square of the effective common and private
-    channels over n_draws blocks and assembles them exactly as the
-    closed-form bound does. Returns (sinr_c, sinr_p), each (K,).
-    """
-    sampler = ChannelSampler(stats, est, pilots, cfg)
-    chunk = sampler.chunk_size(_UATF_CHUNK)
-    K = stats.K
-    sums = [0.0] * 4           # sum rec_c, |rec_c|^2, rec_p[k, k], |rec_p|^2
-    for start in range(0, n_draws, chunk):
-        n = min(chunk, n_draws - start)
-        g, ghat = sampler.draw(n, rng)
-        u_c, u_p = _weighted_precoders(
-            *build_precoders(ghat, sampler.mu_c, sampler.mu_p), alloc)
-        rec_c, rec_p = _effective_gains(g, u_c, u_p)
-        terms = (rec_c, np.abs(rec_c) ** 2, rec_p[:, np.arange(K), np.arange(K)],
-                 np.abs(rec_p) ** 2)
-        sums = [acc + t.sum(axis=0) for acc, t in zip(sums, terms)]
-    mean_c, msq_c, mean_p, msq_p = (acc / n_draws for acc in sums)
-    p_d = cfg.p_dl_mw
-    den_c = p_d * (msq_c - np.abs(mean_c) ** 2) + (p_d / K) * msq_p.sum(axis=1) + cfg.noise_mw
-    own = np.abs(mean_p) ** 2
-    den_p = (p_d / K) * (msq_p.sum(axis=1) - own) + cfg.noise_mw
-    return p_d * np.abs(mean_c) ** 2 / den_c, (p_d / K) * own / den_p
 
 
 class Estimate(NamedTuple):

@@ -1,15 +1,19 @@
-"""Shared fixtures.
+"""Shared fixtures and reference implementations.
 
 The desk-scale configuration (two access points, three users, two antennas)
 is small enough that closed-form and Monte Carlo quantities can be compared
 in seconds, so most statistical tests run on it. Session scope lets the
 module tests and the acceptance suite share the same statistics objects.
+
+The oracles below (dense co-pilot tensor, scalar uncorrelated cache,
+sample-moment SINR assembly, transmit-power audit) are independent routes
+to quantities the package computes; the tests compare the two.
 """
 
 import numpy as np
 import pytest
 
-from cfrs.closed_form import build_cache
+from cfrs.closed_form import DegenerateStatisticsError, SECache, build_cache
 from cfrs.config import SystemConfig
 from cfrs.monte_carlo import ChannelSampler, build_precoders
 from cfrs.rng import complex_normal
@@ -68,6 +72,74 @@ def dense_qbar_perfect(stats):
     Qbar = np.zeros((K, K, L, N, N), dtype=complex)
     Qbar[np.arange(K), np.arange(K)] = stats.R
     return Qbar
+
+
+def uncorrelated_cache(beta_los, beta_nlos, pilots, cfg):
+    """Reference cache for R_kl = beta_nlos_kl I and phase-aligned LoS
+    vectors, built from scalar formulas only (no matrix algebra)."""
+    beta_los = np.asarray(beta_los, dtype=float)
+    beta_nlos = np.asarray(beta_nlos, dtype=float)
+    K, L = beta_los.shape
+    N = cfg.N
+    ptau = cfg.p_pilot_mw * cfg.tau_p
+    copilot = pilots.copilot
+
+    denom = ptau * np.einsum("ki,il->kl", copilot.astype(float), beta_nlos) + cfg.noise_mw
+    gamma = ptau * beta_nlos ** 2 / denom
+
+    sqrt_los = np.sqrt(beta_los)
+    sqrt_gam = np.sqrt(gamma)
+    los_ki = N * sqrt_los[:, None, :] * sqrt_los[None, :, :]       # (K, K, L)
+    gam_ki = N * sqrt_gam[:, None, :] * sqrt_gam[None, :, :]
+    p1 = los_ki + gam_ki * copilot[:, :, None]
+    c1 = p1.sum(axis=1)
+    p2 = (N * beta_nlos[:, None, :] * gamma[None]
+          + N * beta_los[:, None, :] * gamma[None]
+          + N * beta_los[None] * beta_nlos[:, None, :])
+    pair = np.einsum("ij,il,jl->l", copilot.astype(float), sqrt_gam, sqrt_gam)
+    c2 = (N * pair[None, :] * (beta_nlos + beta_los)
+          + N * beta_nlos * (sqrt_los.sum(axis=0)[None, :] ** 2))
+
+    mu_c = 1.0 / c1.sum(axis=0).real
+    mu_p = 1.0 / (N * beta_los + N * gamma)
+    if np.any(mu_c <= 0) or np.any(mu_p <= 0):
+        raise DegenerateStatisticsError("precoder normalizer is not positive")
+    return SECache(c1=c1.astype(complex), c2=c2, p1=p1.astype(complex), p2=p2,
+                   mu_c=mu_c, mu_p=mu_p, p_dl=cfg.p_dl_mw, noise=cfg.noise_mw,
+                   prelog=cfg.prelog)
+
+
+def mc_uatf_sinrs(stats, est, pilots, cfg, alloc, n_draws, rng):
+    """Sample-moment assembly of the statistical SINR lower bounds.
+
+    Estimates the mean and mean-square of the effective common and private
+    channels g^H u over n_draws blocks (4096-block chunks) and assembles
+    them exactly as the closed-form bound does. Returns (sinr_c, sinr_p),
+    each (K,).
+    """
+    sampler = ChannelSampler(stats, est, pilots, cfg)
+    chunk = sampler.chunk_size(4096)
+    K, L, N = stats.K, stats.L, stats.N
+    amp_c = np.sqrt(alloc.rho)[:, None]
+    amp_p = np.sqrt((1.0 - alloc.rho)[None, :] * alloc.eta)[:, :, None]
+    sums = [0.0] * 4           # sum rec_c, |rec_c|^2, rec_p[k, k], |rec_p|^2
+    for start in range(0, n_draws, chunk):
+        n = min(chunk, n_draws - start)
+        g, ghat = sampler.draw(n, rng)
+        v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
+        u_c, u_p = amp_c * v_c, amp_p * v_p
+        gH = g.reshape(n, K, L * N).conj()
+        rec_c = (gH @ u_c.reshape(n, L * N, 1))[..., 0]
+        rec_p = gH @ u_p.reshape(n, K, L * N).swapaxes(-1, -2)
+        terms = (rec_c, np.abs(rec_c) ** 2, rec_p[:, np.arange(K), np.arange(K)],
+                 np.abs(rec_p) ** 2)
+        sums = [acc + t.sum(axis=0) for acc, t in zip(sums, terms)]
+    mean_c, msq_c, mean_p, msq_p = (acc / n_draws for acc in sums)
+    p_d = cfg.p_dl_mw
+    den_c = p_d * (msq_c - np.abs(mean_c) ** 2) + (p_d / K) * msq_p.sum(axis=1) + cfg.noise_mw
+    own = np.abs(mean_p) ** 2
+    den_p = (p_d / K) * (msq_p.sum(axis=1) - own) + cfg.noise_mw
+    return p_d * np.abs(mean_c) ** 2 / den_c, (p_d / K) * own / den_p
 
 
 def max_rel_diff(a, b):

@@ -14,13 +14,15 @@ from cfrs.closed_form import (PowerAllocation, build_cache, closed_moments,
                               upsilon_moments)
 from cfrs.config import SystemConfig
 from cfrs.diffusion import EpsNetwork, TrainConfig, reverse_sample
-from cfrs.estimation import assign_pilots, estimation_statistics
+from cfrs.estimation import (assign_pilots, estimation_statistics,
+                             perfect_csi_statistics)
 from cfrs.experiments import DIFFUSION_SYSTEM, held_out_envs, training_envs
 from cfrs.geometry import draw_geometry, link_statistics
-from cfrs.monte_carlo import achievable_sum_se, mc_uatf_sinrs, sample_moments
+from cfrs.monte_carlo import achievable_sum_se, sample_moments
 from cfrs.rng import substream
 from cfrs.scenario import DEFAULT_RHO_GRID, train_policy
-from conftest import random_allocation, sample_tx_power
+from conftest import (mc_uatf_sinrs, random_allocation, sample_tx_power,
+                      uncorrelated_cache)
 from test_closed_form import _aligned_stats, _classical_private_sinrs
 
 MC_DRAWS = 200_000
@@ -115,8 +117,6 @@ def test_criterion_02_sinr_assembly_consistency(desk_pieces, desk_cache):
 # -- criterion 3: scalar special case and the classical no-RS formula --------
 
 def test_criterion_03_uncorrelated_reduction():
-    from cfrs.closed_form import uncorrelated_cache
-
     cfg = SystemConfig(L=2, K=3, N=2, tau_p=2, seed=7)
     rng = substream(109, "beta")
     beta_los = rng.uniform(0.3, 2.0, size=(3, 2))
@@ -283,10 +283,9 @@ def test_criterion_07_power_saturation():
                 best = -np.inf
                 for idx, rho0 in enumerate(rho_grid):
                     rep = achievable_sum_se(
-                        stats, est, pilots, cfg_p,
+                        stats, perfect_csi_statistics(stats), pilots, cfg_p,
                         PowerAllocation.equal_split(cfg.K, cfg.L, rho0), 2000,
-                        substream(1, "sat", g, "mc", int(p_dbm), idx),
-                        perfect_csi=True)
+                        substream(1, "sat", g, "mc", int(p_dbm), idx))
                     best = max(best, rep.sum_se)
                 ach[p_dbm] = best
         growths.append(closed[43.0] / closed[33.0] - 1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from cfrs.closed_form import (PowerAllocation, build_cache, closed_moments,
                               evaluate_cache, normalization_coeffs,
-                              sum_se_batch, uncorrelated_cache, upsilon_moments)
+                              sum_se_batch, upsilon_moments)
 from cfrs.config import SystemConfig
 from cfrs.estimation import (assign_pilots, estimation_statistics,
                              perfect_csi_statistics)
@@ -14,7 +14,7 @@ from cfrs.monte_carlo import sample_moments
 from cfrs.rng import substream
 from cfrs.scenario import EnvScenario
 from conftest import (dense_qbar, dense_qbar_perfect, max_rel_diff,
-                      random_allocation)
+                      random_allocation, uncorrelated_cache)
 
 
 def test_power_allocation_roundtrip():
@@ -225,14 +225,14 @@ def _classical_private_sinrs(beta, eta, pilots, cfg):
     ptau = cfg.p_pilot_mw * cfg.tau_p
     lam = np.zeros((K, L))
     for i in range(K):
-        members = pilots.copilot_set(i)
+        members = np.flatnonzero(pilots.copilot[i])
         lam[i] = ptau * beta[members].sum(axis=0) + cfg.noise_mw
     q = ptau * beta ** 2 / lam
     sinr = np.zeros(K)
     for k in range(K):
         signal = np.sum(np.sqrt(eta[k] * q[k])) ** 2
         interference = np.sum(eta * beta[k][None, :])
-        for i in pilots.copilot_set(k):
+        for i in np.flatnonzero(pilots.copilot[k]):
             if i == k:
                 continue
             c = ptau * beta[k] * beta[i] / lam[i]

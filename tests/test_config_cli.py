@@ -13,7 +13,8 @@ from cfrs.diffusion import (DiffusionTrainer, EpsNetwork, TrainingError,
 from cfrs.estimation import EstimationError
 from cfrs.experiments import (EXPERIMENT_IDS, FIGURE_PRESETS, ConfigError,
                               ExperimentSpec, parse_config_text,
-                              run_experiment, serialize_config)
+                              run_experiment)
+from cfrs.rng import substream
 
 TINY_CONFIG = """\
 # smallest useful sweep
@@ -50,6 +51,17 @@ def test_system_config_validation_names_fields():
     assert cfg.with_overrides(K=6).L == cfg.L
 
 
+@pytest.mark.parametrize("name, value", [
+    ("p_pilot_dbm", float("nan")), ("p_dl_dbm", float("nan")), ("p_dl_dbm", float("inf")),
+    ("noise_dbm", float("-inf")), ("area_side", float("nan")), ("area_side", float("inf")),
+    ("asd_deg", float("inf")), ("rician_db", float("nan")), ("rician_db", float("inf")),
+    ("p_pilot_dbm", -4000.0),
+])
+def test_system_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        SystemConfig(**{name: value})
+
+
 def test_experiment_spec_validation():
     spec = ExperimentSpec()
     assert spec.experiment == "cdf"
@@ -64,16 +76,40 @@ def test_experiment_spec_validation():
         ExperimentSpec(train_lr=0.0)
 
 
-def test_config_text_roundtrip():
-    spec = ExperimentSpec(experiment="ap_sweep", seed=5, n_geometries=3,
-                          ap_grid=(2, 4), rho_grid=(0.0, 0.25, 0.5),
-                          system=SystemConfig(L=8, K=3, N=2, tau_p=3,
-                                              rician_db=7.5, shadowing=True))
-    text = serialize_config(spec)
-    assert parse_config_text(text) == spec
-    # Rayleigh fading is spelled -inf and survives the round trip too.
-    rayleigh = ExperimentSpec(system=SystemConfig(rician_db=float("-inf")))
-    assert parse_config_text(serialize_config(rayleigh)) == rayleigh
+@pytest.mark.parametrize("name, value, problem", [
+    ("rho_grid", (0.0, float("nan")), "finite"),
+    ("power_grid_dbm", (23.0, float("inf")), "finite"),
+    ("kappa_grid_db", (float("-inf"), 5.0), "finite"),
+    ("rho_grid", (0.0, 0.5, 0.0), "repeat"),
+    ("ap_grid", (4, 8, 4), "repeat"),
+    ("ue_grid", (4, 4), "repeat"),
+    ("train_lr", float("nan"), "finite"),
+])
+def test_experiment_spec_rejects_bad_values(name, value, problem):
+    with pytest.raises(ConfigError, match=f"{name} must .*{problem}"):
+        ExperimentSpec(**{name: value})
+
+
+def test_config_text_parses_to_spec():
+    text = """\
+experiment = ap_sweep
+seed = 5
+n_geometries = 3
+ap_grid = 2, 4
+rho_grid = 0.0, 0.25, 0.5
+L = 8
+K = 3
+N = 2
+tau_p = 3
+rician_db = -inf
+shadowing = true
+"""
+    # Rayleigh fading is spelled -inf.
+    assert parse_config_text(text) == ExperimentSpec(
+        experiment="ap_sweep", seed=5, n_geometries=3, ap_grid=(2, 4),
+        rho_grid=(0.0, 0.25, 0.5),
+        system=SystemConfig(L=8, K=3, N=2, tau_p=3, rician_db=float("-inf"),
+                            shadowing=True))
 
 
 def test_parse_config_reports_line_numbers():
@@ -161,7 +197,7 @@ _RUNNER_SHAPES = {
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
-def test_every_runner_writes_reproducible_outputs(experiment, tmp_path):
+def test_every_runner_writes_reproducible_outputs(experiment, tmp_path, monkeypatch):
     preset = next(p for p in FIGURE_PRESETS.values() if p.experiment == experiment)
     tiny = ExperimentSpec(**{**preset.__dict__, "n_geometries": 2, "n_blocks": 200,
                              "ga_pop": 8, "ga_generations": 5, "train_steps": 600})
@@ -187,10 +223,36 @@ def test_every_runner_writes_reproducible_outputs(experiment, tmp_path):
             if name.endswith("stderr"):
                 simulated = experiment != "cdf" or cells[1].startswith("achievable")
                 assert (float(cell) > 0.0) if simulated else float(cell) == 0.0, line
+    # The rerun maps the drops on a process pool; not a byte may change.
+    monkeypatch.setenv("CFRS_WORKERS", "2")
     second = run_experiment(ExperimentSpec(**{**tiny.__dict__,
                                               "out_dir": str(tmp_path / "b")}))
     for a, b in zip(first, second):
         assert open(a, "rb").read() == open(b, "rb").read(), a
+
+
+def test_sweep_rows_are_means_over_drops(tmp_path):
+    """A sweep row is its key, in first-seen order, followed by the mean over
+    the drops of each drop's value; every drop has its own substreams."""
+    spec = ExperimentSpec(experiment="ap_sweep", seed=4, n_geometries=2, ap_grid=(6, 4),
+                          system=SystemConfig(K=2, N=2), out_dir=str(tmp_path))
+    with open(run_experiment(spec)[0]) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    expected = []
+    for n_aps in spec.ap_grid:
+        values = {"no_rs": [], "rs": [], "rs_heuristic": []}
+        for g in range(spec.n_geometries):
+            drop = scenario.EnvScenario(
+                spec.system.with_overrides(L=n_aps),
+                rngs=(substream(4, f"ap-{n_aps}", "geometry", str(g)),
+                      substream(4, f"ap-{n_aps}", "pilots", str(g))))
+            cache = drop.cache()
+            values["no_rs"].append(drop.no_rs_value(cache))
+            values["rs"].append(drop.best_equal_split(cache, spec.rho_grid)[1])
+            values["rs_heuristic"].append(drop.best_heuristic(cache, spec.rho_grid)[1])
+        expected += [[str(n_aps), variant, repr(float(np.mean(v)))]
+                     for variant, v in values.items()]
+    assert rows == expected
 
 
 def test_cli_run_and_errors(tmp_path, capsys):
@@ -214,6 +276,20 @@ def test_cli_run_and_errors(tmp_path, capsys):
     assert cli.main(["reproduce", "fig99"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "figure" in err["error"]
+
+
+@pytest.mark.parametrize("line", ["p_dl_dbm = nan", "area_side = nan",
+                                  "power_grid_dbm = 3, inf", "ue_grid = 2, 2"])
+def test_cli_run_rejects_non_finite_and_repeated_values(line, tmp_path, capsys):
+    """Such a config once ran to NaN rows, duplicate rows or a traceback."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CONFIG + line + "\n")
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert list(err) == ["error"] and line.split()[0] in err["error"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_validate(capsys):

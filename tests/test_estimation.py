@@ -26,7 +26,8 @@ def test_assign_pilots_copilot_matrix():
     assert np.all(np.diag(cop))
     np.testing.assert_array_equal(cop, cop.T)
     for k in range(6):
-        np.testing.assert_array_equal(np.flatnonzero(cop[k]), p.copilot_set(k))
+        np.testing.assert_array_equal(np.flatnonzero(cop[k]),
+                                      np.flatnonzero(p.pilot_of == p.pilot_of[k]))
 
 
 def test_assign_pilots_unbalanced_and_errors():

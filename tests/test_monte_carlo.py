@@ -7,15 +7,15 @@ import pytest
 
 from cfrs.closed_form import PowerAllocation, build_cache, evaluate_cache
 from cfrs.config import SystemConfig
-from cfrs.estimation import copilot_cross_moment
+from cfrs.estimation import copilot_cross_moment, perfect_csi_statistics
 from cfrs.geometry import hermitian_sqrt
 from cfrs.monte_carlo import (ChannelSampler, achievable_sum_se,
                               build_precoders, instantaneous_sinrs,
-                              mc_uatf_sinrs, sample_moments)
+                              sample_moments)
 from cfrs.rng import complex_normal, substream
 from cfrs.scenario import EnvScenario
-from conftest import (expected_tx_power, max_rel_diff, random_allocation,
-                      sample_tx_power)
+from conftest import (expected_tx_power, max_rel_diff, mc_uatf_sinrs,
+                      random_allocation, sample_tx_power)
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +274,7 @@ def test_sampler_single_draw(desk_pieces):
 
 def test_sampler_perfect_csi_returns_truth(desk_pieces):
     cfg, stats, est, pilots = desk_pieces
-    sampler = ChannelSampler(stats, est, pilots, cfg, perfect_csi=True)
+    sampler = ChannelSampler(stats, perfect_csi_statistics(stats), pilots, cfg)
     g, ghat = sampler.draw(16, substream(43, "perfect"))
     np.testing.assert_array_equal(g, ghat)
 
@@ -342,8 +342,8 @@ def test_perfect_csi_achievable_beats_imperfect(desk_pieces):
     alloc = PowerAllocation.equal_split(3, 2, rho0=0.5)
     imp = achievable_sum_se(stats, est, pilots, cfg, alloc, 6000,
                             substream(71, "i"))
-    per = achievable_sum_se(stats, est, pilots, cfg, alloc, 6000,
-                            substream(71, "p"), perfect_csi=True)
+    per = achievable_sum_se(stats, perfect_csi_statistics(stats), pilots, cfg, alloc,
+                            6000, substream(71, "p"))
     assert per.sum_se > imp.sum_se
 
 
