@@ -23,7 +23,6 @@ from .geometry import (Geometry, LinkStatistics, Placement, draw_geometry,
 from .monte_carlo import (AchievableReport, ChannelSampler, achievable_sum_se,
                           build_precoders, instantaneous_sinrs, sample_moments)
 from .rng import complex_normal, substream
-from .scenario import (EnvScenario, build_expert_dataset, train_policy,
-                       verify_dataset)
+from .scenario import EnvScenario, build_expert_dataset, train_policy
 
 __version__ = "0.1.0"

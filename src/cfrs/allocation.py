@@ -61,6 +61,12 @@ class GAConfig:
     tournament: int = 3
     blend_alpha: float = 0.5
 
+    def __post_init__(self):
+        # Elites plus at least one child, and two parents to breed from.
+        floor = max(2, self.elitism + 1)
+        if self.pop_size < floor:
+            raise ValueError(f"population too small: pop_size must be at least {floor}")
+
 
 @dataclass(frozen=True)
 class GAResult:
@@ -89,8 +95,6 @@ def ga_optimize(objective, dim, ga_cfg: GAConfig, rng, bounds=(0.0, 1.0),
     """
     lo, hi = bounds
     P = ga_cfg.pop_size
-    if P < max(2, ga_cfg.elitism + 1):
-        raise ValueError("population too small")
     pop = rng.uniform(lo, hi, size=(P, dim))
     if init is not None:
         init = np.atleast_2d(np.asarray(init, dtype=float))

@@ -44,22 +44,17 @@ def _fail(message, code=1):
 
 
 def _cmd_run(args):
-    spec = parse_config(args.config)
-    if args.out_dir is not None:
-        spec = replace(spec, out_dir=args.out_dir)
-    files = run_experiment(spec)
-    print(json.dumps({"written": files}))
-    return 0
-
-
-def _cmd_reproduce(args):
-    preset = FIGURE_PRESETS.get(args.figure)
-    if preset is None:
+    """run and reproduce: the spec comes from a config file or a figure preset."""
+    if args.command == "run":
+        spec = parse_config(args.config)
+    elif args.figure in FIGURE_PRESETS:
+        spec = FIGURE_PRESETS[args.figure]
+    else:
         raise ConfigError(f"unknown figure id {args.figure!r}; "
                           f"expected one of {', '.join(sorted(FIGURE_PRESETS))}")
     if args.out_dir is not None:
-        preset = replace(preset, out_dir=args.out_dir)
-    files = run_experiment(preset)
+        spec = replace(spec, out_dir=args.out_dir)
+    files = run_experiment(spec)
     print(json.dumps({"written": files}))
     return 0
 
@@ -159,7 +154,7 @@ def build_parser():
     p_rep = sub.add_parser("reproduce", help="run a packaged figure-style sweep")
     p_rep.add_argument("figure", help="figure id, fig2 through fig9")
     p_rep.add_argument("--out-dir", default=None, help="override the output directory")
-    p_rep.set_defaults(func=_cmd_reproduce)
+    p_rep.set_defaults(func=_cmd_run)
 
     p_train = sub.add_parser("train", help="build the expert dataset and train the optimizer")
     p_train.add_argument("--steps", type=int, default=30000)

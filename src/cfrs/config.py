@@ -5,7 +5,7 @@ at the configuration boundary.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 def dbm_to_mw(dbm):
@@ -85,6 +85,3 @@ class SystemConfig:
     def prelog(self):
         """Fraction of the coherence block left for downlink data."""
         return (self.tau_c - self.tau_p) / self.tau_c
-
-    def with_overrides(self, **kwargs):
-        return replace(self, **kwargs)

@@ -50,11 +50,17 @@ class Environment:
 # Variance schedule and the forward/reverse processes.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Schedule:
-    v: np.ndarray          # (T,) injected variance per step
-    alpha: np.ndarray      # (T,) 1 - v
-    alpha_bar: np.ndarray  # (T,) cumulative signal retention
+    """Variance schedule built from v, the (T,) variance injected per step;
+    alpha = 1 - v and alpha_bar, the cumulative signal retention, follow."""
+
+    def __init__(self, v):
+        v = np.asarray(v, dtype=float)
+        if v.ndim != 1 or len(v) == 0 or not np.all((v > 0.0) & (v < 1.0)):
+            raise ValueError("schedule variances must lie in (0, 1)")
+        self.v = v
+        self.alpha = 1.0 - v
+        self.alpha_bar = np.cumprod(self.alpha)
 
     @property
     def T(self):
@@ -72,11 +78,7 @@ def make_schedule(T=10, v_min=0.02, v_max=0.2) -> Schedule:
     """
     if T < 1:
         raise ValueError("T must be a positive integer")
-    v = np.linspace(v_min, v_max, T)
-    if np.any(v <= 0.0) or np.any(v >= 1.0):
-        raise ValueError("schedule variances must lie in (0, 1)")
-    alpha = 1.0 - v
-    return Schedule(v=v, alpha=alpha, alpha_bar=np.cumprod(alpha))
+    return Schedule(np.linspace(v_min, v_max, T))
 
 
 def forward_diffuse(x0, t, eps, schedule: Schedule):
@@ -245,21 +247,6 @@ class ExpertDataset:
                                 + [repr(float(v)) for v in self.x0[m]]
                                 + [repr(float(self.sum_se[m]))])
 
-    @classmethod
-    def load_csv(cls, path):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header = rows[0] if rows else []
-        if (len(header) < 4 or header[0] != "env_kappa_db"
-                or header[-1] != "sum_se"):
-            raise ValueError(f"{path}: not an expert dataset file")
-        if len(rows) == 1:
-            raise ValueError(f"{path}: the file has no expert records")
-        dim = len(header) - 3
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
-        return cls(kappa_db=data[:, 0], asd_deg=data[:, 1],
-                   x0=data[:, 2:2 + dim], sum_se=data[:, -1])
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -338,7 +325,8 @@ def load_checkpoint(path):
         if params["W1"].shape != (hidden, dim + T_EMBED + 2) \
                 or params["W3"].shape != (dim, hidden):
             raise ValueError(f"{path}: weight shapes do not match the header")
-        v = data["v"]
-    alpha = 1.0 - v
-    schedule = Schedule(v=v, alpha=alpha, alpha_bar=np.cumprod(alpha))
+        try:
+            schedule = Schedule(data["v"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return EpsNetwork(dim, hidden=hidden, params=params), schedule

@@ -16,7 +16,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -52,11 +53,11 @@ class ExperimentSpec:
     out_dir: str = "results"
     n_geometries: int = 50
     n_blocks: int = 10000
-    rho_grid: tuple = DEFAULT_RHO_GRID
-    power_grid_dbm: tuple = (3.0, 13.0, 23.0, 33.0, 43.0)
-    ap_grid: tuple = (4, 8, 12, 16, 20)
-    kappa_grid_db: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
-    ue_grid: tuple = (4, 6)
+    rho_grid: tuple[float, ...] = DEFAULT_RHO_GRID
+    power_grid_dbm: tuple[float, ...] = (3.0, 13.0, 23.0, 33.0, 43.0)
+    ap_grid: tuple[int, ...] = (4, 8, 12, 16, 20)
+    kappa_grid_db: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+    ue_grid: tuple[int, ...] = (4, 6)
     ga_pop: int = 24
     ga_generations: int = 60
     train_steps: int = 30000
@@ -66,20 +67,34 @@ class ExperimentSpec:
         if self.experiment not in EXPERIMENT_IDS:
             raise ConfigError(f"unknown experiment id {self.experiment!r}; "
                               f"expected one of {', '.join(EXPERIMENT_IDS)}")
-        for name in ("n_geometries", "n_blocks", "ga_pop", "ga_generations", "train_steps"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        for name in ("rho_grid", "power_grid_dbm", "ap_grid", "kappa_grid_db", "ue_grid"):
-            grid = getattr(self, name)
+        # Monte Carlo needs two blocks for a standard error.
+        for name, least in (("n_geometries", 1), ("n_blocks", 2),
+                            ("ga_generations", 1), ("train_steps", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}")
+        for f in fields(self):
+            if get_origin(f.type) is not tuple:
+                continue
+            grid = getattr(self, f.name)
             if len(grid) == 0:
-                raise ConfigError(f"{name} must not be empty")
+                raise ConfigError(f"{f.name} must not be empty")
             if not all(math.isfinite(v) for v in grid):
-                raise ConfigError(f"{name} must hold finite values")
+                raise ConfigError(f"{f.name} must hold finite values")
             # A grid value keys its CSV rows, so a repeat would merge rows.
             if len(set(grid)) != len(grid):
-                raise ConfigError(f"{name} must not repeat a value")
+                raise ConfigError(f"{f.name} must not repeat a value")
+        if not all(0.0 <= r <= 1.0 for r in self.rho_grid):
+            raise ConfigError("rho_grid must hold values in [0, 1]")
+        # The sweeps use these entries as the drops' L and K.
+        for name in ("ap_grid", "ue_grid"):
+            if min(getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must hold values of at least 1")
         if not (math.isfinite(self.train_lr) and self.train_lr > 0):
             raise ConfigError("train_lr must be positive and finite")
+        try:
+            self.ga_config
+        except ValueError as exc:
+            raise ConfigError(f"ga_pop must be a valid GA population size: {exc}") from exc
 
     @property
     def ga_config(self):
@@ -88,29 +103,23 @@ class ExperimentSpec:
 
 # -- config file handling -----------------------------------------------------
 
-_SYSTEM_INT_KEYS = ("L", "K", "N", "tau_c", "tau_p", "N_c")
-_SYSTEM_FLOAT_KEYS = ("area_side", "d_H", "asd_deg", "rician_db",
-                      "p_pilot_dbm", "p_dl_dbm", "noise_dbm")
-_SYSTEM_BOOL_KEYS = ("shadowing", "balanced_pilots")
-_SPEC_INT_KEYS = ("seed", "n_geometries", "n_blocks", "ga_pop",
-                  "ga_generations", "train_steps")
-_SPEC_FLOAT_KEYS = ("train_lr",)
-_SPEC_STR_KEYS = ("experiment", "out_dir")
-_SPEC_FLOAT_GRID_KEYS = ("rho_grid", "power_grid_dbm", "kappa_grid_db")
-_SPEC_INT_GRID_KEYS = ("ap_grid", "ue_grid")
+# Every field but the nested system is a config key, parsed by its annotation.
+# Spec fields come last, so the spec's seed shadows the system's.
+_KEYS = {f.name: (cls, f.type) for cls in (SystemConfig, ExperimentSpec)
+         for f in fields(cls) if f.type is not SystemConfig}
 
 
-def _parse_scalar(key, raw, lineno, kind):
+def _parse_value(key, raw, lineno, kind):
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(_parse_value(key, p.strip(), lineno, item)
+                     for p in raw.split(",") if p.strip())
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
         if kind is bool:
             if raw.lower() in ("true", "false"):
                 return raw.lower() == "true"
             raise ValueError
-        return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse {key} = {raw!r} as {kind.__name__}")
 
@@ -122,8 +131,7 @@ def parse_config_text(text, path="<config>"):
     values are rejected with the offending line number; field constraints are
     reported with the field name. An empty file yields the full defaults.
     """
-    system_kwargs = {}
-    spec_kwargs = {}
+    kwargs = {SystemConfig: {}, ExperimentSpec: {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -133,29 +141,13 @@ def parse_config_text(text, path="<config>"):
         key, raw = (part.strip() for part in body.split("=", 1))
         if not raw:
             raise ConfigError(f"{path}: line {lineno}: empty value for {key!r}")
-        if key in _SYSTEM_INT_KEYS:
-            system_kwargs[key] = _parse_scalar(key, raw, lineno, int)
-        elif key in _SYSTEM_FLOAT_KEYS:
-            system_kwargs[key] = _parse_scalar(key, raw, lineno, float)
-        elif key in _SYSTEM_BOOL_KEYS:
-            system_kwargs[key] = _parse_scalar(key, raw, lineno, bool)
-        elif key in _SPEC_INT_KEYS:
-            spec_kwargs[key] = _parse_scalar(key, raw, lineno, int)
-        elif key in _SPEC_FLOAT_KEYS:
-            spec_kwargs[key] = _parse_scalar(key, raw, lineno, float)
-        elif key in _SPEC_STR_KEYS:
-            spec_kwargs[key] = raw
-        elif key in _SPEC_FLOAT_GRID_KEYS:
-            spec_kwargs[key] = tuple(_parse_scalar(key, p.strip(), lineno, float)
-                                     for p in raw.split(",") if p.strip())
-        elif key in _SPEC_INT_GRID_KEYS:
-            spec_kwargs[key] = tuple(_parse_scalar(key, p.strip(), lineno, int)
-                                     for p in raw.split(",") if p.strip())
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        cls, kind = _KEYS[key]
+        kwargs[cls][key] = _parse_value(key, raw, lineno, kind)
     try:
-        system = SystemConfig(**system_kwargs)
-        return ExperimentSpec(system=system, **spec_kwargs)
+        system = SystemConfig(**kwargs[SystemConfig])
+        return ExperimentSpec(system=system, **kwargs[ExperimentSpec])
     except ValueError as exc:  # constraint violations carry the field name
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -257,7 +249,7 @@ def _power_item(args):
     no_rs = PowerAllocation.no_rs(cfg0.K, cfg0.L)
     out = {}
     for p_dbm in spec.power_grid_dbm:
-        cfg = cfg0.with_overrides(p_dl_dbm=float(p_dbm))
+        cfg = replace(cfg0, p_dl_dbm=float(p_dbm))
         for csi, est in (("imperfect", est_i), ("perfect", est_p)):
             cache = build_cache(stats, est, pilots, cfg)
             rs, _, _ = scenario.best_equal_split(cache, spec.rho_grid)
@@ -282,7 +274,7 @@ def _split_item(args):
     out = {}
     for channel in ("rician", "rayleigh"):
         cfg = spec.system if channel == "rician" else \
-            spec.system.with_overrides(rician_db=float("-inf"))
+            replace(spec.system, rician_db=float("-inf"))
         scenario = _scenario(cfg, spec.seed, f"split-{channel}", g)
         cache = scenario.cache()
         K, L = cfg.K, cfg.L
@@ -329,7 +321,7 @@ def _control_item(args):
 
 def _ap_item(args):
     spec, n_aps, g = args
-    cfg = spec.system.with_overrides(L=int(n_aps))
+    cfg = replace(spec.system, L=int(n_aps))
     scenario = _scenario(cfg, spec.seed, f"ap-{n_aps}", g)
     cache = scenario.cache()
     no_rs = scenario.no_rs_value(cache)
@@ -341,8 +333,8 @@ def _ap_item(args):
 
 def _rician_item(args):
     spec, kappa_db, n_ues, g = args
-    cfg = spec.system.with_overrides(K=int(n_ues), tau_p=max(1, int(n_ues) // 2),
-                                     rician_db=float(kappa_db))
+    cfg = replace(spec.system, K=int(n_ues), tau_p=max(1, int(n_ues) // 2),
+                  rician_db=float(kappa_db))
     scenario = _scenario(cfg, spec.seed, f"rician-{n_ues}-{kappa_db}", g)
     cache = scenario.cache()
     no_rs = scenario.no_rs_value(cache)

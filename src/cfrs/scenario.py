@@ -15,8 +15,8 @@ from .allocation import (GAConfig, best_on_grid, heuristic_control,
 from .closed_form import (PowerAllocation, build_cache, evaluate_cache,
                           sum_se_batch)
 from .config import SystemConfig
-from .diffusion import (DiffusionTrainer, Environment, EpsNetwork,
-                        ExpertDataset, TrainConfig, make_schedule)
+from .diffusion import (DiffusionTrainer, EpsNetwork, ExpertDataset,
+                        TrainConfig, make_schedule)
 from .estimation import assign_pilots, estimation_statistics
 from .geometry import draw_geometry, link_statistics
 from .rng import substream
@@ -164,18 +164,3 @@ def train_policy(cfg: SystemConfig, seed, envs, ga_cfg: GAConfig,
                                substream(seed, "train"))
     return scenario, dataset, trainer
 
-
-def verify_dataset(dataset, scenario: EnvScenario, tol=1e-10):
-    """Re-score every expert vector on its environment's cache and compare to
-    the stored value. Guards against loading a dataset into the wrong
-    scenario. Raises ValueError on mismatch."""
-    K, L = scenario.dims
-    for m in range(len(dataset)):
-        env = Environment(float(dataset.kappa_db[m]), float(dataset.asd_deg[m]))
-        cache = scenario.cache(env)
-        alloc = PowerAllocation.from_vector(dataset.x0[m], K, L)
-        value = sum_se_batch(cache, alloc.rho[None], alloc.eta[None])[0]
-        if not np.isclose(value, dataset.sum_se[m], rtol=tol, atol=tol):
-            raise ValueError(
-                f"record {m}: stored value {dataset.sum_se[m]!r} does not match "
-                f"recomputed {value!r}")

@@ -3,6 +3,7 @@ line with the measured numbers. The heavy artifacts (the 50-drop sweep and
 the trained conditional optimizer) are built once and shared."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def test_criterion_01_moment_formulas_match_sampling(desk_pieces):
     # tau_p = 3 (every user on its own pilot). One pass per assignment.
     cases = _pattern_tuples(pilots, stats.K)
     assert len(cases) == 4
-    cfg3 = cfg.with_overrides(tau_p=3)
+    cfg3 = replace(cfg, tau_p=3)
     pilots3 = assign_pilots(stats.K, 3, substream(7, "pilots3"))
     est3 = estimation_statistics(stats, pilots3, cfg3)
     cases3 = _pattern_tuples(pilots3, stats.K)
@@ -275,7 +276,7 @@ def test_criterion_07_power_saturation():
         closed = {}
         ach = {}
         for p_dbm in (33.0, 43.0):
-            cfg_p = cfg.with_overrides(p_dl_dbm=p_dbm)
+            cfg_p = replace(cfg, p_dl_dbm=p_dbm)
             cache = build_cache(stats, est, pilots, cfg_p)
             closed[p_dbm] = evaluate_cache(
                 cache, PowerAllocation.no_rs(cfg.K, cfg.L)).sum_se

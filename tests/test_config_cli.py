@@ -1,6 +1,7 @@
 """Configuration parsing, experiment plumbing, and the command-line surface."""
 
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -47,8 +48,6 @@ def test_system_config_validation_names_fields():
         SystemConfig(asd_deg=-3.0)
     cfg = SystemConfig()
     assert cfg.prelog == pytest.approx((200 - 2) / 200)
-    assert cfg.with_overrides(K=6).K == 6
-    assert cfg.with_overrides(K=6).L == cfg.L
 
 
 @pytest.mark.parametrize("name, value", [
@@ -84,6 +83,11 @@ def test_experiment_spec_validation():
     ("ap_grid", (4, 8, 4), "repeat"),
     ("ue_grid", (4, 4), "repeat"),
     ("train_lr", float("nan"), "finite"),
+    ("n_blocks", 1, "at least 2"),
+    ("ap_grid", (0, 4), "at least 1"),
+    ("ue_grid", (0,), "at least 1"),
+    ("rho_grid", (0.5, 1.5), r"in \[0, 1\]"),
+    ("ga_pop", 2, "population too small"),
 ])
 def test_experiment_spec_rejects_bad_values(name, value, problem):
     with pytest.raises(ConfigError, match=f"{name} must .*{problem}"):
@@ -110,6 +114,37 @@ shadowing = true
         rho_grid=(0.0, 0.25, 0.5),
         system=SystemConfig(L=8, K=3, N=2, tau_p=3, rician_db=float("-inf"),
                             shadowing=True))
+
+
+def test_every_field_is_a_config_key():
+    """Every SystemConfig field but seed and every ExperimentSpec field but
+    system is a key, parsed by the field's type."""
+    system = {"L": 7, "K": 3, "N": 2, "tau_c": 150, "tau_p": 3, "area_side": 400.0,
+              "d_H": 0.25, "N_c": 4, "asd_deg": 20.0, "rician_db": float("-inf"),
+              "p_pilot_dbm": 10.0, "p_dl_dbm": 30.0, "noise_dbm": -90.0,
+              "shadowing": True, "balanced_pilots": False}
+    spec = {"experiment": "ap_sweep", "seed": 9, "out_dir": "elsewhere",
+            "n_geometries": 3, "n_blocks": 50, "rho_grid": (0.0, 0.5),
+            "power_grid_dbm": (10.0,), "ap_grid": (2, 3), "kappa_grid_db": (0.0, 1.5),
+            "ue_grid": (2,), "ga_pop": 10, "ga_generations": 4, "train_steps": 7,
+            "train_lr": 0.01}
+    assert set(system) == {f.name for f in fields(SystemConfig)} - {"seed"}
+    assert set(spec) == {f.name for f in fields(ExperimentSpec)} - {"system"}
+
+    def text(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+    lines = "".join(f"{key} = {text(value)}\n" for key, value in {**system, **spec}.items())
+    parsed = parse_config_text(lines)
+    for owner, values, default in ((parsed.system, system, SystemConfig()),
+                                   (parsed, spec, ExperimentSpec())):
+        for key, value in values.items():
+            assert getattr(default, key) != value, key
+            # repr tells 3 from 3.0 and True from 1.
+            assert repr(getattr(owner, key)) == repr(value), key
+    assert parsed.system.seed == SystemConfig().seed
 
 
 def test_parse_config_reports_line_numbers():
@@ -243,7 +278,7 @@ def test_sweep_rows_are_means_over_drops(tmp_path):
         values = {"no_rs": [], "rs": [], "rs_heuristic": []}
         for g in range(spec.n_geometries):
             drop = scenario.EnvScenario(
-                spec.system.with_overrides(L=n_aps),
+                replace(spec.system, L=n_aps),
                 rngs=(substream(4, f"ap-{n_aps}", "geometry", str(g)),
                       substream(4, f"ap-{n_aps}", "pilots", str(g))))
             cache = drop.cache()
@@ -279,9 +314,12 @@ def test_cli_run_and_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["p_dl_dbm = nan", "area_side = nan",
-                                  "power_grid_dbm = 3, inf", "ue_grid = 2, 2"])
+                                  "power_grid_dbm = 3, inf", "ue_grid = 2, 2",
+                                  "n_blocks = 1", "ap_grid = 0, 4", "ue_grid = 0",
+                                  "rho_grid = 0.5, 1.5", "ga_pop = 2"])
 def test_cli_run_rejects_non_finite_and_repeated_values(line, tmp_path, capsys):
-    """Such a config once ran to NaN rows, duplicate rows or a traceback."""
+    """Such a config once ran to NaN rows, duplicate rows, a traceback, or a
+    failure partway through the run."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_CONFIG + line + "\n")
     assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2

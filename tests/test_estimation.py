@@ -1,5 +1,7 @@
 """Pilot assignment and MMSE estimation statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ def test_estimation_noise_limit_kills_estimate(desk_pieces):
     """With overwhelming noise the estimate carries almost no information:
     Q -> 0 and C -> R."""
     cfg, stats, _, pilots = desk_pieces
-    deaf = cfg.with_overrides(noise_dbm=80.0)
+    deaf = replace(cfg, noise_dbm=80.0)
     est = estimation_statistics(stats, pilots, deaf)
     assert np.abs(est.Q).max() < 1e-9 * np.abs(stats.R).max()
     np.testing.assert_allclose(est.C, stats.R, rtol=1e-6, atol=1e-18)

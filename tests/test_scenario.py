@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from cfrs.allocation import GAConfig, heuristic_control
-from cfrs.closed_form import PowerAllocation, evaluate_cache
+from cfrs.closed_form import PowerAllocation, evaluate_cache, sum_se_batch
 from cfrs.config import SystemConfig
 from cfrs.diffusion import Environment
 from cfrs.rng import substream
-from cfrs.scenario import (DEFAULT_RHO_GRID, EnvScenario, build_expert_dataset,
-                           verify_dataset)
+from cfrs.scenario import DEFAULT_RHO_GRID, EnvScenario, build_expert_dataset
 
 CFG = SystemConfig(L=3, K=2, N=2, tau_p=2, seed=19)
 TINY_GA = GAConfig(pop_size=12, generations=12)
@@ -83,21 +82,14 @@ def test_build_expert_dataset_and_verify(scenario):
                               substream(47, "expert"))
     assert len(ds) == 4 and ds.dim == 3 + 2 * 3
     assert np.all(ds.sum_se > 0)
-    verify_dataset(ds, scenario)
+    # Every stored value re-scores on its environment's cache.
+    K, L = scenario.dims
+    for env, x, value in zip(_env_grid(), ds.x0, ds.sum_se):
+        rescored = sum_se_batch(scenario.cache(env), x[None, :L],
+                                x[None, L:].reshape(1, K, L))
+        np.testing.assert_allclose(rescored, [value], rtol=1e-10, atol=1e-10)
 
     plain = build_expert_dataset(scenario, _env_grid(), TINY_GA,
                                  substream(47, "expert"), cross_screen=False)
     # The screen can only raise values: each point keeps the pool's best.
     assert np.all(ds.sum_se >= plain.sum_se - 1e-12)
-
-    ds.sum_se[2] += 0.5
-    with pytest.raises(ValueError):
-        verify_dataset(ds, scenario)
-
-
-def test_verify_dataset_rejects_wrong_scenario(scenario):
-    ds = build_expert_dataset(scenario, _env_grid()[:2], TINY_GA,
-                              substream(53, "expert"))
-    other = EnvScenario(CFG, seed=99)
-    with pytest.raises(ValueError):
-        verify_dataset(ds, other)
