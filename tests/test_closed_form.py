@@ -1,5 +1,7 @@
 """Closed-form spectral-efficiency bound: moments, cache, special cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from cfrs.closed_form import (PowerAllocation, build_cache, closed_moments,
                               evaluate_cache, normalization_coeffs,
                               sum_se_batch, upsilon_moments)
 from cfrs.config import SystemConfig
-from cfrs.estimation import (assign_pilots, estimation_statistics,
-                             perfect_csi_statistics)
+from cfrs.estimation import (PilotAssignment, assign_pilots,
+                             estimation_statistics, perfect_csi_statistics)
 from cfrs.geometry import LinkStatistics, draw_geometry, link_statistics
 from cfrs.monte_carlo import sample_moments
 from cfrs.rng import substream
@@ -258,3 +260,62 @@ def test_reduces_to_classical_rayleigh_bound():
     np.testing.assert_allclose(rep.sinr_private, oracle, rtol=1e-10)
     expected = cfg.prelog * np.sum(np.log2(1.0 + oracle))
     assert rep.sum_se == pytest.approx(expected, rel=1e-10)
+
+
+# Property checks as seeded loops over random inputs.
+
+def _relabelled_drop(stats, est, pilots, users, aps):
+    """The drop with its users reordered by `users` and its APs by `aps`:
+    every per-link statistic, the estimation fields and the pilots alike."""
+    def link(x):
+        return x[users][:, aps]
+
+    stats = dataclasses.replace(stats, **{f.name: link(getattr(stats, f.name))
+                                          for f in dataclasses.fields(stats)})
+    est = dataclasses.replace(est, Psi=link(est.Psi), Q=link(est.Q), C=link(est.C),
+                              trQbar=est.trQbar[users][:, users][:, :, aps],
+                              Qbar_sum=est.Qbar_sum[aps])
+    return stats, est, PilotAssignment(pilots.pilot_of[users], pilots.tau_p)
+
+
+@pytest.mark.parametrize("pieces", ["desk_pieces", "full_pieces"])
+def test_sum_se_invariant_under_relabelling(pieces, request):
+    """Permuting the users, or the APs, of the drop and of 20 random
+    allocations together leaves every sum SE unchanged."""
+    cfg, stats, est, pilots = request.getfixturevalue(pieces)
+    K, L = stats.K, stats.L
+    rng = substream(41, pieces)
+    rho, eta = rng.uniform(size=(20, L)), rng.uniform(size=(20, K, L))
+    base = sum_se_batch(build_cache(stats, est, pilots, cfg), rho, eta)
+    for users, aps in [(np.roll(np.arange(K), 1), np.arange(L)),
+                       (rng.permutation(K), np.arange(L)),
+                       (np.arange(K), np.roll(np.arange(L), 1)),
+                       (np.arange(K), rng.permutation(L))]:
+        cache = build_cache(*_relabelled_drop(stats, est, pilots, users, aps), cfg)
+        got = sum_se_batch(cache, rho[:, aps], eta[:, users][:, :, aps])
+        np.testing.assert_allclose(got, base, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("pieces", ["desk_pieces", "full_pieces"])
+def test_sinrs_finite_and_positive_for_valid_allocations(pieces, request):
+    cfg, stats, est, pilots = request.getfixturevalue(pieces)
+    cache = build_cache(stats, est, pilots, cfg)
+    rng = substream(43, pieces)
+    for _ in range(50):
+        alloc = PowerAllocation(rho=rng.uniform(size=stats.L),
+                                eta=rng.uniform(size=(stats.K, stats.L)))
+        rep = evaluate_cache(cache, alloc)
+        for sinr in (rep.sinr_common, rep.sinr_private):
+            assert np.all(np.isfinite(sinr)) and np.all(sinr > 0)
+
+
+@pytest.mark.parametrize("pieces", ["desk_pieces", "full_pieces"])
+def test_no_rs_scores_as_zero_common_split(pieces, request):
+    cfg, stats, est, pilots = request.getfixturevalue(pieces)
+    cache = build_cache(stats, est, pilots, cfg)
+    K, L = stats.K, stats.L
+    no_rs = evaluate_cache(cache, PowerAllocation.no_rs(K, L))
+    zero = evaluate_cache(cache, PowerAllocation.equal_split(K, L, 0.0))
+    assert no_rs.sum_se == zero.sum_se
+    np.testing.assert_array_equal(no_rs.sinr_common, zero.sinr_common)
+    np.testing.assert_array_equal(no_rs.sinr_private, zero.sinr_private)

@@ -1,6 +1,7 @@
 """Monte Carlo channel sampling, precoding, and achievable-rate estimates."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,14 +28,25 @@ def copilot_pieces():
     return cfg, stats, est, scenario.pilots
 
 
+def _desk_drop_under_los(rician_db):
+    cfg = SystemConfig(L=2, K=3, N=2, tau_p=2, rician_db=rician_db, seed=7)
+    scenario = EnvScenario(cfg)
+    stats, est = scenario.drop_statistics()
+    return cfg, stats, est, scenario.pilots
+
+
 @pytest.fixture(scope="module")
 def los_pieces():
     """The desk network under strong LoS (30 dB Rician factor): sample norms
     whose mean dwarfs their spread."""
-    cfg = SystemConfig(L=2, K=3, N=2, tau_p=2, rician_db=30.0, seed=7)
-    scenario = EnvScenario(cfg)
-    stats, est = scenario.drop_statistics()
-    return cfg, stats, est, scenario.pilots
+    return _desk_drop_under_los(30.0)
+
+
+@pytest.fixture(scope="module")
+def los40_pieces():
+    """The desk network at a 40 dB Rician factor, where the first block's
+    shift carries the most of every sample."""
+    return _desk_drop_under_los(40.0)
 
 
 ORACLE_DROPS = ["desk_pieces", "full_pieces", "copilot_pieces"]
@@ -146,18 +158,25 @@ def _moment_samples_by_hand(g, ghat, C):
     return first, np.abs(first) ** 2, u3, u4, u5, common, private
 
 
-@pytest.mark.parametrize("drop", ["desk_pieces", "copilot_pieces", "los_pieces"])
-def test_sample_moments_match_hand_loop(drop, request):
+@pytest.mark.parametrize("drop, n", [
+    pytest.param("desk_pieces", 1500, id="desk_pieces"),
+    pytest.param("copilot_pieces", 300, id="copilot_pieces"),
+    pytest.param("los_pieces", 1500, id="los_pieces"),
+    pytest.param("los40_pieces", 1500, id="los40_pieces"),
+    pytest.param("full_pieces", 40, id="full_pieces"),
+    pytest.param("desk_pieces", 695, id="desk_pieces_one_block_tail"),
+])
+def test_sample_moments_match_hand_loop(drop, n, request):
     """One pass equals the per-tuple sample means and their ddof=1 standard
     errors (var(re) + var(im) for complex moments) on the same stream. The
-    draw counts span several chunks and end on a partial one."""
+    draw counts span more than one chunk and end on a partial one (of a
+    single block for 695 desk draws)."""
     cfg, stats, est, pilots = request.getfixturevalue(drop)
-    n = {"desk_pieces": 1500, "copilot_pieces": 300, "los_pieces": 1500}[drop]
     moments = sample_moments(stats, est, pilots, cfg, n, substream(97, drop))
     rng = substream(97, drop)
     sampler = ChannelSampler(stats, est, pilots, cfg)
     chunk = 50_000 // (stats.K ** 2 * stats.L * max(stats.K, stats.N ** 2))
-    assert 1 < n // chunk and n % chunk
+    assert chunk < n and n % chunk
     draws = [sampler.draw(min(chunk, n - start), rng) for start in range(0, n, chunk)]
     g, ghat = (np.concatenate(parts) for parts in zip(*draws))
     for name, x in zip(["first", "second", "upsilon3", "upsilon4", "upsilon5",
@@ -170,6 +189,19 @@ def test_sample_moments_match_hand_loop(drop, request):
                                    err_msg=name)
         np.testing.assert_allclose(got.stderr, np.sqrt(var / n), rtol=1e-12, atol=0,
                                    err_msg=name)
+
+
+def test_sample_moments_peak_memory(desk_pieces):
+    """A pass holds one chunk's tensors at a time: a 5,000-draw desk pass
+    peaks at about 3 MB traced, where 8192-block chunks would take 19 MB."""
+    cfg, stats, est, pilots = desk_pieces
+    tracemalloc.start()
+    try:
+        sample_moments(stats, est, pilots, cfg, 5000, substream(97, "memory"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_sample_moments_rejects_single_draw(desk_pieces):
