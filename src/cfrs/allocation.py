@@ -11,30 +11,40 @@ import numpy as np
 
 from .closed_form import PowerAllocation, SECache, sum_se_batch
 
+SPLIT_EPSILON = 1.2  # above 1, so that heuristic_split stays inside (0, 1)
+SPLIT_EXPONENT = 0.5
+CONTROL_EXPONENT = 0.25
 
-def heuristic_split(zeta, rho0, epsilon=1.2, exponent=0.5):
+# Genetic search over the unit box, where every allocation vector lives.
+CROSSOVER_RATE = 0.8
+MUTATION_RATE = 0.1
+MUTATION_SIGMA = 0.08
+ELITISM = 2
+TOURNAMENT = 3
+BLEND_ALPHA = 0.5
+
+
+def heuristic_split(zeta, rho0):
     """Per-AP power-splitting factors from the large-scale gains.
 
     Starting from a common factor rho0, each AP's split is nudged by how far
-    its (root-mean) user gain sits from the network average; the step size
-    omega = min(rho0, 1 - rho0) / epsilon keeps every factor inside (0, 1).
+    its (root-mean) user gain sits from the network average; the step
+    omega = min(rho0, 1 - rho0) / SPLIT_EPSILON keeps every factor in (0, 1).
     APs with stronger average links put more power on the common message.
     """
     zeta = np.asarray(zeta, dtype=float)
     if not 0.0 <= rho0 <= 1.0:
         raise ValueError("rho0 must lie in [0, 1]")
-    if epsilon <= 1.0:
-        raise ValueError("epsilon must exceed 1 to keep the factors in bounds")
-    zl = zeta.mean(axis=0) ** exponent
+    zl = zeta.mean(axis=0) ** SPLIT_EXPONENT
     dev = zl - zl.mean()
     m = np.max(np.abs(dev))
     if m == 0.0:
         return np.full(zeta.shape[1], float(rho0))
-    omega = min(rho0, 1.0 - rho0) / epsilon
+    omega = min(rho0, 1.0 - rho0) / SPLIT_EPSILON
     return rho0 + omega * dev / m
 
 
-def heuristic_control(zeta, exponent=0.25):
+def heuristic_control(zeta):
     """Private power-control coefficients from the large-scale gains.
 
     eta_kl grows with the user's average gain (stronger users get more of
@@ -45,8 +55,8 @@ def heuristic_control(zeta, exponent=0.25):
     zeta = np.asarray(zeta, dtype=float)
     if np.any(zeta <= 0):
         raise ValueError("zeta must be positive")
-    zk = zeta.mean(axis=1) ** exponent
-    zl = zeta.mean(axis=0) ** exponent
+    zk = zeta.mean(axis=1) ** CONTROL_EXPONENT
+    zl = zeta.mean(axis=0) ** CONTROL_EXPONENT
     return (zk / zk.max())[:, None] * (zl.min() / zl)[None, :]
 
 
@@ -54,16 +64,10 @@ def heuristic_control(zeta, exponent=0.25):
 class GAConfig:
     pop_size: int = 50
     generations: int = 200
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.1
-    mutation_sigma: float = 0.08
-    elitism: int = 2
-    tournament: int = 3
-    blend_alpha: float = 0.5
 
     def __post_init__(self):
         # Elites plus at least one child, and two parents to breed from.
-        floor = max(2, self.elitism + 1)
+        floor = max(2, ELITISM + 1)
         if self.pop_size < floor:
             raise ValueError(f"population too small: pop_size must be at least {floor}")
 
@@ -73,7 +77,6 @@ class GAResult:
     x: np.ndarray
     value: float
     best_history: np.ndarray  # best-so-far fitness per generation (nondecreasing)
-    mean_history: np.ndarray
 
 
 def _fitness(objective, pop):
@@ -83,9 +86,8 @@ def _fitness(objective, pop):
     return fit
 
 
-def ga_optimize(objective, dim, ga_cfg: GAConfig, rng, bounds=(0.0, 1.0),
-                init=None) -> GAResult:
-    """Maximize a batched objective over a box with a real-coded GA.
+def ga_optimize(objective, dim, ga_cfg: GAConfig, rng, init=None) -> GAResult:
+    """Maximize a batched objective over the unit box with a real-coded GA.
 
     objective maps a (P, dim) population to (P,) fitness values. Tournament
     selection, blend crossover, Gaussian mutation clamped to the box, and
@@ -93,43 +95,38 @@ def ga_optimize(objective, dim, ga_cfg: GAConfig, rng, bounds=(0.0, 1.0),
     decreases. Optional init rows are injected into the initial population.
     Raises ValueError if the objective returns a value that is not finite.
     """
-    lo, hi = bounds
     P = ga_cfg.pop_size
-    pop = rng.uniform(lo, hi, size=(P, dim))
+    pop = rng.uniform(0.0, 1.0, size=(P, dim))
     if init is not None:
         init = np.atleast_2d(np.asarray(init, dtype=float))
         take = min(len(init), P)
-        pop[:take] = np.clip(init[:take], lo, hi)
+        pop[:take] = np.clip(init[:take], 0.0, 1.0)
     fit = _fitness(objective, pop)
     best_hist = []
-    mean_hist = []
-    n_child = P - ga_cfg.elitism
+    n_child = P - ELITISM
     for _ in range(ga_cfg.generations):
-        elite_idx = np.argsort(fit)[-ga_cfg.elitism:]
+        elite_idx = np.argsort(fit)[-ELITISM:]
         elites, elite_fit = pop[elite_idx].copy(), fit[elite_idx].copy()
 
-        cand = rng.integers(0, P, size=(2, n_child, ga_cfg.tournament))
+        cand = rng.integers(0, P, size=(2, n_child, TOURNAMENT))
         winners = cand[np.arange(2)[:, None, None], np.arange(n_child)[None, :, None],
                        np.argmax(fit[cand], axis=2)[:, :, None]][:, :, 0]
         pa, pb = pop[winners[0]], pop[winners[1]]
-        u = rng.uniform(-ga_cfg.blend_alpha, 1.0 + ga_cfg.blend_alpha,
-                        size=(n_child, dim))
-        cross = rng.random(n_child) < ga_cfg.crossover_rate
+        u = rng.uniform(-BLEND_ALPHA, 1.0 + BLEND_ALPHA, size=(n_child, dim))
+        cross = rng.random(n_child) < CROSSOVER_RATE
         children = np.where(cross[:, None], pa + u * (pb - pa), pa)
 
-        mutate = rng.random((n_child, dim)) < ga_cfg.mutation_rate
-        children = children + mutate * rng.normal(0.0, ga_cfg.mutation_sigma,
+        mutate = rng.random((n_child, dim)) < MUTATION_RATE
+        children = children + mutate * rng.normal(0.0, MUTATION_SIGMA,
                                                   size=(n_child, dim))
-        children = np.clip(children, lo, hi)
+        children = np.clip(children, 0.0, 1.0)
 
         pop = np.concatenate([elites, children], axis=0)
         fit = np.concatenate([elite_fit, _fitness(objective, children)])
         best_hist.append(fit.max())
-        mean_hist.append(fit.mean())
     best = int(np.argmax(fit))
     return GAResult(x=pop[best].copy(), value=float(fit[best]),
-                    best_history=np.maximum.accumulate(np.asarray(best_hist)),
-                    mean_history=np.asarray(mean_hist))
+                    best_history=np.maximum.accumulate(np.asarray(best_hist)))
 
 
 # ---------------------------------------------------------------------------

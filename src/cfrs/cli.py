@@ -2,13 +2,14 @@
 
 Subcommands: run a config file, reproduce a figure-style sweep, train and
 save the conditional optimizer, generate an allocation for an environment,
-and validate the closed forms against their Monte Carlo estimators. Errors
-print a single JSON object {"error": message} to stderr and exit nonzero so
-scripts can parse failures. Exit codes:
+and validate the closed forms against their Monte Carlo estimators. Reports
+are strict JSON on stdout; errors print a single JSON object {"error":
+message} to stderr and exit nonzero so scripts can parse failures. Exit codes:
 
     0  success
-    1  invalid value or I/O failure (ValueError, OSError)
-    2  bad config, unknown figure or missing file (ConfigError, FileNotFoundError)
+    1  invalid value, I/O failure or non-finite report (ValueError, OSError)
+    2  bad config or train option, unknown figure or missing file
+       (ConfigError, FileNotFoundError)
     3  validate: a Monte Carlo estimate missed its tolerance (report on stdout)
     4  degenerate statistics: a normalizer or SINR denominator is not positive
     5  channel estimation failed: a pilot observation covariance is singular
@@ -54,16 +55,15 @@ def _cmd_run(args):
                           f"expected one of {', '.join(sorted(FIGURE_PRESETS))}")
     if args.out_dir is not None:
         spec = replace(spec, out_dir=args.out_dir)
-    files = run_experiment(spec)
-    print(json.dumps({"written": files}))
+    print(json.dumps({"written": run_experiment(spec)}, allow_nan=False))
     return 0
 
 
 def _cmd_train(args):
+    spec = ExperimentSpec(train_steps=args.steps, train_lr=args.lr)
     _, dataset, trainer = train_policy(DIFFUSION_SYSTEM, args.seed, training_envs(),
-                                       ExperimentSpec().ga_config,
-                                       TrainConfig(lr=args.lr))
-    losses = trainer.run(args.steps)
+                                       spec.ga_config, TrainConfig(lr=spec.train_lr))
+    losses = trainer.run(spec.train_steps)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt = os.path.join(args.out_dir, "diffusion.npz")
     ds_path = os.path.join(args.out_dir, "expert_dataset.csv")
@@ -71,16 +71,16 @@ def _cmd_train(args):
     dataset.save_csv(ds_path)
     print(json.dumps({
         "written": [ckpt, ds_path],
-        "steps": args.steps,
+        "steps": spec.train_steps,
         "final_loss": float(np.mean(losses[-min(200, len(losses)):])),
         "expert_mean_sum_se": float(dataset.sum_se.mean()),
-    }))
+    }, allow_nan=False))
     return 0
 
 
 def _cmd_infer(args):
-    net, schedule = load_checkpoint(args.checkpoint)
     env = Environment(args.kappa_db, args.asd_deg)
+    net, schedule = load_checkpoint(args.checkpoint)
     system = DIFFUSION_SYSTEM
     K, L = system.K, system.L
     dim = L + K * L
@@ -100,7 +100,7 @@ def _cmd_infer(args):
         scenario = EnvScenario(system, seed=args.seed)
         cache = scenario.cache(env)
         result["sum_se"] = float(sum_se_batch(cache, alloc.rho[None], alloc.eta[None])[0])
-    print(json.dumps(result))
+    print(json.dumps(result, allow_nan=False))
     return 0
 
 
@@ -129,7 +129,8 @@ def _cmd_validate(args):
                        "ok": bool(rel <= tol)})
 
     ok = all(c["ok"] for c in checks)
-    print(json.dumps({"ok": ok, "draws": args.draws, "checks": checks}, indent=2))
+    print(json.dumps({"ok": ok, "draws": args.draws, "checks": checks}, indent=2,
+                     allow_nan=False))
     return 0 if ok else 3
 
 

@@ -19,6 +19,21 @@ KAPPA_RANGE_DB = (-10.0, 20.0)
 ASD_RANGE_DEG = (5.0, 90.0)
 T_EMBED = 16
 
+# Linear variance schedule. The floor of 0.02 keeps the terminal alpha_bar
+# near 0.3 while leaving the last denoising step wide enough that the
+# sampler's own injected noise stays inside the region the network was trained
+# on. A much smaller floor makes the final step a near-singular inversion
+# (gain 1/sqrt(1 - alpha_bar_1)) that a smooth network cannot track.
+SCHEDULE_STEPS = 10
+SCHEDULE_V_MIN = 0.02
+SCHEDULE_V_MAX = 0.2
+
+# Records per training step; Adam's decay rates and guard (Kingma & Ba's).
+BATCH_SIZE = 64
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 CHECKPOINT_VERSION = 1
 
 
@@ -30,6 +45,10 @@ class TrainingError(RuntimeError):
 class Environment:
     kappa_db: float
     asd_deg: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.kappa_db) and np.isfinite(self.asd_deg) and self.asd_deg > 0):
+            raise ValueError("kappa_db and asd_deg must be finite, and asd_deg positive")
 
     def in_training_range(self):
         return (KAPPA_RANGE_DB[0] <= self.kappa_db <= KAPPA_RANGE_DB[1]
@@ -67,18 +86,9 @@ class Schedule:
         return len(self.v)
 
 
-def make_schedule(T=10, v_min=0.02, v_max=0.2) -> Schedule:
-    """Linear variance schedule v_t from v_min to v_max over T steps.
-
-    The default floor of 0.02 keeps the terminal alpha_bar near 0.3 while
-    leaving the last denoising step wide enough that the sampler's own
-    injected noise stays inside the region the network was trained on.
-    A much smaller floor makes the final step a near-singular inversion
-    (gain 1/sqrt(1 - alpha_bar_1)) that a smooth network cannot track.
-    """
-    if T < 1:
-        raise ValueError("T must be a positive integer")
-    return Schedule(np.linspace(v_min, v_max, T))
+def make_schedule() -> Schedule:
+    """The linear variance schedule every policy is trained with."""
+    return Schedule(np.linspace(SCHEDULE_V_MIN, SCHEDULE_V_MAX, SCHEDULE_STEPS))
 
 
 def forward_diffuse(x0, t, eps, schedule: Schedule):
@@ -91,13 +101,12 @@ def forward_diffuse(x0, t, eps, schedule: Schedule):
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
-def reverse_sample(model, schedule: Schedule, env: Environment, dim, rng,
-                   clip_bounds=(0.0, 1.0)):
+def reverse_sample(model, schedule: Schedule, env: Environment, dim, rng):
     """Run the reverse chain from Gaussian noise down to an allocation vector.
 
     model(x, t, env_features) predicts the injected noise for a batch x of
     shape (B, dim) with integer steps t of shape (B,). Fresh noise is added
-    at every step except the last, and the result is clamped to the box.
+    at every step except the last, and the result is clamped to [0, 1].
     Raises ValueError if the chain ends non-finite (a diverged or corrupted
     model), since clamping would pass NaN through as an allocation.
     """
@@ -114,9 +123,7 @@ def reverse_sample(model, schedule: Schedule, env: Environment, dim, rng,
     if not np.all(np.isfinite(x)):
         raise ValueError("reverse chain produced a non-finite allocation; "
                          "the model or checkpoint is corrupt")
-    if clip_bounds is not None:
-        x = np.clip(x, clip_bounds[0], clip_bounds[1])
-    return x[0]
+    return np.clip(x, 0.0, 1.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +200,21 @@ class EpsNetwork:
 
 
 class Adam:
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params, lr=1e-4):
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g ** 2
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g ** 2
             params[k] -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c)
-                                                        + self.eps)
+                                                        + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +257,6 @@ class ExpertDataset:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 64
     lr: float = 1e-4
     explore_noise: float = 0.01  # jitter on the expert targets, clamped to the box
 
@@ -271,9 +277,9 @@ class DiffusionTrainer:
 
     def step(self):
         rng, cfg = self.rng, self.cfg
-        idx = rng.integers(0, len(self.x0), size=cfg.batch_size)
-        t = rng.integers(1, self.schedule.T + 1, size=cfg.batch_size)
-        eps = rng.standard_normal((cfg.batch_size, self.x0.shape[1]))
+        idx = rng.integers(0, len(self.x0), size=BATCH_SIZE)
+        t = rng.integers(1, self.schedule.T + 1, size=BATCH_SIZE)
+        eps = rng.standard_normal((BATCH_SIZE, self.x0.shape[1]))
         x0 = self.x0[idx]
         if cfg.explore_noise > 0.0:
             x0 = np.clip(x0 + cfg.explore_noise

@@ -415,9 +415,9 @@ def _run_eval_dynamic(spec):
                            substream(spec.seed, "sample", str(i)))
         alloc = PowerAllocation.from_vector(x, K, L)
         diff = float(sum_se_batch(cache, alloc.rho[None], alloc.eta[None])[0])
-        _, expert = scenario.expert(env, spec.ga_config,
+        _, expert = scenario.expert(cache, spec.ga_config,
                                     substream(spec.seed, "held-expert", str(i)),
-                                    cache=cache, candidates=dataset.x0)
+                                    candidates=dataset.x0)
         for variant, value in (("no_rs", no_rs), ("heuristic", heur),
                                ("diffusion", diff), ("expert", expert)):
             rows.append((env.kappa_db, env.asd_deg, variant, float(value)))

@@ -80,9 +80,9 @@ class EnvScenario:
                   for r in rho_grid]
         return best_on_grid(cache, allocs)
 
-    def expert(self, env, ga_cfg: GAConfig, rng, rho_grid=DEFAULT_RHO_GRID,
-               cache=None, candidates=None):
-        """Genetic joint optimization seeded with the statistical baselines.
+    def expert(self, cache, ga_cfg: GAConfig, rng, candidates=None):
+        """Genetic joint optimization on an environment's cache, seeded with
+        the statistical baselines on the default splitting-factor grid.
 
         candidates, if given, is a pool of allocation vectors (rows of length
         L + K*L) screened after the GA run; the better of the two wins. Pass
@@ -91,10 +91,8 @@ class EnvScenario:
 
         Returns (PowerAllocation, closed-form sum SE)."""
         K, L = self.dims
-        if cache is None:
-            cache = self.cache(env)
-        heur, _, _ = self.best_heuristic(cache, rho_grid)
-        equal, _, _ = self.best_equal_split(cache, rho_grid)
+        heur, _, _ = self.best_heuristic(cache)
+        equal, _, _ = self.best_equal_split(cache)
         alloc, res = optimize_joint(cache, ga_cfg, rng, init=[heur, equal])
         best, value = alloc, res.value
         if candidates is not None and len(candidates):
@@ -107,42 +105,40 @@ class EnvScenario:
         return best, value
 
 
-def build_expert_dataset(scenario: EnvScenario, envs, ga_cfg: GAConfig, rng,
-                         cross_screen=True) -> ExpertDataset:
+def build_expert_dataset(scenario: EnvScenario, envs, ga_cfg: GAConfig,
+                         rng) -> ExpertDataset:
     """Run the genetic expert on a fixed network drop for each environment.
 
-    Each grid point first gets its own warm-started GA run. With cross_screen
-    on, every environment is then re-scored against the whole pool of winners
-    and keeps the best vector for its own statistics. Near-optimal
-    allocations transfer well between neighbouring environments, so the
-    screen raises the stored values and, just as important for a conditional
-    model, removes the run-to-run GA scatter that would otherwise make the
-    env -> x0 map jump between unrelated near-optima.
+    Each grid point first gets its own warm-started GA run. Every environment
+    is then re-scored against the whole pool of winners and keeps the best
+    vector for its own statistics. Near-optimal allocations transfer well
+    between neighbouring environments, so the screen raises the stored values
+    and, just as important for a conditional model, removes the run-to-run GA
+    scatter that would otherwise make the env -> x0 map jump between
+    unrelated near-optima.
     """
     envs = list(envs)
     K, L = scenario.dims
     caches, vecs, values = [], [], []
     for env in envs:
         cache = scenario.cache(env)
-        alloc, value = scenario.expert(env, ga_cfg, rng, cache=cache)
+        alloc, value = scenario.expert(cache, ga_cfg, rng)
         caches.append(cache)
         vecs.append(alloc.to_vector())
         values.append(value)
     vecs = np.stack(vecs)
     values = np.array(values, dtype=float)
-    if cross_screen and len(envs) > 1:
-        for _ in range(4):
-            changed = 0
-            for m, cache in enumerate(caches):
-                pool = sum_se_batch(cache, vecs[:, :L],
-                                    vecs[:, L:].reshape(len(envs), K, L))
-                j = int(np.argmax(pool))
-                if pool[j] > values[m] + 1e-12:
-                    vecs[m] = vecs[j].copy()
-                    values[m] = float(pool[j])
-                    changed += 1
-            if not changed:
-                break
+    for _ in range(4):
+        changed = 0
+        for m, cache in enumerate(caches):
+            pool = sum_se_batch(cache, vecs[:, :L], vecs[:, L:].reshape(len(envs), K, L))
+            j = int(np.argmax(pool))
+            if pool[j] > values[m] + 1e-12:
+                vecs[m] = vecs[j].copy()
+                values[m] = float(pool[j])
+                changed += 1
+        if not changed:
+            break
     return ExpertDataset(kappa_db=np.array([e.kappa_db for e in envs], dtype=float),
                          asd_deg=np.array([e.asd_deg for e in envs], dtype=float),
                          x0=vecs, sum_se=values)

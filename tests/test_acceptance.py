@@ -381,8 +381,8 @@ def test_criterion_10_policy_quality(trained_policy):
                              substream(60, "sample", n))
         alloc = PowerAllocation.from_vector(vec, K, L)
         diff_vals.append(evaluate_cache(cache, alloc).sum_se)
-        _, ref = scenario.expert(env, ga_cfg, substream(60, "ref", n),
-                                 cache=cache, candidates=dataset.x0)
+        _, ref = scenario.expert(cache, ga_cfg, substream(60, "ref", n),
+                                 candidates=dataset.x0)
         expert_vals.append(ref)
         heur_vals.append(scenario.best_heuristic(cache)[1])
         equal_vals.append(scenario.best_equal_split(cache)[1])

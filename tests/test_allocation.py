@@ -32,8 +32,6 @@ def test_heuristic_split_bounds_and_degenerate():
     np.testing.assert_array_equal(flat, 0.3)
     with pytest.raises(ValueError):
         heuristic_split(ZETA, 1.2)
-    with pytest.raises(ValueError):
-        heuristic_split(ZETA, 0.5, epsilon=0.9)
 
 
 def test_heuristic_control_hand_values():
@@ -76,7 +74,7 @@ def test_ga_best_history_nondecreasing_and_deterministic():
     assert np.all(np.diff(a.best_history) >= 0)
     assert a.value == b.value
     np.testing.assert_array_equal(a.x, b.x)
-    assert len(a.best_history) == 50 and len(a.mean_history) == 50
+    assert len(a.best_history) == 50
 
 
 def test_ga_respects_bounds_and_init():

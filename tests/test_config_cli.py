@@ -32,6 +32,13 @@ tau_p = 2
 """
 
 
+def _strict_json(text):
+    """Parse CLI output as strict JSON: a NaN or Infinity token fails."""
+    def reject(token):
+        raise ValueError(f"CLI output holds the non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_unit_conversions():
     assert dbm_to_mw(0.0) == pytest.approx(1.0)
     assert dbm_to_mw(30.0) == pytest.approx(1000.0)
@@ -295,21 +302,21 @@ def test_cli_run_and_errors(tmp_path, capsys):
     cfg.write_text(TINY_CONFIG)
     rc = cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
     assert rc == 0
-    written = json.loads(capsys.readouterr().out)["written"]
+    written = _strict_json(capsys.readouterr().out)["written"]
     assert len(written) == 2
 
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
-    err = json.loads(capsys.readouterr().err)
+    err = _strict_json(capsys.readouterr().err)
     assert "not found" in err["error"]
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("tau_p = 500\n")
     assert cli.main(["run", str(bad)]) == 2
-    err = json.loads(capsys.readouterr().err)
+    err = _strict_json(capsys.readouterr().err)
     assert "tau_p" in err["error"]
 
     assert cli.main(["reproduce", "fig99"]) == 2
-    err = json.loads(capsys.readouterr().err)
+    err = _strict_json(capsys.readouterr().err)
     assert "figure" in err["error"]
 
 
@@ -325,14 +332,14 @@ def test_cli_run_rejects_non_finite_and_repeated_values(line, tmp_path, capsys):
     assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = json.loads(captured.err)
+    err = _strict_json(captured.err)
     assert list(err) == ["error"] and line.split()[0] in err["error"]
     assert not (tmp_path / "out").exists()
 
 
 def test_cli_validate(capsys):
     rc = cli.main(["validate", "--draws", "40000", "--seed", "7"])
-    out = json.loads(capsys.readouterr().out)
+    out = _strict_json(capsys.readouterr().out)
     assert rc == 0
     assert out["ok"] is True
     assert out["draws"] == 40000
@@ -344,7 +351,7 @@ def test_cli_validate(capsys):
 def test_cli_train_and_infer(tmp_path, capsys):
     rc = cli.main(["train", "--steps", "150", "--out-dir", str(tmp_path)])
     assert rc == 0
-    summary = json.loads(capsys.readouterr().out)
+    summary = _strict_json(capsys.readouterr().out)
     ckpt = tmp_path / "diffusion.npz"
     assert ckpt.exists() and (tmp_path / "expert_dataset.csv").exists()
     assert summary["steps"] == 150
@@ -352,7 +359,7 @@ def test_cli_train_and_infer(tmp_path, capsys):
     rc = cli.main(["infer", "--kappa-db", "7.5", "--asd-deg", "30",
                    "--checkpoint", str(ckpt), "--evaluate"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _strict_json(capsys.readouterr().out)
     assert out["in_training_range"] is True
     assert len(out["rho"]) == 8
     assert len(out["eta"]) == 4 and len(out["eta"][0]) == 8
@@ -361,18 +368,23 @@ def test_cli_train_and_infer(tmp_path, capsys):
     rc = cli.main(["infer", "--kappa-db", "25.0", "--asd-deg", "30",
                    "--checkpoint", str(ckpt)])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _strict_json(capsys.readouterr().out)
     assert out["in_training_range"] is False
 
     assert cli.main(["infer", "--kappa-db", "0", "--asd-deg", "30",
                      "--checkpoint", str(tmp_path / "nope.npz")]) == 2
 
 
+def _policy_net():
+    """An untrained network of the packaged system's dimension."""
+    K, L = 4, 8
+    return EpsNetwork(L + K * L, hidden=16, rng=np.random.default_rng(3))
+
+
 def test_cli_infer_rejects_nan_checkpoint(tmp_path, capsys):
     """One NaN weight makes the reverse chain non-finite: exit 1 with one
     JSON object on stderr, not a NaN allocation on stdout."""
-    K, L = 4, 8
-    net = EpsNetwork(L + K * L, hidden=16, rng=np.random.default_rng(3))
+    net = _policy_net()
     net.params["W3"][0, 0] = np.nan
     ckpt = tmp_path / "nan.npz"
     save_checkpoint(str(ckpt), net, make_schedule())
@@ -381,8 +393,44 @@ def test_cli_infer_rejects_nan_checkpoint(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    err = json.loads(captured.err)
+    err = _strict_json(captured.err)
     assert list(err) == ["error"] and "non-finite" in err["error"]
+
+
+@pytest.mark.parametrize("argv, code, field", [
+    (["train", "--steps", "0"], 2, "train_steps"),
+    (["train", "--lr", "nan"], 2, "train_lr"),
+    (["infer", "--kappa-db", "inf", "--asd-deg", "30", "--evaluate"], 1, "kappa_db"),
+    (["infer", "--kappa-db", "nan", "--asd-deg", "30"], 1, "kappa_db"),
+], ids=["train_steps_0", "train_lr_nan", "infer_kappa_inf", "infer_kappa_nan"])
+def test_cli_rejects_bad_train_and_infer_values(argv, code, field, tmp_path, capsys):
+    """These once got past the CLI: --steps 0 wrote an untrained checkpoint
+    and printed a NaN loss, --lr nan failed as diverged training (exit 6), an
+    infinite Rician factor printed Infinity and a NaN sum SE, and a NaN one
+    was blamed on the checkpoint."""
+    ckpt = tmp_path / "policy.npz"
+    save_checkpoint(str(ckpt), _policy_net(), make_schedule())
+    out_dir = tmp_path / "out"
+    where = ["--out-dir", str(out_dir)] if argv[0] == "train" else ["--checkpoint", str(ckpt)]
+    assert cli.main(argv + where) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)
+    assert list(err) == ["error"] and field in err["error"]
+    assert not out_dir.exists()
+
+
+def test_cli_non_finite_report_keeps_contract(tmp_path, capsys, monkeypatch):
+    """A NaN in a report exits 1 with one JSON object on stderr instead of
+    printing a NaN token on stdout."""
+    ckpt = tmp_path / "policy.npz"
+    save_checkpoint(str(ckpt), _policy_net(), make_schedule())
+    monkeypatch.setattr(cli, "sum_se_batch", lambda *args: np.array([np.nan]))
+    assert cli.main(["infer", "--kappa-db", "5", "--asd-deg", "30",
+                     "--checkpoint", str(ckpt), "--evaluate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert list(_strict_json(captured.err)) == ["error"]
 
 
 # Stage name -> (owner, attribute) that the CLI reaches at that stage.
@@ -410,5 +458,5 @@ def test_cli_numerical_errors_keep_contract(stage, argv, exc, code, tmp_path, ca
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = json.loads(captured.err)
+    err = _strict_json(captured.err)
     assert list(err) == ["error"] and str(exc) in err["error"]

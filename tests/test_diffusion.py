@@ -20,24 +20,28 @@ def test_environment_features_and_range():
     assert Environment(0.0, 30.0).in_training_range()
     assert not Environment(25.0, 30.0).in_training_range()
     assert not Environment(0.0, 2.0).in_training_range()
+    for kappa_db, asd_deg in ((np.inf, 30.0), (np.nan, 30.0), (0.0, np.inf),
+                              (0.0, np.nan), (0.0, 0.0), (0.0, -5.0)):
+        with pytest.raises(ValueError, match="kappa_db and asd_deg"):
+            Environment(kappa_db, asd_deg)
 
 
 def test_make_schedule_structure():
-    s = make_schedule(5, 0.1, 0.3)
+    s = Schedule(np.linspace(0.1, 0.3, 5))
     assert s.T == 5
     np.testing.assert_allclose(s.v, np.linspace(0.1, 0.3, 5))
     np.testing.assert_allclose(s.alpha, 1.0 - s.v)
     np.testing.assert_allclose(s.alpha_bar, np.cumprod(1.0 - s.v))
     assert np.all(np.diff(s.alpha_bar) < 0)
-    # Default: mild early steps, terminal retention far from both 0 and 1.
+    # The trained schedule: mild early steps, terminal retention far from
+    # both 0 and 1.
     d = make_schedule()
+    np.testing.assert_array_equal(d.v, np.linspace(0.02, 0.2, 10))
     assert 0.2 < d.alpha_bar[-1] < 0.5
-    with pytest.raises(ValueError):
-        make_schedule(0)
-    with pytest.raises(ValueError):
-        make_schedule(5, 0.0, 0.3)
-    with pytest.raises(ValueError):
-        make_schedule(5, 0.1, 1.0)
+    for v in (np.linspace(0.1, 0.3, 0), np.linspace(0.0, 0.3, 5),
+              np.linspace(0.1, 1.0, 5)):
+        with pytest.raises(ValueError):
+            Schedule(v)
 
 
 def test_forward_diffuse_hand_case():
@@ -93,7 +97,7 @@ def test_reverse_sample_inverts_oracle():
     x0 = np.array([0.15, 0.4, 0.8, 0.65])
     env = Environment(5.0, 15.0)
     for T in (1, 10):
-        s = make_schedule(T)
+        s = Schedule(np.linspace(0.02, 0.2, T))
         out = reverse_sample(_OracleEps(x0, s), s, env, 4, substream(7, "rev", T))
         np.testing.assert_allclose(out, x0, atol=1e-12)
 
@@ -106,8 +110,10 @@ def test_reverse_sample_clipping_and_determinism():
     b = reverse_sample(net, s, env, 3, substream(11, "rev"))
     np.testing.assert_array_equal(a, b)
     assert np.all(a >= 0.0) and np.all(a <= 1.0)
-    raw = reverse_sample(net, s, env, 3, substream(11, "rev"), clip_bounds=None)
-    np.testing.assert_allclose(np.clip(raw, 0.0, 1.0), a, rtol=1e-12)
+    # An exact chain towards a target outside the box ends on its clamp.
+    target = np.array([-0.3, 0.4, 1.7])
+    out = reverse_sample(_OracleEps(target, s), s, env, 3, substream(11, "rev"))
+    np.testing.assert_allclose(out, np.clip(target, 0.0, 1.0), rtol=1e-12)
 
 
 class _NaNEps:
@@ -119,13 +125,11 @@ class _NaNEps:
         return out
 
 
-@pytest.mark.parametrize("clip_bounds", [(0.0, 1.0), None])
-def test_reverse_sample_rejects_nonfinite_chain(clip_bounds):
+def test_reverse_sample_rejects_nonfinite_chain():
     """Clamping must not turn a NaN chain into an allocation."""
     s = make_schedule()
     with pytest.raises(ValueError, match="non-finite"):
-        reverse_sample(_NaNEps(), s, Environment(0.0, 30.0), 3,
-                       substream(13, "rev"), clip_bounds=clip_bounds)
+        reverse_sample(_NaNEps(), s, Environment(0.0, 30.0), 3, substream(13, "rev"))
 
 
 def test_split_allocation_layout():
@@ -272,7 +276,7 @@ def test_degenerate_target_reconstruction():
 def test_checkpoint_roundtrip(tmp_path):
     rng = substream(31, "ck")
     net = EpsNetwork(4, hidden=12, rng=rng)
-    s = make_schedule(8, 0.05, 0.25)
+    s = Schedule(np.linspace(0.05, 0.25, 8))
     path = tmp_path / "policy.npz"
     save_checkpoint(path, net, s)
     net2, s2 = load_checkpoint(path)
