@@ -117,19 +117,28 @@ def test_reverse_sample_clipping_and_determinism():
 
 
 class _NaNEps:
-    """Noise predictor of a corrupted model: NaN in the last coordinate."""
+    """Noise predictor of a corrupted model: NaN in the last coordinate,
+    optionally clamped to clip_bounds by the model itself."""
+
+    def __init__(self, clip_bounds):
+        self.clip_bounds = clip_bounds
 
     def __call__(self, x, t, env):
         out = np.zeros_like(x)
         out[:, -1] = np.nan
+        if self.clip_bounds is not None:
+            out = np.clip(out, *self.clip_bounds)
         return out
 
 
-def test_reverse_sample_rejects_nonfinite_chain():
-    """Clamping must not turn a NaN chain into an allocation."""
+@pytest.mark.parametrize("clip_bounds", [(0.0, 1.0), None])
+def test_reverse_sample_rejects_nonfinite_chain(clip_bounds):
+    """Clamping, in the model or in the sampler, must not turn a NaN chain
+    into an allocation."""
     s = make_schedule()
     with pytest.raises(ValueError, match="non-finite"):
-        reverse_sample(_NaNEps(), s, Environment(0.0, 30.0), 3, substream(13, "rev"))
+        reverse_sample(_NaNEps(clip_bounds), s, Environment(0.0, 30.0), 3,
+                       substream(13, "rev"))
 
 
 def test_split_allocation_layout():
