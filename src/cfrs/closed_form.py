@@ -39,6 +39,15 @@ def _ensure_real(x, name):
     return x.real if np.iscomplexobj(x) else x
 
 
+def check_allocation_shape(rho_shape, eta_shape, K, L):
+    """Raise ValueError unless rho ends in (L,) and eta in (K, L): numpy would
+    otherwise broadcast an allocation of another size and score it silently."""
+    if tuple(rho_shape[-1:]) != (L,) or tuple(eta_shape[-2:]) != (K, L):
+        raise ValueError(f"allocation shapes rho {tuple(rho_shape)} and eta "
+                         f"{tuple(eta_shape)} do not fit the statistics' "
+                         f"(K, L) = ({K}, {L})")
+
+
 @dataclass(frozen=True)
 class PowerAllocation:
     """Per-AP power split rho (fraction on the common message) and per-link
@@ -241,6 +250,7 @@ def _sinr_terms(cache: SECache, rho, eta):
 
 
 def evaluate_cache(cache: SECache, alloc: PowerAllocation) -> SEReport:
+    check_allocation_shape(alloc.rho.shape, alloc.eta.shape, *cache.mu_p.shape)
     sinr_c, sinr_p = _sinr_terms(cache, alloc.rho[None], alloc.eta[None])
     sinr_c, sinr_p = sinr_c[0], sinr_p[0]
     se_common = cache.prelog * np.log2(1.0 + sinr_c.min())
@@ -256,7 +266,8 @@ def sum_se_batch(cache: SECache, rho, eta):
     rho has shape (P, L) and eta (P, K, L); returns (P,). Used as the
     vectorized objective by the optimizers.
     """
-    sinr_c, sinr_p = _sinr_terms(cache, np.asarray(rho, dtype=float),
-                                 np.asarray(eta, dtype=float))
+    rho, eta = np.asarray(rho, dtype=float), np.asarray(eta, dtype=float)
+    check_allocation_shape(rho.shape, eta.shape, *cache.mu_p.shape)
+    sinr_c, sinr_p = _sinr_terms(cache, rho, eta)
     se = np.log2(1.0 + sinr_c.min(axis=1)) + np.log2(1.0 + sinr_p).sum(axis=1)
     return cache.prelog * se

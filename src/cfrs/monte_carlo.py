@@ -1,33 +1,41 @@
 """Monte Carlo evaluation of the rate-splitting downlink.
 
-Draws coherence blocks (channel, pilot noise, estimates), forms the common
-and private precoders, and evaluates the per-block achievable rates
-(successive decoding of the common message, then the private one). A block
-costs one (K, L*N) GEMM for the effective channels plus O(K L N^2) work for
-the estimation-error terms. sample_moments estimates every closed-form moment
-from one pass, for `cfrs validate` and the tests. It never forms the K^3 L
-per-block Upsilon3/4 samples: their shifted sums are block-axis Grams of the
-inner products' deviations from the first block (the shifted-data form of
-the sample variance, Chan, Golub & LeVeque 1983), so a chunk of n blocks
-costs O(K^3 L N n) arithmetic in a fixed number of numpy calls, with no
-per-block matmul.
+Draws coherence blocks, forms the common and private precoders, and evaluates
+the per-block achievable rates (successive decoding of the common message,
+then the private one). ChannelSampler has one draw per kind of caller:
+
+- draw_estimates serves achievable_sum_se, whose rates read only the
+  estimates and the error covariance C. It samples ghat from its own
+  Gaussian law: a block costs tau_p L N complex normals (K L N under perfect
+  CSI) and one (N, N) product per (k, l).
+- draw serves sample_moments and the tests: the joint law of the channels g
+  and their estimates ghat. A block costs (K + tau_p) L N complex normals,
+  the R^1/2 product, a (tau_p, K) pilot-group GEMM and the estimator product.
+
+The rates of a block then cost one (K, L*N) GEMM for the effective channels
+plus O(K L N^2) work for the estimation-error terms. sample_moments
+estimates every closed-form moment from one pass, for `cfrs validate` and the
+tests. It never forms the K^3 L per-block Upsilon3/4 samples: their shifted
+sums are block-axis Grams of the inner products' deviations from the first
+block (the shifted-data form of the sample variance, Chan, Golub & LeVeque
+1983), so a chunk of n blocks costs O(K^3 L N n) arithmetic in a fixed
+number of numpy calls, with no per-block matmul.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import PowerAllocation, normalization_coeffs
+from .closed_form import PowerAllocation, check_allocation_shape, normalization_coeffs
 from .config import SystemConfig
-from .estimation import EstimationStatistics, PilotAssignment
+from .estimation import EstimationError, EstimationStatistics, PilotAssignment
 from .geometry import LinkStatistics, hermitian_sqrt
-from .rng import complex_normal
+from .rng import complex_normal, complex_normal_blocks
 
 # Entries of a chunk's largest per-block tensor: (K, L, N), or (L, N, N) if N > K.
 _CHUNK_ENTRY_BUDGET = 1_000_000
-# Blocks per chunk asked of chunk_size; the random streams depend on them.
-_ACHIEVABLE_CHUNK = 2048
 # Entries per chunk of sample_moments, counted as K^2 L max(K, N^2) per block:
 # 694 blocks at desk scale (K=3, L=2, N=2). The largest per-block tensors left
 # are the (L, K, K, K) complex Upsilon5 sample and the (2, L, K, 3K+1) real
@@ -38,25 +46,62 @@ _MOMENT_ENTRY_BUDGET = 50_000
 class ChannelSampler:
     """Vectorized per-block sampler of channels and their MMSE estimates.
 
-    The pilot noise of a coherence block is drawn once per (pilot, AP) and
-    shared by every user on that pilot, which reproduces the estimation-error
-    correlation between co-pilot users. Statistics without pilot energy
-    (est.ptau == 0, as from perfect_csi_statistics) give perfect CSI: the
-    estimate is the channel itself.
+    draw returns the joint law of (g, ghat), for sample_moments and the
+    tests. The pilot noise of a coherence block is drawn once per (pilot, AP)
+    and shared by every user on that pilot, which reproduces the
+    estimation-error correlation between co-pilot users. A block costs
+    (K + tau_p) L N complex normals and three batched products.
+
+    draw_estimates returns ghat alone, for achievable_sum_se. The despread
+    observation of pilot t at AP l has covariance S_tl = Psi_tl^-1, so with
+    z_tl ~ CN(0, I),
+
+        ghat_kl = hbar_kl + A_kl z_{t(k), l},  A_kl = sqrt(p tau_p) R_kl Psi_tl chol(S_tl),
+
+    whose cross-moments A_kl A_il^H are Qbar exactly, co-pilot pairs
+    included. A block costs tau_p L N complex normals and one (N, N) product
+    per (k, l).
+
+    Statistics without pilot energy (est.ptau == 0, as from
+    perfect_csi_statistics) give perfect CSI: the estimate is the channel
+    itself, and draw_estimates gives each user its own source with
+    A = R^1/2. Each draw computes its own matrices on first use.
     """
 
     def __init__(self, stats: LinkStatistics, est: EstimationStatistics,
                  pilots: PilotAssignment, cfg: SystemConfig):
         self.stats = stats
+        self.est = est
         self.pilots = pilots
         self.cfg = cfg
         self.perfect_csi = est.ptau == 0
-        self.Rhalf = hermitian_sqrt(stats.R)
-        ptau = cfg.p_pilot_mw * cfg.tau_p
-        self.Bmat = np.sqrt(ptau) * np.einsum("klab,klbc->klac", stats.R, est.Psi)
         self.indicator = (np.arange(pilots.tau_p)[:, None]
                           == pilots.pilot_of[None, :]).astype(float)
         self.mu_c, self.mu_p = normalization_coeffs(stats, est, pilots)
+
+    @cached_property
+    def Rhalf(self):
+        return hermitian_sqrt(self.stats.R)
+
+    @cached_property
+    def Bmat(self):
+        return np.sqrt(self.est.ptau) * np.einsum("klab,klbc->klac", self.stats.R, self.est.Psi)
+
+    @cached_property
+    def _estimate_map(self):
+        """(A, source, n_sources): ghat_kl = hbar_kl + A_kl z_{source[k], l}."""
+        stats, pilots = self.stats, self.pilots
+        if self.perfect_csi:
+            return self.Rhalf, np.arange(stats.K), stats.K
+        K, L, N = stats.K, stats.L, stats.N
+        S = (self.indicator @ stats.R.reshape(K, -1)).reshape(pilots.tau_p, L, N, N)
+        S = self.est.ptau * S + self.cfg.noise_mw * np.eye(N)
+        try:
+            chol = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError("a pilot observation covariance is not "
+                                  "positive definite") from exc
+        return self.Bmat @ chol[pilots.pilot_of], pilots.pilot_of, pilots.tau_p
 
     def draw(self, n, rng):
         """Return (g, ghat), each C-contiguous of shape (n, K, L, N). Rhalf, the
@@ -75,6 +120,16 @@ class ChannelSampler:
         spread = self.Bmat @ innovation[self.pilots.pilot_of]       # (K, L, N, n)
         ghat = np.add(stats.hbar[None], np.moveaxis(spread, -1, 0), order="C")
         return g, ghat
+
+    def draw_estimates(self, n, rng):
+        """Return ghat alone, C-contiguous of shape (n, K, L, N). The normals
+        are drawn blocks first, so a block's estimate does not depend on how
+        many blocks a call draws."""
+        A, source, n_sources = self._estimate_map
+        stats = self.stats
+        z = complex_normal_blocks(rng, n, (n_sources, stats.L, stats.N))
+        spread = A @ np.moveaxis(z, 0, -1)[source]                  # (K, L, N, n)
+        return np.add(stats.hbar[None], np.moveaxis(spread, -1, 0), order="C")
 
     def chunk_size(self, requested):
         per_block = self.stats.L * self.stats.N * max(self.stats.K, self.stats.N)
@@ -155,31 +210,32 @@ class AchievableReport:
 def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
                       pilots: PilotAssignment, cfg: SystemConfig,
                       alloc: PowerAllocation, n_blocks, rng) -> AchievableReport:
-    """Ergodic achievable sum SE averaged over sampled coherence blocks."""
+    """Ergodic achievable sum SE averaged over sampled coherence blocks.
+
+    The rates read only the estimates and est.C, so the blocks come from
+    ChannelSampler.draw_estimates. Its stream is blocks first: chunks are
+    sized for memory alone and do not move the result.
+    """
     if n_blocks < 2:
         raise ValueError("n_blocks must be at least 2")
+    check_allocation_shape(alloc.rho.shape, alloc.eta.shape, stats.K, stats.L)
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    chunk = sampler.chunk_size(_ACHIEVABLE_CHUNK)
-    se_c_sum = 0.0
-    se_p_sum = np.zeros(stats.K)
-    totals = []
+    chunk = sampler.chunk_size(n_blocks)
+    se_c, se_p = [], []
     for start in range(0, n_blocks, chunk):
-        n = min(chunk, n_blocks - start)
-        _, ghat = sampler.draw(n, rng)
+        ghat = sampler.draw_estimates(min(chunk, n_blocks - start), rng)
         v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
         sinr_c, sinr_p = instantaneous_sinrs(ghat, v_c, v_p, est.C, alloc, cfg)
-        se_c = np.log2(1.0 + sinr_c.min(axis=-1))
-        se_p = np.log2(1.0 + sinr_p)
-        se_c_sum += se_c.sum()
-        se_p_sum += se_p.sum(axis=0)
-        totals.append(se_c + se_p.sum(axis=-1))
-    total = np.concatenate(totals)
+        se_c.append(np.log2(1.0 + sinr_c.min(axis=-1)))
+        se_p.append(np.log2(1.0 + sinr_p))
+    se_c, se_p = np.concatenate(se_c), np.concatenate(se_p)
+    total = se_c + se_p.sum(axis=-1)
     prelog = cfg.prelog
     return AchievableReport(
         sum_se=float(prelog * total.mean()),
         stderr=float(prelog * total.std(ddof=1) / np.sqrt(n_blocks)),
-        se_common=float(prelog * se_c_sum / n_blocks),
-        se_private=prelog * se_p_sum / n_blocks,
+        se_common=float(prelog * se_c.mean()),
+        se_private=prelog * se_p.mean(axis=0),
         n_blocks=n_blocks,
         prelog=prelog,
     )

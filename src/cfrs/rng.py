@@ -5,6 +5,7 @@ single experiment seed, so results are reproducible and independent of worker
 count or evaluation order.
 """
 
+import math
 import zlib
 
 import numpy as np
@@ -38,3 +39,17 @@ def complex_normal(rng, shape):
     np.multiply(rng.standard_normal(shape), scale, out=out.real)
     np.multiply(rng.standard_normal(shape), scale, out=out.imag)
     return out
+
+
+def complex_normal_blocks(rng, n, shape):
+    """n blocks of circularly symmetric unit-variance complex Gaussians,
+    shape (n, *shape).
+
+    Draws one (n, M, 2) standard-normal array, M = prod(shape), and views
+    each (real, imaginary) pair as one number, so block b reads numbers
+    [2 M b, 2 M (b + 1)) of the stream: n1 blocks and then n2 blocks are the
+    same numbers as n1 + n2 blocks at once.
+    """
+    x = rng.standard_normal((n, math.prod(shape), 2))
+    x *= 1.0 / np.sqrt(2.0)
+    return x.view(complex).reshape(n, *shape)

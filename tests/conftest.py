@@ -6,8 +6,9 @@ in seconds, so most statistical tests run on it. Session scope lets the
 module tests and the acceptance suite share the same statistics objects.
 
 The oracles below (dense co-pilot tensor, scalar uncorrelated cache,
-sample-moment SINR assembly, transmit-power audit) are independent routes
-to quantities the package computes; the tests compare the two.
+sample-moment SINR assembly, achievable rate from the joint channel draw,
+transmit-power audit) are independent routes to quantities the package
+computes; the tests compare the two.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from cfrs.closed_form import DegenerateStatisticsError, SECache, build_cache
 from cfrs.config import SystemConfig
-from cfrs.monte_carlo import ChannelSampler, build_precoders
+from cfrs.monte_carlo import ChannelSampler, build_precoders, instantaneous_sinrs
 from cfrs.rng import complex_normal
 from cfrs.scenario import EnvScenario
 
@@ -140,6 +141,22 @@ def mc_uatf_sinrs(stats, est, pilots, cfg, alloc, n_draws, rng):
     own = np.abs(mean_p) ** 2
     den_p = (p_d / K) * (msq_p.sum(axis=1) - own) + cfg.noise_mw
     return p_d * np.abs(mean_c) ** 2 / den_c, (p_d / K) * own / den_p
+
+
+def joint_draw_achievable(stats, est, pilots, cfg, alloc, n_blocks, rng):
+    """Achievable sum SE from the joint (g, ghat) draw, 2048-block chunks:
+    the estimates come from sampled channels and pilot noise, not from their
+    own law. Returns (sum SE, standard error)."""
+    sampler = ChannelSampler(stats, est, pilots, cfg)
+    chunk = sampler.chunk_size(2048)
+    totals = []
+    for start in range(0, n_blocks, chunk):
+        _, ghat = sampler.draw(min(chunk, n_blocks - start), rng)
+        v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
+        sinr_c, sinr_p = instantaneous_sinrs(ghat, v_c, v_p, est.C, alloc, cfg)
+        totals.append(np.log2(1.0 + sinr_c.min(axis=-1)) + np.log2(1.0 + sinr_p).sum(axis=-1))
+    total = cfg.prelog * np.concatenate(totals)
+    return float(total.mean()), float(total.std(ddof=1) / np.sqrt(n_blocks))
 
 
 def max_rel_diff(a, b):

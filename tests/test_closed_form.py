@@ -319,3 +319,16 @@ def test_no_rs_scores_as_zero_common_split(pieces, request):
     assert no_rs.sum_se == zero.sum_se
     np.testing.assert_array_equal(no_rs.sinr_common, zero.sinr_common)
     np.testing.assert_array_equal(no_rs.sinr_private, zero.sinr_private)
+
+
+def test_wrong_shaped_allocation_is_rejected(desk_cache):
+    """An allocation for another (K, L) raises, naming both shapes, instead
+    of broadcasting against the K=3, L=2 statistics."""
+    alloc = PowerAllocation.equal_split(1, 1, 0.5)
+    shapes = r"\(1,\).*\(1, 1\).*\(3, 2\)"
+    with pytest.raises(ValueError, match=shapes):
+        evaluate_cache(desk_cache, alloc)
+    with pytest.raises(ValueError, match=r"\(1, 1\).*\(1, 1, 1\).*\(3, 2\)"):
+        sum_se_batch(desk_cache, alloc.rho[None], alloc.eta[None])
+    with pytest.raises(ValueError, match=r"\(4, 2\).*\(4, 2, 2\).*\(3, 2\)"):
+        sum_se_batch(desk_cache, np.full((4, 2), 0.5), np.ones((4, 2, 2)))

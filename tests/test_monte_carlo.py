@@ -1,22 +1,25 @@
 """Monte Carlo channel sampling, precoding, and achievable-rate estimates."""
 
+import dataclasses
 import itertools
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from cfrs.closed_form import PowerAllocation, build_cache, evaluate_cache
 from cfrs.config import SystemConfig
-from cfrs.estimation import copilot_cross_moment, perfect_csi_statistics
+from cfrs.estimation import (EstimationError, copilot_cross_moment,
+                             perfect_csi_statistics)
 from cfrs.geometry import hermitian_sqrt
 from cfrs.monte_carlo import (ChannelSampler, achievable_sum_se,
                               build_precoders, instantaneous_sinrs,
                               sample_moments)
-from cfrs.rng import complex_normal, substream
+from cfrs.rng import complex_normal, complex_normal_blocks, substream
 from cfrs.scenario import EnvScenario
-from conftest import (expected_tx_power, max_rel_diff, mc_uatf_sinrs,
-                      random_allocation, sample_tx_power)
+from conftest import (expected_tx_power, joint_draw_achievable, max_rel_diff,
+                      mc_uatf_sinrs, random_allocation, sample_tx_power)
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +312,117 @@ def test_sampler_perfect_csi_returns_truth(desk_pieces):
     sampler = ChannelSampler(stats, perfect_csi_statistics(stats), pilots, cfg)
     g, ghat = sampler.draw(16, substream(43, "perfect"))
     np.testing.assert_array_equal(g, ghat)
+
+
+def _covariance_z(dev, reference):
+    """|z| of every entry of the sample covariance E{d_kl d_il^H} of dev
+    (n, K, L, N) against reference (K, K, L, N, N). Each entry's standard
+    error is sqrt((var re + var im) / n) of its per-block samples."""
+    n, K, L, N = dev.shape
+    X = dev.transpose(2, 0, 1, 3).reshape(L, n, K * N)         # [l, b, (k, a)]
+    mean = X.swapaxes(1, 2) @ X.conj() / n
+    power = np.abs(X) ** 2
+    var = (power.swapaxes(1, 2) @ power / n - np.abs(mean) ** 2) * n / (n - 1)
+    assert np.all(var > 0)
+    ref = reference.transpose(2, 0, 3, 1, 4).reshape(L, K * N, K * N)
+    return np.abs(mean - ref) / np.sqrt(var / n)
+
+
+def _estimate_covariances(stats, est, pilots):
+    """E{(ghat_kl - hbar_kl)(ghat_il - hbar_il)^H} by case: Q_kl for i = k,
+    the co-pilot cross-moment Qbar_ikl for co-pilot pairs, zero otherwise;
+    under perfect CSI, R_kl for i = k and zero otherwise."""
+    K, L, N = stats.K, stats.L, stats.N
+    perfect = est.ptau == 0
+    ref = np.zeros((K, K, L, N, N), dtype=complex)
+    for k, i, l in itertools.product(range(K), range(K), range(L)):
+        if i == k:
+            ref[k, i, l] = stats.R[k, l] if perfect else est.Q[k, l]
+        elif not perfect and pilots.pilot_of[k] == pilots.pilot_of[i]:
+            ref[k, i, l] = copilot_cross_moment(i, k, l, stats, est, pilots)
+    return ref
+
+
+@pytest.mark.parametrize("csi", ["imperfect", "perfect"])
+def test_estimate_draw_law(csi, copilot_pieces):
+    """draw_estimates gives ghat - hbar the covariance of the MMSE estimates,
+    co-pilot cross-moments included: every entry passes a z-test at a
+    Bonferroni threshold for a family-wise error of 1e-3."""
+    cfg, stats, est, pilots = copilot_pieces
+    if csi == "perfect":
+        est = perfect_csi_statistics(stats)
+    n = 20000
+    ghat = ChannelSampler(stats, est, pilots, cfg).draw_estimates(n, substream(101, csi))
+    z = _covariance_z(ghat - stats.hbar, _estimate_covariances(stats, est, pilots))
+    threshold = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * z.size))
+    assert z.max() <= threshold, (z.max(), threshold)
+
+
+@pytest.mark.parametrize("csi", ["imperfect", "perfect"])
+def test_estimate_draw_is_chunk_invariant(csi, copilot_pieces, monkeypatch):
+    """37 blocks and then 63 read the same normals as 100 blocks at once, and
+    give the same per-block rates; achievable_sum_se does not depend on its
+    chunk size."""
+    cfg, stats, est, pilots = copilot_pieces
+    if csi == "perfect":
+        est = perfect_csi_statistics(stats)
+    sampler = ChannelSampler(stats, est, pilots, cfg)
+    shape = ((stats.K if csi == "perfect" else pilots.tau_p), stats.L, stats.N)
+    rng = substream(103, csi)
+    parts = [complex_normal_blocks(rng, n, shape) for n in (37, 63)]
+    np.testing.assert_array_equal(np.concatenate(parts),
+                                  complex_normal_blocks(substream(103, csi), 100, shape))
+
+    alloc = random_allocation(stats.K, stats.L, substream(103, csi, "alloc"))
+
+    def totals(ghat):
+        v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
+        sinr_c, sinr_p = instantaneous_sinrs(ghat, v_c, v_p, est.C, alloc, cfg)
+        return np.log2(1.0 + sinr_c.min(axis=-1)) + np.log2(1.0 + sinr_p).sum(axis=-1)
+
+    rng = substream(107, csi)
+    parts = np.concatenate([totals(sampler.draw_estimates(n, rng)) for n in (37, 63)])
+    whole = totals(sampler.draw_estimates(100, substream(107, csi)))
+    np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=0)
+
+    one = achievable_sum_se(stats, est, pilots, cfg, alloc, 100, substream(109, csi))
+    monkeypatch.setattr(ChannelSampler, "chunk_size", lambda self, requested: 37)
+    chunked = achievable_sum_se(stats, est, pilots, cfg, alloc, 100, substream(109, csi))
+    assert chunked.sum_se == pytest.approx(one.sum_se, rel=1e-12, abs=0)
+    assert chunked.stderr == pytest.approx(one.stderr, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("drop", ["desk_pieces", "copilot_pieces", "perfect_csi"])
+def test_achievable_agrees_with_joint_draw(drop, request):
+    """Estimates drawn from their own law give the achievable rate of
+    estimates drawn from sampled channels and pilot noise, within four
+    combined standard errors."""
+    cfg, stats, est, pilots = request.getfixturevalue(
+        "desk_pieces" if drop == "perfect_csi" else drop)
+    if drop == "perfect_csi":
+        est = perfect_csi_statistics(stats)
+    alloc = random_allocation(stats.K, stats.L, substream(113, drop, "alloc"))
+    rep = achievable_sum_se(stats, est, pilots, cfg, alloc, 4000, substream(113, drop))
+    joint, stderr = joint_draw_achievable(stats, est, pilots, cfg, alloc, 4000,
+                                          substream(113, drop, "joint"))
+    assert abs(rep.sum_se - joint) <= 4 * np.hypot(rep.stderr, stderr)
+
+
+def test_estimate_draw_rejects_indefinite_observation(desk_pieces):
+    """A pilot observation covariance without a Cholesky factor raises
+    EstimationError, not a NaN rate."""
+    cfg, stats, est, pilots = desk_pieces
+    bad = dataclasses.replace(stats, R=-1e3 * stats.R)   # pilot SNRs reach -400
+    alloc = PowerAllocation.equal_split(stats.K, stats.L, 0.5)
+    with pytest.raises(EstimationError):
+        achievable_sum_se(bad, est, pilots, cfg, alloc, 10, substream(127, "bad"))
+
+
+def test_achievable_rejects_wrong_shaped_allocation(desk_pieces):
+    cfg, stats, est, pilots = desk_pieces
+    alloc = PowerAllocation.equal_split(1, 1, 0.5)
+    with pytest.raises(ValueError, match=r"\(1,\).*\(1, 1\).*\(3, 2\)"):
+        achievable_sum_se(stats, est, pilots, cfg, alloc, 10, substream(131, "shape"))
 
 
 def test_precoders_unit_average_power(desk_pieces):
