@@ -173,9 +173,12 @@ def optimize_joint(cache: SECache, ga_cfg: GAConfig, rng, init=None):
     return PowerAllocation.from_vector(res.x, K, L), res
 
 
-def best_on_grid(cache: SECache, allocations):
-    """Score a list of allocations on the cache; return (best_alloc, value, values)."""
-    values = sum_se_batch(cache, np.stack([a.rho for a in allocations]),
-                          np.stack([a.eta for a in allocations]))
+def best_on_grid(cache: SECache, rho, eta):
+    """Score stacked allocations, rho (P, L) and eta (P, K, L), on the cache.
+
+    Returns (best_alloc, value, values); only the winner becomes a
+    PowerAllocation."""
+    values = sum_se_batch(cache, rho, eta)
     best = int(np.argmax(values))
-    return allocations[best], float(values[best]), values
+    return (PowerAllocation(rho=np.array(rho[best]), eta=np.array(eta[best])),
+            float(values[best]), values)

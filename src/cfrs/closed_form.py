@@ -7,9 +7,10 @@ channel as the only channel knowledge at each user yields a use-and-then-
 forget style lower bound whose SINRs depend on the channel statistics alone.
 
 All user/AP coupling enters through a small set of per-(k, i, l) scalars that
-are cached once per network, so re-evaluating the bound for a new power
-allocation costs a handful of small einsums. That cache is what the
-optimizers iterate on.
+are cached once per network, stored in the layout the SINR assembly reads as
+matrix operands: re-evaluating the bound for a batch of P power allocations
+costs one batched GEMM over the users, one (P, K*L) @ (K*L, K) GEMM and two
+(P, L) products. That cache is what the optimizers iterate on.
 """
 
 from dataclasses import dataclass
@@ -179,7 +180,12 @@ def normalization_coeffs(stats: LinkStatistics, est: EstimationStatistics,
 @dataclass(frozen=True)
 class SECache:
     """Everything the closed-form bound needs, reduced to per-(k, i, l)
-    scalars so that new allocations are cheap to score."""
+    scalars so that new allocations are cheap to score.
+
+    build_cache stores p1 and p2 contiguous as (i, L, k) and c1 and c2 as
+    (L, K), the operand layouts of _sinr_terms; the fields below are their
+    transposed views. A cache in any other layout scores the same, at the
+    cost of one copy per call."""
 
     c1: np.ndarray       # (K, L) complex: coherent common gain at user k via AP l
     c2: np.ndarray       # (K, L) real: common-precoder variance seen by user k
@@ -195,14 +201,16 @@ class SECache:
 def build_cache(stats: LinkStatistics, est: EstimationStatistics,
                 pilots: PilotAssignment, cfg: SystemConfig) -> SECache:
     hbar = stats.hbar
-    hdot = np.einsum("kln,iln->kil", hbar.conj(), hbar)            # hbar_kl^H hbar_il
-    p1 = hdot + est.trQbar
+    # hbar_kl^H hbar_il plus the co-pilot traces; each (K, K, L) field is
+    # re-laid out as soon as it is complete, so no second copy outlives it.
+    p1 = np.einsum("kln,iln->kil", hbar.conj(), hbar) + est.trQbar
     c1 = p1.sum(axis=1)
+    p1 = _gemm_layout(p1, (1, 2, 0))
 
     trQR = np.einsum("ilnm,klmn->kil", est.Q, stats.R, optimize=True)
     hQh = np.einsum("kln,ilnm,klm->kil", hbar.conj(), est.Q, hbar, optimize=True)
     hRh = np.einsum("iln,klnm,ilm->kil", hbar.conj(), stats.R, hbar, optimize=True)
-    p2 = _ensure_real(trQR + hQh + hRh, "private variance terms")
+    p2 = _gemm_layout(_ensure_real(trQR + hQh + hRh, "private variance terms"), (1, 2, 0))
 
     # Common-precoder variance: the estimate cross-moments summed over every
     # user pair, M_l = sum_ij Qbar_ijl, seen through R_kl and hbar_kl, plus the
@@ -215,33 +223,52 @@ def build_cache(stats: LinkStatistics, est: EstimationStatistics,
     c2 = _ensure_real(trMR + hMh + sRs, "common variance terms")
 
     mu_c, mu_p = normalization_coeffs(stats, est, pilots)
-    return SECache(c1=c1, c2=c2, p1=p1, p2=p2, mu_c=mu_c, mu_p=mu_p,
+    return SECache(c1=_gemm_layout(c1, (1, 0)), c2=_gemm_layout(c2, (1, 0)),
+                   p1=p1, p2=p2, mu_c=mu_c, mu_p=mu_p,
                    p_dl=cfg.p_dl_mw, noise=cfg.noise_mw, prelog=cfg.prelog)
+
+
+def _gemm_layout(x, axes):
+    """x with the same shape and values, stored contiguous in the axis
+    order `axes`: a view whose transpose by `axes` is C-contiguous."""
+    return np.ascontiguousarray(x.transpose(axes)).transpose(np.argsort(axes))
 
 
 def _sinr_terms(cache: SECache, rho, eta):
     """Batched SINR assembly. rho is (P, L), eta is (P, K, L); returns
-    (sinr_common, sinr_private), each (P, K)."""
-    K = cache.p1.shape[0]
-    a = np.sqrt(rho * cache.mu_c)                                  # (P, L)
-    Tc1 = np.abs(np.einsum("pl,kl->pk", a, cache.c1)) ** 2
-    Tc2 = np.einsum("pl,kl->pk", rho * cache.mu_c, cache.c2)
+    (sinr_common, sinr_private), each (P, K).
 
-    w = (1.0 - rho)[:, None, :] * eta * cache.mu_p[None]           # (P, K, L)
-    b = np.sqrt(w)
-    Tp1 = np.abs(np.einsum("pil,kil->pki", b, cache.p1)) ** 2
-    Tp2 = np.einsum("pil,kil->pki", w, cache.p2)
+    Each coherent gain |sum_l x_pl g_kl|^2 is one real product against the
+    complex operand viewed as (re, im) float pairs:
+      Tc1[p, k]    = |sqrt(rho mu_c)[p] @ c1 (L, K)|^2
+      Tp1[i, p, k] = |sqrt(w)[i, p] @ p1[i] (L, K)|^2, batched over streams i,
+    with w[p, i, l] = (1 - rho) eta mu_p. The variances enter only summed,
+    so Tc2 = (rho mu_c) @ c2 (L, K) and sum_i Tp2 = w (P, K*L) @ p2 (K*L, K).
+    """
+    c1 = np.ascontiguousarray(cache.c1.T)                          # (L, K)
+    c2 = np.ascontiguousarray(cache.c2.T)
+    p1 = np.ascontiguousarray(cache.p1.transpose(1, 2, 0))         # (i, L, k)
+    p2 = np.ascontiguousarray(cache.p2.transpose(1, 2, 0))
+    K, L, _ = p1.shape
+    r = rho * cache.mu_c                                           # (P, L)
+    y = (np.sqrt(r) @ c1.view(float)).view(complex)                # (P, K)
+    Tc1 = np.square(y.real) + np.square(y.imag)
+    Tc2 = r @ c2
+
+    w = (1.0 - rho)[:, None, :] * eta * cache.mu_p                 # (P, K, L)
+    z = (np.sqrt(w.transpose(1, 0, 2)) @ p1.view(float)).view(complex)
+    Tp1 = np.square(z.real) + np.square(z.imag)                    # (i, P, k)
 
     # Every pair (k, i) adds its coherent term: off the pilot groups p1 is the
     # line-of-sight gain alone, because trQbar is zero there.
-    inter = Tp2.sum(axis=2) + Tp1.sum(axis=2)                      # (P, K)
+    inter = w.reshape(len(w), K * L) @ p2.reshape(K * L, K) + Tp1.sum(axis=0)
     p_over_k = cache.p_dl / K
     den_c = cache.p_dl * Tc2 + p_over_k * inter + cache.noise
     if np.any(den_c <= 0):
         raise DegenerateStatisticsError("common SINR denominator is not positive")
     sinr_c = cache.p_dl * Tc1 / den_c
 
-    own = Tp1[:, np.arange(K), np.arange(K)]
+    own = np.diagonal(Tp1, axis1=0, axis2=2)                       # (P, K): i = k
     den_p = p_over_k * (inter - own) + cache.noise
     if np.any(den_p <= 0):
         raise DegenerateStatisticsError("private SINR denominator is not positive")

@@ -160,10 +160,12 @@ class EpsNetwork:
                 "W3": glorot(dim, hidden), "b3": np.zeros(dim),
             }
 
-    def _assemble(self, x, t, env):
+    def _assemble(self, x, t, env, emb=None):
         x = np.asarray(x, dtype=float)
         env = np.broadcast_to(np.asarray(env, dtype=float), (x.shape[0], 2))
-        return np.concatenate([x, _time_embedding(t), env], axis=1)
+        if emb is None:
+            emb = _time_embedding(t)
+        return np.concatenate([x, emb, env], axis=1)
 
     def _forward(self, inp):
         p = self.params
@@ -178,43 +180,66 @@ class EpsNetwork:
         out, _ = self._forward(self._assemble(x, t, env))
         return out
 
-    def loss_and_grads(self, x, t, env, target):
+    def loss_and_grads(self, x, t, env, target, out=None, emb=None):
         """Mean squared noise-prediction error over the batch and its exact
-        gradient for every parameter."""
+        gradient for every parameter.
+
+        The gradients are written into out, a dict of arrays shaped like the
+        parameters, and out is returned; without it they are fresh arrays.
+        emb, if given, holds the step-embedding rows of t."""
         p = self.params
-        out, (inp, a1, a2) = self._forward(self._assemble(x, t, env))
-        diff = out - target
+        pred, (inp, a1, a2) = self._forward(self._assemble(x, t, env, emb))
+        diff = pred - target
         B = x.shape[0]
         loss = float((diff ** 2).sum() / B)
         dout = 2.0 * diff / B
-        grads = {"W3": dout.T @ a2, "b3": dout.sum(axis=0)}
+        grads = out if out is not None else {k: np.empty_like(v) for k, v in p.items()}
+        np.matmul(dout.T, a2, out=grads["W3"])
+        np.sum(dout, axis=0, out=grads["b3"])
         da2 = dout @ p["W3"]
         dz2 = da2 * (1.0 - a2 ** 2)
-        grads["W2"] = dz2.T @ a1
-        grads["b2"] = dz2.sum(axis=0)
+        np.matmul(dz2.T, a1, out=grads["W2"])
+        np.sum(dz2, axis=0, out=grads["b2"])
         da1 = dz2 @ p["W2"]
         dz1 = da1 * (1.0 - a1 ** 2)
-        grads["W1"] = dz1.T @ inp
-        grads["b1"] = dz1.sum(axis=0)
+        np.matmul(dz1.T, inp, out=grads["W1"])
+        np.sum(dz1, axis=0, out=grads["b1"])
         return loss, grads
 
 
 class Adam:
+    """Adam on one flat parameter vector, updated in place with the moment
+    estimates m and v and two scratch vectors of the same size."""
+
     def __init__(self, params, lr=1e-4):
         self.lr = lr
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._tmp = np.empty_like(params)
+        self._den = np.empty_like(params)
         self.t = 0
 
     def step(self, params, grads):
+        """params -= lr * (m / b1c) / (sqrt(v / b2c) + eps) after the moment
+        updates m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2."""
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
-        for k, g in grads.items():
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g ** 2
-            params[k] -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c)
-                                                        + ADAM_EPS)
+        m, v, tmp, den = self.m, self.v, self._tmp, self._den
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, grads, out=tmp)
+        m += tmp
+        v *= ADAM_BETA2
+        np.square(grads, out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+        v += tmp
+        np.divide(v, b2c, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        np.divide(m, b1c, out=tmp)
+        tmp *= self.lr
+        tmp /= den
+        params -= tmp
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +286,24 @@ class TrainConfig:
     explore_noise: float = 0.01  # jitter on the expert targets, clamped to the box
 
 
+def _flat_views(flat, like):
+    """Views into the flat vector, shaped and keyed like the dict `like`."""
+    views, start = {}, 0
+    for key, arr in like.items():
+        views[key] = flat[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return views
+
+
 class DiffusionTrainer:
-    """Plain SGD loop: sample records, steps, and noise; regress the noise."""
+    """Plain SGD loop: sample records, steps, and noise; regress the noise.
+
+    The network's parameters are packed once into one flat vector, and
+    net.params is rebound to views into it; the gradient is written into
+    views of a second one, so Adam updates the whole network with a few
+    in-place vector operations. The step embeddings of the schedule's T
+    steps are looked up in a table.
+    """
 
     def __init__(self, net: EpsNetwork, schedule: Schedule,
                  dataset: ExpertDataset, cfg: TrainConfig, rng):
@@ -272,7 +313,12 @@ class DiffusionTrainer:
         self.rng = rng
         self.x0 = dataset.x0
         self.feats = dataset.features()
-        self.opt = Adam(net.params, lr=cfg.lr)
+        self.step_table = _time_embedding(np.arange(1, schedule.T + 1))
+        self.flat_params = np.concatenate([p.ravel() for p in net.params.values()])
+        self.flat_grad = np.empty_like(self.flat_params)
+        net.params = _flat_views(self.flat_params, net.params)
+        self.grads = _flat_views(self.flat_grad, net.params)
+        self.opt = Adam(self.flat_params, lr=cfg.lr)
         self.loss_history = []
 
     def step(self):
@@ -285,10 +331,11 @@ class DiffusionTrainer:
             x0 = np.clip(x0 + cfg.explore_noise
                          * rng.standard_normal(x0.shape), 0.0, 1.0)
         x_t = forward_diffuse(x0, t, eps, self.schedule)
-        loss, grads = self.net.loss_and_grads(x_t, t, self.feats[idx], eps)
+        loss, _ = self.net.loss_and_grads(x_t, t, self.feats[idx], eps,
+                                          out=self.grads, emb=self.step_table[t - 1])
         if not np.isfinite(loss):
             raise TrainingError(f"loss diverged at step {len(self.loss_history)}")
-        self.opt.step(self.net.params, grads)
+        self.opt.step(self.flat_params, self.flat_grad)
         self.loss_history.append(loss)
         return loss
 

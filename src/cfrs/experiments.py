@@ -193,10 +193,13 @@ def _write_report(spec: ExperimentSpec, columns, rows, extra=None):
     parameters = asdict(spec)
     for name in ("experiment", "seed", "system", "out_dir"):
         del parameters[name]
+    system = asdict(spec.system)
+    if system["rician_db"] == -math.inf:
+        system["rician_db"] = "-inf"  # Rayleigh fading, spelled as in configs
     meta = {
         "experiment": spec.experiment,
         "seed": spec.seed,
-        "system": asdict(spec.system),
+        "system": system,
         "parameters": parameters,
         "columns": list(columns),
         "rows": len(rows),
@@ -205,7 +208,7 @@ def _write_report(spec: ExperimentSpec, columns, rows, extra=None):
         meta.update(extra)
     sidecar_path = csv_path + ".json"
     with open(sidecar_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return [csv_path, sidecar_path]
 

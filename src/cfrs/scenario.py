@@ -69,16 +69,15 @@ class EnvScenario:
 
     def best_equal_split(self, cache, rho_grid=DEFAULT_RHO_GRID):
         K, L = self.dims
-        allocs = [PowerAllocation.equal_split(K, L, r) for r in rho_grid]
-        return best_on_grid(cache, allocs)
+        rho = np.repeat(np.asarray(rho_grid, dtype=float)[:, None], L, axis=1)
+        return best_on_grid(cache, rho, np.ones((len(rho), K, L)))
 
     def best_heuristic(self, cache, rho_grid=DEFAULT_RHO_GRID):
         """Heuristic splitting swept over the initial factor, joined with the
         heuristic power control; best grid point by the closed-form value."""
+        rho = np.stack([heuristic_split(self.zeta, r) for r in rho_grid])
         eta = heuristic_control(self.zeta)
-        allocs = [PowerAllocation(rho=heuristic_split(self.zeta, r), eta=eta)
-                  for r in rho_grid]
-        return best_on_grid(cache, allocs)
+        return best_on_grid(cache, rho, np.broadcast_to(eta, (len(rho),) + eta.shape))
 
     def expert(self, cache, ga_cfg: GAConfig, rng, candidates=None):
         """Genetic joint optimization on an environment's cache, seeded with

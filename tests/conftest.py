@@ -6,9 +6,10 @@ in seconds, so most statistical tests run on it. Session scope lets the
 module tests and the acceptance suite share the same statistics objects.
 
 The oracles below (dense co-pilot tensor, scalar uncorrelated cache,
-sample-moment SINR assembly, achievable rate from the joint channel draw,
-transmit-power audit) are independent routes to quantities the package
-computes; the tests compare the two.
+per-term einsum SINR assembly, sample-moment SINR assembly, achievable rate
+from the joint channel draw, transmit-power audit, per-parameter training
+loop) are independent routes to quantities the package computes; the tests
+compare the two.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ import pytest
 
 from cfrs.closed_form import DegenerateStatisticsError, SECache, build_cache
 from cfrs.config import SystemConfig
+from cfrs.diffusion import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BATCH_SIZE,
+                            _time_embedding, forward_diffuse)
 from cfrs.monte_carlo import ChannelSampler, build_precoders, instantaneous_sinrs
 from cfrs.rng import complex_normal
 from cfrs.scenario import EnvScenario
@@ -44,6 +47,15 @@ def desk_cache(desk_pieces):
 def full_pieces():
     """One network drop at the default full scale (20 APs, 4 users)."""
     cfg = SystemConfig(seed=3)
+    scenario = EnvScenario(cfg)
+    stats, est = scenario.drop_statistics()
+    return cfg, stats, est, scenario.pilots
+
+
+@pytest.fixture(scope="session")
+def copilot_pieces():
+    """A drop with K=8 users on tau_p=3 pilots over L=6 APs."""
+    cfg = SystemConfig(L=6, K=8, N=4, tau_p=3, seed=17)
     scenario = EnvScenario(cfg)
     stats, est = scenario.drop_statistics()
     return cfg, stats, est, scenario.pilots
@@ -108,6 +120,24 @@ def uncorrelated_cache(beta_los, beta_nlos, pilots, cfg):
     return SECache(c1=c1.astype(complex), c2=c2, p1=p1.astype(complex), p2=p2,
                    mu_c=mu_c, mu_p=mu_p, p_dl=cfg.p_dl_mw, noise=cfg.noise_mw,
                    prelog=cfg.prelog)
+
+
+def einsum_sinr_terms(cache, rho, eta):
+    """SINR assembly with one einsum per term over the (K, K, L) fields.
+    rho is (P, L), eta is (P, K, L); returns (sinr_common, sinr_private)."""
+    K = cache.p1.shape[0]
+    a = np.sqrt(rho * cache.mu_c)
+    Tc1 = np.abs(np.einsum("pl,kl->pk", a, cache.c1)) ** 2
+    Tc2 = np.einsum("pl,kl->pk", rho * cache.mu_c, cache.c2)
+    w = (1.0 - rho)[:, None, :] * eta * cache.mu_p[None]
+    Tp1 = np.abs(np.einsum("pil,kil->pki", np.sqrt(w), cache.p1)) ** 2
+    Tp2 = np.einsum("pil,kil->pki", w, cache.p2)
+    inter = Tp2.sum(axis=2) + Tp1.sum(axis=2)
+    p_over_k = cache.p_dl / K
+    den_c = cache.p_dl * Tc2 + p_over_k * inter + cache.noise
+    own = Tp1[:, np.arange(K), np.arange(K)]
+    den_p = p_over_k * (inter - own) + cache.noise
+    return cache.p_dl * Tc1 / den_c, p_over_k * own / den_p
 
 
 def mc_uatf_sinrs(stats, est, pilots, cfg, alloc, n_draws, rng):
@@ -194,3 +224,63 @@ def sample_tx_power(stats, est, pilots, cfg, alloc, l, n_draws, rng):
         samples.append(np.einsum("bn,bn->b", x.conj(), x).real)
     samples = np.concatenate(samples)
     return float(samples.mean()), float(np.sqrt(samples.var(ddof=1) / n_draws))
+
+
+def dict_loss_and_grads(params, x, t, env, target):
+    """Noise-prediction loss of the tanh MLP and its gradient as fresh
+    per-parameter arrays, computed from the integer steps t."""
+    B = x.shape[0]
+    inp = np.concatenate([x, _time_embedding(t), np.broadcast_to(env, (B, 2))], axis=1)
+    a1 = np.tanh(inp @ params["W1"].T + params["b1"])
+    a2 = np.tanh(a1 @ params["W2"].T + params["b2"])
+    diff = a2 @ params["W3"].T + params["b3"] - target
+    loss = float((diff ** 2).sum() / B)
+    dout = 2.0 * diff / B
+    grads = {"W3": dout.T @ a2, "b3": dout.sum(axis=0)}
+    dz2 = dout @ params["W3"] * (1.0 - a2 ** 2)
+    grads["W2"] = dz2.T @ a1
+    grads["b2"] = dz2.sum(axis=0)
+    dz1 = dz2 @ params["W2"] * (1.0 - a1 ** 2)
+    grads["W1"] = dz1.T @ inp
+    grads["b1"] = dz1.sum(axis=0)
+    return loss, grads
+
+
+class DictAdam:
+    """Adam over a dict of parameter arrays, one key at a time."""
+
+    def __init__(self, params, lr):
+        self.lr = lr
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
+        for k, g in grads.items():
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g ** 2
+            params[k] -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c)
+                                                        + ADAM_EPS)
+
+
+def dict_train(params, schedule, dataset, cfg, rng, n_steps):
+    """The diffusion training loop on a dict of parameters, updated in place:
+    the same draws per step as DiffusionTrainer. Returns the losses."""
+    opt = DictAdam(params, cfg.lr)
+    feats = dataset.features()
+    losses = []
+    for _ in range(n_steps):
+        idx = rng.integers(0, len(dataset.x0), size=BATCH_SIZE)
+        t = rng.integers(1, schedule.T + 1, size=BATCH_SIZE)
+        eps = rng.standard_normal((BATCH_SIZE, dataset.dim))
+        x0 = dataset.x0[idx]
+        if cfg.explore_noise > 0.0:
+            x0 = np.clip(x0 + cfg.explore_noise * rng.standard_normal(x0.shape), 0.0, 1.0)
+        loss, grads = dict_loss_and_grads(params, forward_diffuse(x0, t, eps, schedule),
+                                          t, feats[idx], eps)
+        opt.step(params, grads)
+        losses.append(loss)
+    return np.asarray(losses)

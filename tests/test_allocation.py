@@ -111,9 +111,8 @@ def test_optimizers_improve_on_seeds(desk_cache):
     ga_cfg = GAConfig(pop_size=20, generations=30)
     eta = np.ones((3, 2))
     res_rho = optimize_rho(desk_cache, eta, ga_cfg, rng)
-    grid = [PowerAllocation(rho=np.full(2, r), eta=eta)
-            for r in np.linspace(0.0, 0.99, 21)]
-    _, grid_best, _ = best_on_grid(desk_cache, grid)
+    grid = np.repeat(np.linspace(0.0, 0.99, 21)[:, None], 2, axis=1)
+    _, grid_best, _ = best_on_grid(desk_cache, grid, np.broadcast_to(eta, (21, 3, 2)))
     assert res_rho.value >= grid_best - 1e-9
 
     res_eta = optimize_eta(desk_cache, np.full(2, 0.3), ga_cfg, rng,
@@ -134,10 +133,14 @@ def test_optimizers_improve_on_seeds(desk_cache):
 def test_best_on_grid_matches_argmax(desk_cache):
     rng = substream(29, "grid")
     allocs = [random_allocation(3, 2, rng) for _ in range(6)]
-    best, value, values = best_on_grid(desk_cache, allocs)
+    rho = np.stack([a.rho for a in allocs])
+    eta = np.stack([a.eta for a in allocs])
+    best, value, values = best_on_grid(desk_cache, rho, eta)
     assert values.shape == (6,)
     k = int(np.argmax(values))
     assert value == pytest.approx(values[k])
-    assert best is allocs[k]
+    np.testing.assert_array_equal(best.rho, allocs[k].rho)
+    np.testing.assert_array_equal(best.eta, allocs[k].eta)
+    assert not np.shares_memory(best.eta, eta)
     direct = evaluate_cache(desk_cache, allocs[k]).sum_se
     assert value == pytest.approx(direct, rel=1e-12)

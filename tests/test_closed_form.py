@@ -1,13 +1,15 @@
 """Closed-form spectral-efficiency bound: moments, cache, special cases."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
-from cfrs.closed_form import (PowerAllocation, build_cache, closed_moments,
-                              evaluate_cache, normalization_coeffs,
-                              sum_se_batch, upsilon_moments)
+from cfrs.closed_form import (PowerAllocation, _sinr_terms, build_cache,
+                              closed_moments, evaluate_cache,
+                              normalization_coeffs, sum_se_batch,
+                              upsilon_moments)
 from cfrs.config import SystemConfig
 from cfrs.estimation import (PilotAssignment, assign_pilots,
                              estimation_statistics, perfect_csi_statistics)
@@ -15,8 +17,8 @@ from cfrs.geometry import LinkStatistics, draw_geometry, link_statistics
 from cfrs.monte_carlo import sample_moments
 from cfrs.rng import substream
 from cfrs.scenario import EnvScenario
-from conftest import (dense_qbar, dense_qbar_perfect, max_rel_diff,
-                      random_allocation, uncorrelated_cache)
+from conftest import (dense_qbar, dense_qbar_perfect, einsum_sinr_terms,
+                      max_rel_diff, random_allocation, uncorrelated_cache)
 
 
 def test_power_allocation_roundtrip():
@@ -332,3 +334,33 @@ def test_wrong_shaped_allocation_is_rejected(desk_cache):
         sum_se_batch(desk_cache, alloc.rho[None], alloc.eta[None])
     with pytest.raises(ValueError, match=r"\(4, 2\).*\(4, 2, 2\).*\(3, 2\)"):
         sum_se_batch(desk_cache, np.full((4, 2), 0.5), np.ones((4, 2, 2)))
+
+
+def _paper_scale_pieces():
+    cfg = SystemConfig(K=40, L=100, seed=5)
+    scenario = EnvScenario(cfg)
+    return (cfg, *scenario.drop_statistics(), scenario.pilots)
+
+
+@pytest.mark.parametrize("pieces", ["desk_pieces", "full_pieces", "copilot_pieces",
+                                    "K40_L100", "pickled"])
+def test_gemm_sinr_matches_einsum(pieces, request):
+    """The GEMM assembly agrees with one einsum per term, on caches in the
+    GEMM layout and on a pickled one, which unpickles in plain C order."""
+    if pieces == "K40_L100":
+        cfg, stats, est, pilots = _paper_scale_pieces()
+    else:
+        name = "full_pieces" if pieces == "pickled" else pieces
+        cfg, stats, est, pilots = request.getfixturevalue(name)
+    cache = build_cache(stats, est, pilots, cfg)
+    if pieces == "pickled":
+        cache = pickle.loads(pickle.dumps(cache))
+        assert cache.p1.flags.c_contiguous
+    K, L = stats.K, stats.L
+    rng = substream(47, pieces)
+    rho = np.concatenate([rng.uniform(size=(18, L)), np.zeros((1, L)),
+                          np.ones((1, L)), np.full((1, L), 0.5)])
+    eta = np.concatenate([rng.uniform(size=(18, K, L)), np.ones((3, K, L))])
+    for got, want in zip(_sinr_terms(cache, rho, eta), einsum_sinr_terms(cache, rho, eta)):
+        assert got.shape == want.shape == (21, K)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -320,6 +320,21 @@ def test_cli_run_and_errors(tmp_path, capsys):
     assert "figure" in err["error"]
 
 
+def test_cli_run_rayleigh_sidecar_is_strict_json(tmp_path, capsys):
+    """A Rayleigh config's sidecar once held the non-JSON token -Infinity."""
+    cfg = tmp_path / "rayleigh.cfg"
+    cfg.write_text(TINY_CONFIG.replace("kappa_grid_db = -5, 5\n", "")
+                   .replace("experiment = rician_sweep", "experiment = cdf")
+                   + "rician_db = -inf\nn_blocks = 20\n")
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    _, sidecar = _strict_json(capsys.readouterr().out)["written"]
+    with open(sidecar, encoding="utf-8") as fh:
+        meta = _strict_json(fh.read())
+    assert meta["system"]["rician_db"] == "-inf"
+    assert parse_config_text(f"rician_db = {meta['system']['rician_db']}\n") \
+        .system.rician_db == float("-inf")
+
+
 @pytest.mark.parametrize("line", ["p_dl_dbm = nan", "area_side = nan",
                                   "power_grid_dbm = 3, inf", "ue_grid = 2, 2",
                                   "n_blocks = 1", "ap_grid = 0, 4", "ue_grid = 0",

@@ -11,6 +11,7 @@ from cfrs.diffusion import (Adam, DiffusionTrainer, Environment, EpsNetwork,
                             TrainingError, forward_diffuse, load_checkpoint,
                             make_schedule, reverse_sample, save_checkpoint)
 from cfrs.rng import substream
+from conftest import dict_train
 
 
 def test_environment_features_and_range():
@@ -188,13 +189,50 @@ def test_network_requires_params_or_rng():
         EpsNetwork(4)
 
 
+def test_loss_and_grads_writes_into_out():
+    """out= fills the given arrays with the bits of the fresh-array path
+    and returns them; a trainer's gradient dict views its flat buffer."""
+    rng = substream(13, "out")
+    ds = _toy_dataset(dim=5)
+    net = EpsNetwork(5, hidden=8, rng=rng)
+    trainer = DiffusionTrainer(net, make_schedule(), ds, TrainConfig(), rng)
+    x = rng.standard_normal((6, 5))
+    t = rng.integers(1, 11, size=6)
+    env = rng.uniform(-1, 1, size=(6, 2))
+    target = rng.standard_normal((6, 5))
+    loss, fresh = net.loss_and_grads(x, t, env, target)
+    loss_out, grads = net.loss_and_grads(x, t, env, target, out=trainer.grads,
+                                         emb=trainer.step_table[t - 1])
+    assert grads is trainer.grads and loss_out == loss
+    for key, arr in grads.items():
+        assert np.shares_memory(arr, trainer.flat_grad)
+        assert not np.shares_memory(fresh[key], trainer.flat_grad)
+        assert np.shares_memory(net.params[key], trainer.flat_params)
+        np.testing.assert_array_equal(arr, fresh[key])
+
+
+def test_trainer_matches_dict_oracle():
+    """The flat-buffer trainer takes the per-parameter loop's steps bit for
+    bit: every loss and every weight after 50 steps."""
+    ds = _toy_dataset()
+    s = make_schedule()
+    cfg = TrainConfig(lr=1e-3)
+    net = EpsNetwork(ds.dim, rng=substream(53, "init"))
+    params = {k: v.copy() for k, v in net.params.items()}
+    losses = DiffusionTrainer(net, s, ds, cfg, substream(53, "train")).run(50)
+    oracle = dict_train(params, s, ds, cfg, substream(53, "train"), 50)
+    assert np.array_equal(losses, oracle)
+    for key, arr in params.items():
+        assert np.array_equal(net.params[key], arr), key
+
+
 def test_adam_minimizes_quadratic():
     target = np.array([1.5, -2.0, 0.25])
-    params = {"w": np.zeros(3)}
+    params = np.zeros(3)
     opt = Adam(params, lr=0.05)
     for _ in range(2000):
-        opt.step(params, {"w": 2.0 * (params["w"] - target)})
-    np.testing.assert_allclose(params["w"], target, atol=1e-4)
+        opt.step(params, 2.0 * (params - target))
+    np.testing.assert_allclose(params, target, atol=1e-4)
 
 
 def _toy_dataset(m=6, dim=4, seed=17):

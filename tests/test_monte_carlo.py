@@ -22,15 +22,6 @@ from conftest import (expected_tx_power, joint_draw_achievable, max_rel_diff,
                       mc_uatf_sinrs, random_allocation, sample_tx_power)
 
 
-@pytest.fixture(scope="module")
-def copilot_pieces():
-    """A drop with K=8 users on tau_p=3 pilots over L=6 APs."""
-    cfg = SystemConfig(L=6, K=8, N=4, tau_p=3, seed=17)
-    scenario = EnvScenario(cfg)
-    stats, est = scenario.drop_statistics()
-    return cfg, stats, est, scenario.pilots
-
-
 def _desk_drop_under_los(rician_db):
     cfg = SystemConfig(L=2, K=3, N=2, tau_p=2, rician_db=rician_db, seed=7)
     scenario = EnvScenario(cfg)
