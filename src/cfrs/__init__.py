@@ -6,8 +6,8 @@ from .allocation import (GAConfig, GAResult, ga_optimize, heuristic_control,
                          heuristic_split, optimize_eta, optimize_joint,
                          optimize_rho)
 from .closed_form import (PowerAllocation, SECache, SEReport, build_cache,
-                          closed_moments, evaluate_cache, normalization_coeffs,
-                          sum_se_batch, upsilon_moments)
+                          evaluate_cache, normalization_coeffs, sum_se_batch,
+                          upsilon_moments)
 from .config import SystemConfig, db_to_linear, dbm_to_mw
 from .diffusion import (Environment, EpsNetwork, ExpertDataset, Schedule,
                         TrainConfig, forward_diffuse, load_checkpoint,
@@ -22,7 +22,7 @@ from .geometry import (Geometry, LinkStatistics, Placement, draw_geometry,
                        link_statistics, path_loss, place_network, rician_split)
 from .monte_carlo import (AchievableReport, ChannelSampler, achievable_sum_se,
                           build_precoders, instantaneous_sinrs, sample_moments)
-from .rng import complex_normal, substream
+from .rng import substream
 from .scenario import EnvScenario, build_expert_dataset, train_policy
 
 __version__ = "0.1.0"

@@ -31,16 +31,20 @@ def heuristic_split(zeta, rho0):
     its (root-mean) user gain sits from the network average; the step
     omega = min(rho0, 1 - rho0) / SPLIT_EPSILON keeps every factor in (0, 1).
     APs with stronger average links put more power on the common message.
+
+    rho0 is a scalar, giving (L,), or a 1-D grid of P factors, giving (P, L).
     """
     zeta = np.asarray(zeta, dtype=float)
-    if not 0.0 <= rho0 <= 1.0:
+    rho0 = np.asarray(rho0, dtype=float)
+    if not np.all((rho0 >= 0.0) & (rho0 <= 1.0)):
         raise ValueError("rho0 must lie in [0, 1]")
+    rho0 = rho0[..., None]
     zl = zeta.mean(axis=0) ** SPLIT_EXPONENT
     dev = zl - zl.mean()
     m = np.max(np.abs(dev))
     if m == 0.0:
-        return np.full(zeta.shape[1], float(rho0))
-    omega = min(rho0, 1.0 - rho0) / SPLIT_EPSILON
+        return np.repeat(rho0, zeta.shape[1], axis=-1)
+    omega = np.minimum(rho0, 1.0 - rho0) / SPLIT_EPSILON
     return rho0 + omega * dev / m
 
 

@@ -2,7 +2,9 @@
 
 Subcommands: run a config file, reproduce a figure-style sweep, train and
 save the conditional optimizer, generate an allocation for an environment,
-and validate the closed forms against their Monte Carlo estimators. Reports
+and validate the closed forms against their Monte Carlo estimators. validate
+reads the first and second moments and the normalizers from the SECache the
+optimizers score, and the Upsilon cross-moments from upsilon_moments. Reports
 are strict JSON on stdout; errors print a single JSON object {"error":
 message} to stderr and exit nonzero so scripts can parse failures. Exit codes:
 
@@ -24,9 +26,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .closed_form import (DegenerateStatisticsError, PowerAllocation,
-                          closed_moments, normalization_coeffs, sum_se_batch,
-                          upsilon_moments)
+from .closed_form import (DegenerateStatisticsError, PowerAllocation, build_cache,
+                          sum_se_batch, upsilon_moments)
 from .config import SystemConfig
 from .diffusion import (Environment, TrainConfig, TrainingError, load_checkpoint,
                         reverse_sample, save_checkpoint)
@@ -110,18 +111,20 @@ def _cmd_validate(args):
     pilots = scenario.pilots
     stats, est = scenario.drop_statistics()
     m = sample_moments(stats, est, pilots, cfg, args.draws, substream(args.seed, "mc"))
-    mu_c, mu_p = normalization_coeffs(stats, est, pilots)
-    first, second = closed_moments(0, 1, 0, stats, est, pilots)
+    cache = build_cache(stats, est, pilots, cfg)
+    first = cache.p1[0, 1, 0]
     u4, u5 = upsilon_moments(0, 1, 2, 0, stats, est, pilots)
 
     checks = []
     for name, closed, (mean, err), idx, tol in [
             ("first_moment[0,1,0]", first, m.first, (0, 1, 0), 0.01),
-            ("second_moment[0,1,0]", second, m.second, (0, 1, 0), 0.02),
+            ("second_moment[0,1,0]", abs(first) ** 2 + cache.p2[0, 1, 0], m.second,
+             (0, 1, 0), 0.02),
             ("upsilon4[0,1,2,0]", u4, m.upsilon4, (0, 1, 2, 0), 0.02),
             ("upsilon5[0,1,2,0]", u5, m.upsilon5, (0, 1, 2, 0), 0.02),
-            ("common_normalizer[0]", 1.0 / mu_c[0], m.common_norm, (0,), 0.02),
-            ("private_normalizer[0,0]", 1.0 / mu_p[0, 0], m.private_norm, (0, 0), 0.02)]:
+            ("common_normalizer[0]", 1.0 / cache.mu_c[0], m.common_norm, (0,), 0.02),
+            ("private_normalizer[0,0]", 1.0 / cache.mu_p[0, 0], m.private_norm, (0, 0),
+             0.02)]:
         estimate = mean[idx]
         rel = abs(estimate - closed) / max(abs(closed), 1e-300)
         checks.append({"name": name, "closed": _c2j(closed), "monte_carlo": _c2j(estimate),

@@ -102,30 +102,9 @@ class SEReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-tuple moments of estimate/channel inner products. These are the slow,
-# readable forms used by the validation suite; the cache below vectorizes the
-# same algebra.
+# Per-tuple cross-moments of the common-precoder interference: the slow,
+# readable forms `cfrs validate` checks the sampled Upsilon fields against.
 # ---------------------------------------------------------------------------
-
-def closed_moments(k, i, l, stats: LinkStatistics, est: EstimationStatistics,
-                   pilots: PilotAssignment):
-    """First and second moments of g_kl^H ghat_il.
-
-    Returns (first, second) where first = E{g_kl^H ghat_il} (complex) and
-    second = E{|g_kl^H ghat_il|^2} (real).
-    """
-    hk = stats.hbar[k, l]
-    hi = stats.hbar[i, l]
-    a = hk.conj() @ hi
-    tq = np.trace(copilot_cross_moment(k, i, l, stats, est, pilots))  # 0 off pilot group
-    first = a + tq
-    second = (np.abs(a) ** 2
-              + (hi.conj() @ stats.R[k, l] @ hi).real
-              + (hk.conj() @ est.Q[i, l] @ hk).real
-              + np.trace(est.Q[i, l] @ stats.R[k, l]).real)
-    second += np.abs(tq) ** 2 + 2.0 * (np.conj(a) * tq).real
-    return first, float(second)
-
 
 def upsilon_moments(k, i, j, l, stats: LinkStatistics, est: EstimationStatistics,
                     pilots: PilotAssignment):

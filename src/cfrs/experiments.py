@@ -284,7 +284,7 @@ def _split_item(args):
         zeta = scenario.zeta
         eta_equal = np.ones((K, L))
         equal_rhos = np.stack([np.full(L, r) for r in spec.rho_grid])
-        heur_rhos = np.stack([heuristic_split(zeta, r) for r in spec.rho_grid])
+        heur_rhos = heuristic_split(zeta, spec.rho_grid)
         eta_batch = np.broadcast_to(eta_equal, (len(spec.rho_grid), K, L))
         equal = sum_se_batch(cache, equal_rhos, eta_batch)
         heur = sum_se_batch(cache, heur_rhos, eta_batch)

@@ -12,6 +12,10 @@ then the private one). ChannelSampler has one draw per kind of caller:
   and their estimates ghat. A block costs (K + tau_p) L N complex normals,
   the R^1/2 product, a (tau_p, K) pilot-group GEMM and the estimator product.
 
+Both draws follow one stream rule: the normals are drawn blocks first
+(rng.complex_normal_blocks), so block b reads the b-th run of the stream
+whatever the chunk it falls in, and chunks are sized for memory alone.
+
 The rates of a block then cost one (K, L*N) GEMM for the effective channels
 plus O(K L N^2) work for the estimation-error terms. sample_moments
 estimates every closed-form moment from one pass, for `cfrs validate` and the
@@ -32,7 +36,7 @@ from .closed_form import PowerAllocation, check_allocation_shape, normalization_
 from .config import SystemConfig
 from .estimation import EstimationError, EstimationStatistics, PilotAssignment
 from .geometry import LinkStatistics, hermitian_sqrt
-from .rng import complex_normal, complex_normal_blocks
+from .rng import complex_normal_blocks
 
 # Entries of a chunk's largest per-block tensor: (K, L, N), or (L, N, N) if N > K.
 _CHUNK_ENTRY_BUDGET = 1_000_000
@@ -46,11 +50,17 @@ _MOMENT_ENTRY_BUDGET = 50_000
 class ChannelSampler:
     """Vectorized per-block sampler of channels and their MMSE estimates.
 
+    Both draws read their normals blocks first, one block of the stream per
+    coherence block, so a block's draw does not depend on how many blocks a
+    call draws.
+
     draw returns the joint law of (g, ghat), for sample_moments and the
     tests. The pilot noise of a coherence block is drawn once per (pilot, AP)
     and shared by every user on that pilot, which reproduces the
     estimation-error correlation between co-pilot users. A block costs
-    (K + tau_p) L N complex normals and three batched products.
+    (K + tau_p) L N complex normals, the K channel sources first and then
+    the tau_p noise sources (K alone under perfect CSI), and three batched
+    products.
 
     draw_estimates returns ghat alone, for achievable_sum_se. The despread
     observation of pilot t at AP l has covariance S_tl = Psi_tl^-1, so with
@@ -104,36 +114,41 @@ class ChannelSampler:
         return self.Bmat @ chol[pilots.pilot_of], pilots.pilot_of, pilots.tau_p
 
     def draw(self, n, rng):
-        """Return (g, ghat), each C-contiguous of shape (n, K, L, N). Rhalf, the
-        pilot-group sum and Bmat act as matmuls on blocks-last (K, L, N, n) views."""
-        stats, cfg = self.stats, self.cfg
-        w = complex_normal(rng, (n, stats.K, stats.L, stats.N))
-        scattered = self.Rhalf @ np.moveaxis(w, 0, -1)              # (K, L, N, n)
+        """Return (g, ghat), each C-contiguous of shape (n, K, L, N). A block's
+        K channel normals z[:K] and tau_p pilot-noise normals z[K:] are one
+        block of the stream; Rhalf, the pilot-group sum and Bmat act as
+        matmuls on blocks-last (K, L, N, n) views."""
+        stats, cfg, K = self.stats, self.cfg, self.stats.K
+        n_noise = 0 if self.perfect_csi else self.pilots.tau_p
+        z = complex_normal_blocks(rng, n, (K + n_noise, stats.L, stats.N))
+        z = np.moveaxis(z, 0, -1)                                   # (K + tau_p, L, N, n)
+        scattered = self.Rhalf @ z[:K]                              # (K, L, N, n)
         g = np.add(stats.hbar[None], np.moveaxis(scattered, -1, 0), order="C")
         if self.perfect_csi:
             return g, g
-        noise = complex_normal(rng, (n, self.pilots.tau_p, stats.L, stats.N))
-        innovation = (self.indicator @ scattered.reshape(stats.K, -1)).reshape(
-            self.pilots.tau_p, *scattered.shape[1:])                 # (tau_p, L, N, n)
+        innovation = (self.indicator @ scattered.reshape(K, -1)).reshape(
+            n_noise, *scattered.shape[1:])                          # (tau_p, L, N, n)
         innovation *= np.sqrt(cfg.p_pilot_mw * cfg.tau_p)
-        innovation += np.sqrt(cfg.noise_mw) * np.moveaxis(noise, 0, -1)
+        innovation += np.sqrt(cfg.noise_mw) * z[K:]
         spread = self.Bmat @ innovation[self.pilots.pilot_of]       # (K, L, N, n)
         ghat = np.add(stats.hbar[None], np.moveaxis(spread, -1, 0), order="C")
         return g, ghat
 
     def draw_estimates(self, n, rng):
-        """Return ghat alone, C-contiguous of shape (n, K, L, N). The normals
-        are drawn blocks first, so a block's estimate does not depend on how
-        many blocks a call draws."""
+        """Return ghat alone, C-contiguous of shape (n, K, L, N)."""
         A, source, n_sources = self._estimate_map
         stats = self.stats
         z = complex_normal_blocks(rng, n, (n_sources, stats.L, stats.N))
         spread = A @ np.moveaxis(z, 0, -1)[source]                  # (K, L, N, n)
         return np.add(stats.hbar[None], np.moveaxis(spread, -1, 0), order="C")
 
-    def chunk_size(self, requested):
-        per_block = self.stats.L * self.stats.N * max(self.stats.K, self.stats.N)
-        return max(1, min(requested, _CHUNK_ENTRY_BUDGET // per_block))
+
+def _chunks(n, per_block, budget):
+    """Lengths of the chunks that cover n blocks of per_block entries each,
+    at most budget entries a chunk. The draws read their normals blocks
+    first, so the chunking decides memory alone, never the result."""
+    step = max(1, min(n, budget // per_block))
+    return [min(step, n - start) for start in range(0, n, step)]
 
 
 def build_precoders(ghat, mu_c, mu_p):
@@ -220,10 +235,10 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
         raise ValueError("n_blocks must be at least 2")
     check_allocation_shape(alloc.rho.shape, alloc.eta.shape, stats.K, stats.L)
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    chunk = sampler.chunk_size(n_blocks)
     se_c, se_p = [], []
-    for start in range(0, n_blocks, chunk):
-        ghat = sampler.draw_estimates(min(chunk, n_blocks - start), rng)
+    for n in _chunks(n_blocks, stats.L * stats.N * max(stats.K, stats.N),
+                     _CHUNK_ENTRY_BUDGET):
+        ghat = sampler.draw_estimates(n, rng)
         v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
         sinr_c, sinr_p = instantaneous_sinrs(ghat, v_c, v_p, est.C, alloc, cfg)
         se_c.append(np.log2(1.0 + sinr_c.min(axis=-1)))
@@ -251,7 +266,7 @@ class Estimate(NamedTuple):
 class SampleMoments:
     """Sample means of the closed-form moments over n_draws blocks.
 
-    Indices follow closed_moments(k, i, l) and upsilon_moments(k, i, j, l):
+    Indices follow SECache.p1[k, i, l] and upsilon_moments(k, i, j, l):
       first[k, i, l]           E{g_kl^H ghat_il}
       second[k, i, l]          E{|g_kl^H ghat_il|^2}
       upsilon3[k, i, j, l]     E{(g_kl^H ghat_il)^* (g_kl^H ghat_jl)}
@@ -360,12 +375,10 @@ def sample_moments(stats: LinkStatistics, est: EstimationStatistics,
         raise ValueError("n_draws must be at least 2")
     sampler = ChannelSampler(stats, est, pilots, cfg)
     K, L, N = stats.K, stats.L, stats.N
-    per_block = K ** 2 * L * max(K, N ** 2)
-    chunk = max(1, min(n_draws, _MOMENT_ENTRY_BUDGET // per_block))
     Cl = est.C.transpose(1, 0, 2, 3).reshape(L, K * N, N)   # [l, k N + a, b] = C_kl[a, b]
     gram, shifts, sums = 0.0, None, [[0.0, 0.0] for _ in range(3)]
-    for start in range(0, n_draws, chunk):
-        ac, samples = _chunk_samples(*sampler.draw(min(chunk, n_draws - start), rng), Cl)
+    for n in _chunks(n_draws, K ** 2 * L * max(K, N ** 2), _MOMENT_ENTRY_BUDGET):
+        ac, samples = _chunk_samples(*sampler.draw(n, rng), Cl)
         if shifts is None:
             m, shifts = ac[..., 0].copy(), [x[..., 0].copy() for x in samples]
         gram += _deviation_gram(ac, m)

@@ -27,20 +27,6 @@ def substream(seed, *tags):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def complex_normal(rng, shape):
-    """Circularly symmetric complex Gaussian samples with unit variance.
-
-    Draws every real part, then every imaginary part, and scales them in
-    place: the same numbers as (re + 1j * im) / sqrt(2) without its complex
-    temporaries.
-    """
-    out = np.empty(shape, dtype=complex)
-    scale = 1.0 / np.sqrt(2.0)
-    np.multiply(rng.standard_normal(shape), scale, out=out.real)
-    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
-    return out
-
-
 def complex_normal_blocks(rng, n, shape):
     """n blocks of circularly symmetric unit-variance complex Gaussians,
     shape (n, *shape).

@@ -75,7 +75,7 @@ class EnvScenario:
     def best_heuristic(self, cache, rho_grid=DEFAULT_RHO_GRID):
         """Heuristic splitting swept over the initial factor, joined with the
         heuristic power control; best grid point by the closed-form value."""
-        rho = np.stack([heuristic_split(self.zeta, r) for r in rho_grid])
+        rho = heuristic_split(self.zeta, rho_grid)
         eta = heuristic_control(self.zeta)
         return best_on_grid(cache, rho, np.broadcast_to(eta, (len(rho),) + eta.shape))
 

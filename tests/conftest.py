@@ -19,8 +19,9 @@ from cfrs.closed_form import DegenerateStatisticsError, SECache, build_cache
 from cfrs.config import SystemConfig
 from cfrs.diffusion import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BATCH_SIZE,
                             _time_embedding, forward_diffuse)
-from cfrs.monte_carlo import ChannelSampler, build_precoders, instantaneous_sinrs
-from cfrs.rng import complex_normal
+from cfrs.monte_carlo import (_CHUNK_ENTRY_BUDGET, ChannelSampler, _chunks,
+                              build_precoders, instantaneous_sinrs)
+from cfrs.rng import complex_normal_blocks
 from cfrs.scenario import EnvScenario
 
 
@@ -140,22 +141,24 @@ def einsum_sinr_terms(cache, rho, eta):
     return cache.p_dl * Tc1 / den_c, p_over_k * own / den_p
 
 
+def _oracle_chunks(stats, n):
+    """Chunks of the oracles' joint draws, sized like achievable_sum_se's."""
+    return _chunks(n, stats.L * stats.N * max(stats.K, stats.N), _CHUNK_ENTRY_BUDGET)
+
+
 def mc_uatf_sinrs(stats, est, pilots, cfg, alloc, n_draws, rng):
     """Sample-moment assembly of the statistical SINR lower bounds.
 
     Estimates the mean and mean-square of the effective common and private
-    channels g^H u over n_draws blocks (4096-block chunks) and assembles
-    them exactly as the closed-form bound does. Returns (sinr_c, sinr_p),
-    each (K,).
+    channels g^H u over n_draws blocks and assembles them exactly as the
+    closed-form bound does. Returns (sinr_c, sinr_p), each (K,).
     """
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    chunk = sampler.chunk_size(4096)
     K, L, N = stats.K, stats.L, stats.N
     amp_c = np.sqrt(alloc.rho)[:, None]
     amp_p = np.sqrt((1.0 - alloc.rho)[None, :] * alloc.eta)[:, :, None]
     sums = [0.0] * 4           # sum rec_c, |rec_c|^2, rec_p[k, k], |rec_p|^2
-    for start in range(0, n_draws, chunk):
-        n = min(chunk, n_draws - start)
+    for n in _oracle_chunks(stats, n_draws):
         g, ghat = sampler.draw(n, rng)
         v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
         u_c, u_p = amp_c * v_c, amp_p * v_p
@@ -174,14 +177,13 @@ def mc_uatf_sinrs(stats, est, pilots, cfg, alloc, n_draws, rng):
 
 
 def joint_draw_achievable(stats, est, pilots, cfg, alloc, n_blocks, rng):
-    """Achievable sum SE from the joint (g, ghat) draw, 2048-block chunks:
-    the estimates come from sampled channels and pilot noise, not from their
-    own law. Returns (sum SE, standard error)."""
+    """Achievable sum SE from the joint (g, ghat) draw: the estimates come
+    from sampled channels and pilot noise, not from their own law. Returns
+    (sum SE, standard error)."""
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    chunk = sampler.chunk_size(2048)
     totals = []
-    for start in range(0, n_blocks, chunk):
-        _, ghat = sampler.draw(min(chunk, n_blocks - start), rng)
+    for n in _oracle_chunks(stats, n_blocks):
+        _, ghat = sampler.draw(n, rng)
         v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
         sinr_c, sinr_p = instantaneous_sinrs(ghat, v_c, v_p, est.C, alloc, cfg)
         totals.append(np.log2(1.0 + sinr_c.min(axis=-1)) + np.log2(1.0 + sinr_p).sum(axis=-1))
@@ -207,20 +209,19 @@ def expected_tx_power(alloc, cfg):
 
 def sample_tx_power(stats, est, pilots, cfg, alloc, l, n_draws, rng):
     """Sample mean and standard error of ||x_l||^2, the power AP l radiates
-    with the normalized precoders and fresh unit-power data symbols."""
+    with the normalized precoders and fresh unit-power data symbols (the
+    common one, then K private ones per block, drawn ahead of the channels)."""
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    chunk = sampler.chunk_size(8192)
     amp_c = np.sqrt(cfg.p_dl_mw * alloc.rho[l])
     amp_p = np.sqrt(cfg.p_dl_mw * (1.0 - alloc.rho[l]) * alloc.eta[:, l] / stats.K)
+    symbols = complex_normal_blocks(rng, n_draws, (stats.K + 1,))
     samples = []
-    for start in range(0, n_draws, chunk):
-        n = min(chunk, n_draws - start)
+    for n in _oracle_chunks(stats, n_draws):
         _, ghat = sampler.draw(n, rng)
         v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
-        s_c = complex_normal(rng, (n,))
-        s_i = complex_normal(rng, (n, stats.K))
-        x = (amp_c * v_c[:, l] * s_c[:, None]
-             + np.einsum("i,bin,bi->bn", amp_p, v_p[:, :, l], s_i))
+        s, symbols = symbols[:n], symbols[n:]
+        x = (amp_c * v_c[:, l] * s[:, :1]
+             + np.einsum("i,bin,bi->bn", amp_p, v_p[:, :, l], s[:, 1:]))
         samples.append(np.einsum("bn,bn->b", x.conj(), x).real)
     samples = np.concatenate(samples)
     return float(samples.mean()), float(np.sqrt(samples.var(ddof=1) / n_draws))

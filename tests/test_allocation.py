@@ -34,6 +34,23 @@ def test_heuristic_split_bounds_and_degenerate():
         heuristic_split(ZETA, 1.2)
 
 
+@pytest.mark.parametrize("zeta", [
+    pytest.param(substream(7, "grid").uniform(0.1, 5.0, size=(4, 6)), id="random"),
+    pytest.param(np.ones((3, 4)), id="degenerate"),
+])
+def test_heuristic_split_grid_matches_scalar_calls(zeta):
+    """A 1-D grid of rho0 gives, row by row, the bits of one call per entry,
+    the degenerate zeta and rho0 in {0, 1} included; any entry out of range
+    rejects the whole grid."""
+    grid = np.array([0.0, 0.25, 0.5, 0.99, 1.0])
+    rho = heuristic_split(zeta, grid)
+    assert rho.shape == (len(grid), zeta.shape[1])
+    np.testing.assert_array_equal(rho, np.stack([heuristic_split(zeta, r) for r in grid]))
+    for bad in ([0.5, 1.2], [-0.1, 0.5], [0.5, np.nan]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            heuristic_split(zeta, bad)
+
+
 def test_heuristic_control_hand_values():
     eta = heuristic_control(ZETA)
     expected = np.array([[0.66874030, 0.56234133],

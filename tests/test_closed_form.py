@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from cfrs.closed_form import (PowerAllocation, _sinr_terms, build_cache,
-                              closed_moments, evaluate_cache,
-                              normalization_coeffs, sum_se_batch,
-                              upsilon_moments)
+                              evaluate_cache, normalization_coeffs,
+                              sum_se_batch, upsilon_moments)
 from cfrs.config import SystemConfig
 from cfrs.estimation import (PilotAssignment, assign_pilots,
                              estimation_statistics, perfect_csi_statistics)
@@ -64,29 +63,14 @@ def desk_moments(desk_pieces):
     return sample_moments(stats, est, pilots, cfg, 40000, substream(31, "moments"))
 
 
-def test_closed_moments_against_sampling(desk_pieces, desk_moments):
-    """Spot check of the per-tuple moment formulas; the acceptance suite
-    sweeps every tuple at a much larger draw count."""
-    _, stats, est, pilots = desk_pieces
-    cop = pilots.copilot
-    picked = []
-    for k in range(stats.K):
-        for i in range(stats.K):
-            if k != i and cop[k, i]:
-                picked.append((k, i))
-                break
-    for k in range(stats.K):
-        for i in range(stats.K):
-            if not cop[k, i]:
-                picked.append((k, i))
-                break
-    assert picked
-    for k, i in picked[:3]:
-        first, second = closed_moments(k, i, 0, stats, est, pilots)
-        mc1 = desk_moments.first.mean[k, i, 0]
-        mc2 = desk_moments.second.mean[k, i, 0]
-        assert abs(mc1 - first) <= 0.05 * abs(first)
-        assert abs(mc2 - second) <= 0.05 * second
+def test_closed_moments_against_sampling(desk_cache, desk_moments):
+    """The cache's moments of g_kl^H ghat_il, E = p1 and E|.|^2 = |p1|^2 + p2,
+    against sampling at every (k, i, l); the acceptance suite repeats the
+    sweep at a much larger draw count."""
+    first = desk_cache.p1
+    second = np.abs(first) ** 2 + desk_cache.p2
+    assert np.all(np.abs(desk_moments.first.mean - first) <= 0.05 * np.abs(first))
+    assert np.all(np.abs(desk_moments.second.mean - second) <= 0.05 * second)
 
 
 def test_upsilon_decomposition_against_sampling(desk_pieces, desk_moments):

@@ -8,7 +8,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from cfrs.closed_form import PowerAllocation, build_cache, evaluate_cache
+from cfrs import monte_carlo
+from cfrs.closed_form import PowerAllocation, evaluate_cache
 from cfrs.config import SystemConfig
 from cfrs.estimation import (EstimationError, copilot_cross_moment,
                              perfect_csi_statistics)
@@ -16,7 +17,7 @@ from cfrs.geometry import hermitian_sqrt
 from cfrs.monte_carlo import (ChannelSampler, achievable_sum_se,
                               build_precoders, instantaneous_sinrs,
                               sample_moments)
-from cfrs.rng import complex_normal, complex_normal_blocks, substream
+from cfrs.rng import complex_normal_blocks, substream
 from cfrs.scenario import EnvScenario
 from conftest import (expected_tx_power, joint_draw_achievable, max_rel_diff,
                       mc_uatf_sinrs, random_allocation, sample_tx_power)
@@ -89,25 +90,17 @@ def test_instantaneous_sinrs_match_hand_loop(drop, request):
                     np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0)
 
 
-def test_complex_normal_stream_order():
-    """Every real part first, then every imaginary part, scaled by 1/sqrt(2):
-    the order the sampler's random streams rest on."""
-    z = complex_normal(substream(89, "cn"), (4, 3, 2))
-    rng = substream(89, "cn")
-    re, im = rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3, 2))
-    np.testing.assert_allclose(z, (re + 1j * im) / np.sqrt(2.0), rtol=1e-15, atol=0)
-
-
 @pytest.mark.parametrize("drop", ORACLE_DROPS)
 def test_sampler_draw_matches_per_link_reference(drop, request):
     """g = hbar + R^1/2 w per link, and ghat = hbar + sqrt(p tau_p) R Psi y
-    with y the despread pilot signal of the user's group, on the same stream."""
+    with y the despread pilot signal of the user's group, on the same stream:
+    each block reads its K channel normals w, then its tau_p noise normals."""
     cfg, stats, est, pilots = request.getfixturevalue(drop)
     n = 5
     g, ghat = ChannelSampler(stats, est, pilots, cfg).draw(n, substream(83, drop))
-    rng = substream(83, drop)
-    w = complex_normal(rng, (n, stats.K, stats.L, stats.N))
-    noise = complex_normal(rng, (n, pilots.tau_p, stats.L, stats.N))
+    z = complex_normal_blocks(substream(83, drop), n,
+                              (stats.K + pilots.tau_p, stats.L, stats.N))
+    w, noise = z[:, :stats.K], z[:, stats.K:]
     ptau = cfg.p_pilot_mw * cfg.tau_p
     Rhalf = hermitian_sqrt(stats.R)
     g_ref = np.empty_like(g)
@@ -162,17 +155,15 @@ def _moment_samples_by_hand(g, ghat, C):
 ])
 def test_sample_moments_match_hand_loop(drop, n, request):
     """One pass equals the per-tuple sample means and their ddof=1 standard
-    errors (var(re) + var(im) for complex moments) on the same stream. The
-    draw counts span more than one chunk and end on a partial one (of a
-    single block for 695 desk draws)."""
+    errors (var(re) + var(im) for complex moments) of one draw of all n
+    blocks on the same stream. The pass spans more than one chunk and ends
+    on a partial one (of a single block for 695 desk draws)."""
     cfg, stats, est, pilots = request.getfixturevalue(drop)
     moments = sample_moments(stats, est, pilots, cfg, n, substream(97, drop))
-    rng = substream(97, drop)
-    sampler = ChannelSampler(stats, est, pilots, cfg)
-    chunk = 50_000 // (stats.K ** 2 * stats.L * max(stats.K, stats.N ** 2))
+    chunk = monte_carlo._MOMENT_ENTRY_BUDGET // (
+        stats.K ** 2 * stats.L * max(stats.K, stats.N ** 2))
     assert chunk < n and n % chunk
-    draws = [sampler.draw(min(chunk, n - start), rng) for start in range(0, n, chunk)]
-    g, ghat = (np.concatenate(parts) for parts in zip(*draws))
+    g, ghat = ChannelSampler(stats, est, pilots, cfg).draw(n, substream(97, drop))
     for name, x in zip(["first", "second", "upsilon3", "upsilon4", "upsilon5",
                         "common_norm", "private_norm"],
                        _moment_samples_by_hand(g, ghat, est.C)):
@@ -377,10 +368,37 @@ def test_estimate_draw_is_chunk_invariant(csi, copilot_pieces, monkeypatch):
     np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=0)
 
     one = achievable_sum_se(stats, est, pilots, cfg, alloc, 100, substream(109, csi))
-    monkeypatch.setattr(ChannelSampler, "chunk_size", lambda self, requested: 37)
+    per_block = stats.L * stats.N * max(stats.K, stats.N)
+    monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRY_BUDGET", 37 * per_block)
     chunked = achievable_sum_se(stats, est, pilots, cfg, alloc, 100, substream(109, csi))
     assert chunked.sum_se == pytest.approx(one.sum_se, rel=1e-12, abs=0)
     assert chunked.stderr == pytest.approx(one.stderr, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("csi", ["imperfect", "perfect"])
+def test_joint_draw_is_chunk_invariant(csi, copilot_pieces):
+    """37 blocks and then 63 read the same normals as 100 blocks at once and
+    give the same channels and estimates, up to the last bits BLAS blocking
+    moves; under perfect CSI the channels are draw_estimates' on the same
+    stream, bit for bit."""
+    cfg, stats, est, pilots = copilot_pieces
+    if csi == "perfect":
+        est = perfect_csi_statistics(stats)
+    sampler = ChannelSampler(stats, est, pilots, cfg)
+    shape = (stats.K + (0 if csi == "perfect" else pilots.tau_p), stats.L, stats.N)
+    rng = substream(137, csi)
+    parts = [complex_normal_blocks(rng, n, shape) for n in (37, 63)]
+    np.testing.assert_array_equal(np.concatenate(parts),
+                                  complex_normal_blocks(substream(137, csi), 100, shape))
+
+    rng = substream(139, csi)
+    parts = [sampler.draw(n, rng) for n in (37, 63)]
+    whole = sampler.draw(100, substream(139, csi))
+    for got, expected in zip(zip(*parts), whole):
+        np.testing.assert_allclose(np.concatenate(got), expected, rtol=1e-12, atol=0)
+    if csi == "perfect":
+        np.testing.assert_array_equal(whole[0],
+                                      sampler.draw_estimates(100, substream(139, csi)))
 
 
 @pytest.mark.parametrize("drop", ["desk_pieces", "copilot_pieces", "perfect_csi"])
