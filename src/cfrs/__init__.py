@@ -10,8 +10,8 @@ from .closed_form import (PowerAllocation, SECache, SEReport, build_cache,
                           upsilon_moments)
 from .config import SystemConfig, db_to_linear, dbm_to_mw
 from .diffusion import (Environment, EpsNetwork, ExpertDataset, Schedule,
-                        TrainConfig, forward_diffuse, load_checkpoint,
-                        make_schedule, reverse_sample, save_checkpoint)
+                        forward_diffuse, load_checkpoint, make_schedule,
+                        reverse_sample, save_checkpoint)
 from .estimation import (EstimationStatistics, PilotAssignment, assign_pilots,
                          estimation_statistics, perfect_csi_statistics)
 from .experiments import (DIFFUSION_SYSTEM, EXPERIMENT_IDS, FIGURE_PRESETS,
@@ -21,7 +21,7 @@ from .experiments import (DIFFUSION_SYSTEM, EXPERIMENT_IDS, FIGURE_PRESETS,
 from .geometry import (Geometry, LinkStatistics, Placement, draw_geometry,
                        link_statistics, path_loss, place_network, rician_split)
 from .monte_carlo import (AchievableReport, ChannelSampler, achievable_sum_se,
-                          build_precoders, instantaneous_sinrs, sample_moments)
+                          instantaneous_sinrs, sample_moments)
 from .rng import substream
 from .scenario import EnvScenario, build_expert_dataset, train_policy
 

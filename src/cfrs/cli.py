@@ -29,8 +29,8 @@ import numpy as np
 from .closed_form import (DegenerateStatisticsError, PowerAllocation, build_cache,
                           sum_se_batch, upsilon_moments)
 from .config import SystemConfig
-from .diffusion import (Environment, TrainConfig, TrainingError, load_checkpoint,
-                        reverse_sample, save_checkpoint)
+from .diffusion import (Environment, TrainingError, load_checkpoint, reverse_sample,
+                        save_checkpoint)
 from .estimation import EstimationError
 from .experiments import (DIFFUSION_SYSTEM, FIGURE_PRESETS, ConfigError,
                           ExperimentSpec, parse_config, run_experiment,
@@ -63,7 +63,7 @@ def _cmd_run(args):
 def _cmd_train(args):
     spec = ExperimentSpec(train_steps=args.steps, train_lr=args.lr)
     _, dataset, trainer = train_policy(DIFFUSION_SYSTEM, args.seed, training_envs(),
-                                       spec.ga_config, TrainConfig(lr=spec.train_lr))
+                                       spec.ga_config, spec.train_lr)
     losses = trainer.run(spec.train_steps)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt = os.path.join(args.out_dir, "diffusion.npz")
@@ -110,8 +110,10 @@ def _cmd_validate(args):
     scenario = EnvScenario(cfg)
     pilots = scenario.pilots
     stats, est = scenario.drop_statistics()
-    m = sample_moments(stats, est, pilots, cfg, args.draws, substream(args.seed, "mc"))
+    # The cache draws nothing, so building it first fails a degenerate drop
+    # before the sampling pass and leaves the stream where it was.
     cache = build_cache(stats, est, pilots, cfg)
+    m = sample_moments(stats, est, pilots, cfg, args.draws, substream(args.seed, "mc"))
     first = cache.p1[0, 1, 0]
     u4, u5 = upsilon_moments(0, 1, 2, 0, stats, est, pilots)
 

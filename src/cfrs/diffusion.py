@@ -28,8 +28,10 @@ SCHEDULE_STEPS = 10
 SCHEDULE_V_MIN = 0.02
 SCHEDULE_V_MAX = 0.2
 
-# Records per training step; Adam's decay rates and guard (Kingma & Ba's).
+# Records per training step; the jitter on the expert targets, clamped to the
+# box; Adam's decay rates and guard (Kingma & Ba's).
 BATCH_SIZE = 64
+EXPLORE_NOISE = 0.01
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -280,12 +282,6 @@ class ExpertDataset:
                                 + [repr(float(self.sum_se[m]))])
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 1e-4
-    explore_noise: float = 0.01  # jitter on the expert targets, clamped to the box
-
-
 def _flat_views(flat, like):
     """Views into the flat vector, shaped and keyed like the dict `like`."""
     views, start = {}, 0
@@ -306,10 +302,9 @@ class DiffusionTrainer:
     """
 
     def __init__(self, net: EpsNetwork, schedule: Schedule,
-                 dataset: ExpertDataset, cfg: TrainConfig, rng):
+                 dataset: ExpertDataset, lr, rng):
         self.net = net
         self.schedule = schedule
-        self.cfg = cfg
         self.rng = rng
         self.x0 = dataset.x0
         self.feats = dataset.features()
@@ -318,18 +313,17 @@ class DiffusionTrainer:
         self.flat_grad = np.empty_like(self.flat_params)
         net.params = _flat_views(self.flat_params, net.params)
         self.grads = _flat_views(self.flat_grad, net.params)
-        self.opt = Adam(self.flat_params, lr=cfg.lr)
+        self.opt = Adam(self.flat_params, lr=lr)
         self.loss_history = []
 
     def step(self):
-        rng, cfg = self.rng, self.cfg
+        rng = self.rng
         idx = rng.integers(0, len(self.x0), size=BATCH_SIZE)
         t = rng.integers(1, self.schedule.T + 1, size=BATCH_SIZE)
         eps = rng.standard_normal((BATCH_SIZE, self.x0.shape[1]))
         x0 = self.x0[idx]
-        if cfg.explore_noise > 0.0:
-            x0 = np.clip(x0 + cfg.explore_noise
-                         * rng.standard_normal(x0.shape), 0.0, 1.0)
+        if EXPLORE_NOISE > 0.0:
+            x0 = np.clip(x0 + EXPLORE_NOISE * rng.standard_normal(x0.shape), 0.0, 1.0)
         x_t = forward_diffuse(x0, t, eps, self.schedule)
         loss, _ = self.net.loss_and_grads(x_t, t, self.feats[idx], eps,
                                           out=self.grads, emb=self.step_table[t - 1])

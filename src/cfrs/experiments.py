@@ -25,7 +25,7 @@ from .allocation import (GAConfig, heuristic_control, heuristic_split,
                          optimize_eta, optimize_rho)
 from .closed_form import PowerAllocation, build_cache, evaluate_cache, sum_se_batch
 from .config import SystemConfig
-from .diffusion import Environment, TrainConfig, reverse_sample
+from .diffusion import Environment, reverse_sample
 from .estimation import perfect_csi_statistics
 from .monte_carlo import achievable_sum_se
 from .rng import substream
@@ -250,11 +250,14 @@ def _power_item(args):
     stats, est_i = scenario.drop_statistics()
     est_p = perfect_csi_statistics(stats)
     no_rs = PowerAllocation.no_rs(cfg0.K, cfg0.L)
+    # Nor do the cache fields: each power reprices one cache per CSI case.
+    cases = [(csi, est, build_cache(stats, est, pilots, cfg0))
+             for csi, est in (("imperfect", est_i), ("perfect", est_p))]
     out = {}
     for p_dbm in spec.power_grid_dbm:
         cfg = replace(cfg0, p_dl_dbm=float(p_dbm))
-        for csi, est in (("imperfect", est_i), ("perfect", est_p)):
-            cache = build_cache(stats, est, pilots, cfg)
+        for csi, est, cache0 in cases:
+            cache = replace(cache0, p_dl=cfg.p_dl_mw)
             rs, _, _ = scenario.best_equal_split(cache, spec.rho_grid)
             for variant, alloc in (("no_rs", no_rs), ("rs", rs)):
                 rep = achievable_sum_se(stats, est, pilots, cfg, alloc,
@@ -378,7 +381,7 @@ def held_out_envs():
 
 def _train_policy(spec):
     return train_policy(spec.system, spec.seed, training_envs(), spec.ga_config,
-                        TrainConfig(lr=spec.train_lr))
+                        spec.train_lr)
 
 
 def _run_train_diffusion(spec):

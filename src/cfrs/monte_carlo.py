@@ -1,8 +1,11 @@
 """Monte Carlo evaluation of the rate-splitting downlink.
 
-Draws coherence blocks, forms the common and private precoders, and evaluates
-the per-block achievable rates (successive decoding of the common message,
-then the private one). ChannelSampler has one draw per kind of caller:
+Draws coherence blocks and evaluates the per-block achievable rates
+(successive decoding of the common message, then the private one).
+ChannelSampler draws channels and estimates and knows nothing of precoding;
+instantaneous_sinrs goes from the estimates to the rates in one step, forming
+the power-weighted maximum-ratio precoders itself. ChannelSampler has one
+draw per kind of caller:
 
 - draw_estimates serves achievable_sum_se, whose rates read only the
   estimates and the error covariance C. It samples ghat from its own
@@ -16,10 +19,10 @@ Both draws follow one stream rule: the normals are drawn blocks first
 (rng.complex_normal_blocks), so block b reads the b-th run of the stream
 whatever the chunk it falls in, and chunks are sized for memory alone.
 
-The rates of a block then cost one (K, L*N) GEMM for the effective channels
-plus O(K L N^2) work for the estimation-error terms. sample_moments
-estimates every closed-form moment from one pass, for `cfrs validate` and the
-tests. It never forms the K^3 L per-block Upsilon3/4 samples: their shifted
+The rates of a block then cost the weighted precoders, one (K, L*N) GEMM for
+the effective channels and O(K L N^2) work for the estimation-error terms.
+sample_moments estimates every closed-form moment from one pass, for
+`cfrs validate` and the tests. It never forms the K^3 L per-block Upsilon3/4 samples: their shifted
 sums are block-axis Grams of the inner products' deviations from the first
 block (the shifted-data form of the sample variance, Chan, Golub & LeVeque
 1983), so a chunk of n blocks costs O(K^3 L N n) arithmetic in a fixed
@@ -87,7 +90,6 @@ class ChannelSampler:
         self.perfect_csi = est.ptau == 0
         self.indicator = (np.arange(pilots.tau_p)[:, None]
                           == pilots.pilot_of[None, :]).astype(float)
-        self.mu_c, self.mu_p = normalization_coeffs(stats, est, pilots)
 
     @cached_property
     def Rhalf(self):
@@ -151,23 +153,6 @@ def _chunks(n, per_block, budget):
     return [min(step, n - start) for start in range(0, n, step)]
 
 
-def build_precoders(ghat, mu_c, mu_p):
-    """Average-power-normalized precoders from estimates of shape (..., K, L, N).
-
-    Returns (v_c, v_p): the common precoder sqrt(mu_c) sum_i ghat_il of shape
-    (..., L, N) and the private ones sqrt(mu_p) ghat_il of shape (..., K, L, N).
-    """
-    v_c = np.sqrt(mu_c)[:, None] * ghat.sum(axis=-3)
-    v_p = np.sqrt(mu_p)[:, :, None] * ghat
-    return v_c, v_p
-
-
-def _weighted_precoders(v_c, v_p, alloc: PowerAllocation):
-    """sqrt(rho_l) v_c,l and sqrt(w_il) v_il, with w_il = (1 - rho_l) eta_il."""
-    w = (1.0 - alloc.rho)[None, :] * alloc.eta
-    return np.sqrt(alloc.rho)[:, None] * v_c, np.sqrt(w)[:, :, None] * v_p
-
-
 def _effective_gains(h, u_c, u_p):
     """s_c[k] = sum_l h_kl^H u_c,l and s_p[k, i] = sum_l h_kl^H u_il, one GEMM
     each over the flattened (L*N) antennas of h and u_p, both (..., K, L, N)."""
@@ -178,23 +163,31 @@ def _effective_gains(h, u_c, u_p):
     return s_c[..., 0], s_p
 
 
-def instantaneous_sinrs(ghat, v_c, v_p, C, alloc: PowerAllocation, cfg: SystemConfig):
+def instantaneous_sinrs(ghat, C, mu_c, mu_p, alloc: PowerAllocation, cfg: SystemConfig):
     """Per-block SINRs of the common and private messages at every user.
 
-    Each user decodes the common message first (all private streams are
-    noise), strips it, then decodes its own private stream. With
-    w_il = (1 - rho_l) eta_il, p = p_d / K and the noise power s2:
+    The precoders are maximum ratio, normalized to unit average power by the
+    normalization_coeffs mu_c (L,) and mu_p (K, L), then weighted by the
+    power split rho and the power control eta:
 
-      s_c[k] = sum_l sqrt(rho_l) ghat_kl^H v_c,l,  e_c[k] = sum_l rho_l v_c,l^H C_kl v_c,l
-      s_p[k, i] = sum_l sqrt(w_il) ghat_kl^H v_il,  e_p[k] = sum_il w_il v_il^H C_kl v_il
+      u_c,l = sqrt(rho_l mu_c,l) sum_i ghat_il,  u_il = sqrt((1 - rho_l) eta_il mu_p,il) ghat_il
+
+    Each user decodes the common message first (all private streams are
+    noise), strips it, then decodes its own private stream. With p = p_d / K
+    and the noise power s2:
+
+      s_c[k] = sum_l ghat_kl^H u_c,l,   e_c[k] = sum_l u_c,l^H C_kl u_c,l
+      s_p[k, i] = sum_l ghat_kl^H u_il, e_p[k] = sum_il u_il^H C_kl u_il
       sinr_c[k] = p_d |s_c[k]|^2 / (p_d e_c[k] + p (sum_i |s_p[k, i]|^2 + e_p[k]) + s2)
       sinr_p[k] = p |s_p[k, k]|^2 / (p (sum_{i != k} |s_p[k, i]|^2 + e_p[k]) + s2)
 
-    Leading axes of ghat are batch axes; returns (sinr_c, sinr_p), (..., K).
+    Leading axes of ghat (..., K, L, N) are batch axes; returns (sinr_c,
+    sinr_p), each (..., K).
     """
     *batch, K, L, N = ghat.shape
     p_d = cfg.p_dl_mw
-    u_c, u_p = _weighted_precoders(v_c, v_p, alloc)
+    u_c = np.sqrt(alloc.rho * mu_c)[:, None] * ghat.sum(axis=-3)
+    u_p = np.sqrt((1.0 - alloc.rho) * alloc.eta * mu_p)[:, :, None] * ghat
     s_c, s_p = _effective_gains(ghat, u_c, u_p)
     coh = np.abs(s_p) ** 2                                          # (..., K, K)
 
@@ -234,13 +227,13 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
     if n_blocks < 2:
         raise ValueError("n_blocks must be at least 2")
     check_allocation_shape(alloc.rho.shape, alloc.eta.shape, stats.K, stats.L)
+    mu_c, mu_p = normalization_coeffs(stats, est, pilots)
     sampler = ChannelSampler(stats, est, pilots, cfg)
     se_c, se_p = [], []
     for n in _chunks(n_blocks, stats.L * stats.N * max(stats.K, stats.N),
                      _CHUNK_ENTRY_BUDGET):
-        ghat = sampler.draw_estimates(n, rng)
-        v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
-        sinr_c, sinr_p = instantaneous_sinrs(ghat, v_c, v_p, est.C, alloc, cfg)
+        sinr_c, sinr_p = instantaneous_sinrs(sampler.draw_estimates(n, rng), est.C,
+                                             mu_c, mu_p, alloc, cfg)
         se_c.append(np.log2(1.0 + sinr_c.min(axis=-1)))
         se_p.append(np.log2(1.0 + sinr_p))
     se_c, se_p = np.concatenate(se_c), np.concatenate(se_p)

@@ -15,8 +15,7 @@ from .allocation import (GAConfig, best_on_grid, heuristic_control,
 from .closed_form import (PowerAllocation, build_cache, evaluate_cache,
                           sum_se_batch)
 from .config import SystemConfig
-from .diffusion import (DiffusionTrainer, EpsNetwork, ExpertDataset,
-                        TrainConfig, make_schedule)
+from .diffusion import DiffusionTrainer, EpsNetwork, ExpertDataset, make_schedule
 from .estimation import assign_pilots, estimation_statistics
 from .geometry import draw_geometry, link_statistics
 from .rng import substream
@@ -143,10 +142,10 @@ def build_expert_dataset(scenario: EnvScenario, envs, ga_cfg: GAConfig,
                          x0=vecs, sum_se=values)
 
 
-def train_policy(cfg: SystemConfig, seed, envs, ga_cfg: GAConfig,
-                 train_cfg: TrainConfig):
+def train_policy(cfg: SystemConfig, seed, envs, ga_cfg: GAConfig, lr):
     """Build the seed's drop, its expert dataset over envs, and a trainer for
-    a fresh noise-prediction network; nothing is trained yet.
+    a fresh noise-prediction network at Adam step size lr; nothing is trained
+    yet.
 
     Returns (scenario, dataset, trainer). trainer.run(n) takes n steps and
     may be called repeatedly; the policy is trainer.net with trainer.schedule.
@@ -155,7 +154,7 @@ def train_policy(cfg: SystemConfig, seed, envs, ga_cfg: GAConfig,
     dataset = build_expert_dataset(scenario, envs, ga_cfg, substream(seed, "expert"))
     K, L = scenario.dims
     net = EpsNetwork(L + K * L, rng=substream(seed, "init"))
-    trainer = DiffusionTrainer(net, make_schedule(), dataset, train_cfg,
+    trainer = DiffusionTrainer(net, make_schedule(), dataset, lr,
                                substream(seed, "train"))
     return scenario, dataset, trainer
 

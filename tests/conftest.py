@@ -15,12 +15,14 @@ compare the two.
 import numpy as np
 import pytest
 
-from cfrs.closed_form import DegenerateStatisticsError, SECache, build_cache
+from cfrs import diffusion
+from cfrs.closed_form import (DegenerateStatisticsError, SECache, build_cache,
+                              normalization_coeffs)
 from cfrs.config import SystemConfig
 from cfrs.diffusion import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BATCH_SIZE,
                             _time_embedding, forward_diffuse)
 from cfrs.monte_carlo import (_CHUNK_ENTRY_BUDGET, ChannelSampler, _chunks,
-                              build_precoders, instantaneous_sinrs)
+                              instantaneous_sinrs)
 from cfrs.rng import complex_normal_blocks
 from cfrs.scenario import EnvScenario
 
@@ -141,6 +143,11 @@ def einsum_sinr_terms(cache, rho, eta):
     return cache.p_dl * Tc1 / den_c, p_over_k * own / den_p
 
 
+def unit_precoders(ghat, mu_c, mu_p):
+    """Unit-average-power common (..., L, N) and private (..., K, L, N) precoders."""
+    return np.sqrt(mu_c)[:, None] * ghat.sum(axis=-3), np.sqrt(mu_p)[:, :, None] * ghat
+
+
 def _oracle_chunks(stats, n):
     """Chunks of the oracles' joint draws, sized like achievable_sum_se's."""
     return _chunks(n, stats.L * stats.N * max(stats.K, stats.N), _CHUNK_ENTRY_BUDGET)
@@ -154,13 +161,14 @@ def mc_uatf_sinrs(stats, est, pilots, cfg, alloc, n_draws, rng):
     closed-form bound does. Returns (sinr_c, sinr_p), each (K,).
     """
     sampler = ChannelSampler(stats, est, pilots, cfg)
+    mu = normalization_coeffs(stats, est, pilots)
     K, L, N = stats.K, stats.L, stats.N
     amp_c = np.sqrt(alloc.rho)[:, None]
     amp_p = np.sqrt((1.0 - alloc.rho)[None, :] * alloc.eta)[:, :, None]
     sums = [0.0] * 4           # sum rec_c, |rec_c|^2, rec_p[k, k], |rec_p|^2
     for n in _oracle_chunks(stats, n_draws):
         g, ghat = sampler.draw(n, rng)
-        v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
+        v_c, v_p = unit_precoders(ghat, *mu)
         u_c, u_p = amp_c * v_c, amp_p * v_p
         gH = g.reshape(n, K, L * N).conj()
         rec_c = (gH @ u_c.reshape(n, L * N, 1))[..., 0]
@@ -181,11 +189,11 @@ def joint_draw_achievable(stats, est, pilots, cfg, alloc, n_blocks, rng):
     from sampled channels and pilot noise, not from their own law. Returns
     (sum SE, standard error)."""
     sampler = ChannelSampler(stats, est, pilots, cfg)
+    mu = normalization_coeffs(stats, est, pilots)
     totals = []
     for n in _oracle_chunks(stats, n_blocks):
         _, ghat = sampler.draw(n, rng)
-        v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
-        sinr_c, sinr_p = instantaneous_sinrs(ghat, v_c, v_p, est.C, alloc, cfg)
+        sinr_c, sinr_p = instantaneous_sinrs(ghat, est.C, *mu, alloc, cfg)
         totals.append(np.log2(1.0 + sinr_c.min(axis=-1)) + np.log2(1.0 + sinr_p).sum(axis=-1))
     total = cfg.prelog * np.concatenate(totals)
     return float(total.mean()), float(total.std(ddof=1) / np.sqrt(n_blocks))
@@ -212,13 +220,14 @@ def sample_tx_power(stats, est, pilots, cfg, alloc, l, n_draws, rng):
     with the normalized precoders and fresh unit-power data symbols (the
     common one, then K private ones per block, drawn ahead of the channels)."""
     sampler = ChannelSampler(stats, est, pilots, cfg)
+    mu = normalization_coeffs(stats, est, pilots)
     amp_c = np.sqrt(cfg.p_dl_mw * alloc.rho[l])
     amp_p = np.sqrt(cfg.p_dl_mw * (1.0 - alloc.rho[l]) * alloc.eta[:, l] / stats.K)
     symbols = complex_normal_blocks(rng, n_draws, (stats.K + 1,))
     samples = []
     for n in _oracle_chunks(stats, n_draws):
         _, ghat = sampler.draw(n, rng)
-        v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
+        v_c, v_p = unit_precoders(ghat, *mu)
         s, symbols = symbols[:n], symbols[n:]
         x = (amp_c * v_c[:, l] * s[:, :1]
              + np.einsum("i,bin,bi->bn", amp_p, v_p[:, :, l], s[:, 1:]))
@@ -267,10 +276,10 @@ class DictAdam:
                                                         + ADAM_EPS)
 
 
-def dict_train(params, schedule, dataset, cfg, rng, n_steps):
+def dict_train(params, schedule, dataset, lr, rng, n_steps):
     """The diffusion training loop on a dict of parameters, updated in place:
     the same draws per step as DiffusionTrainer. Returns the losses."""
-    opt = DictAdam(params, cfg.lr)
+    opt = DictAdam(params, lr)
     feats = dataset.features()
     losses = []
     for _ in range(n_steps):
@@ -278,8 +287,9 @@ def dict_train(params, schedule, dataset, cfg, rng, n_steps):
         t = rng.integers(1, schedule.T + 1, size=BATCH_SIZE)
         eps = rng.standard_normal((BATCH_SIZE, dataset.dim))
         x0 = dataset.x0[idx]
-        if cfg.explore_noise > 0.0:
-            x0 = np.clip(x0 + cfg.explore_noise * rng.standard_normal(x0.shape), 0.0, 1.0)
+        if diffusion.EXPLORE_NOISE > 0.0:
+            x0 = np.clip(x0 + diffusion.EXPLORE_NOISE * rng.standard_normal(x0.shape),
+                         0.0, 1.0)
         loss, grads = dict_loss_and_grads(params, forward_diffuse(x0, t, eps, schedule),
                                           t, feats[idx], eps)
         opt.step(params, grads)

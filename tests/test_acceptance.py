@@ -13,7 +13,7 @@ from cfrs.allocation import (GAConfig, ga_optimize, heuristic_control,
 from cfrs.closed_form import (PowerAllocation, build_cache, evaluate_cache,
                               upsilon_moments)
 from cfrs.config import SystemConfig
-from cfrs.diffusion import EpsNetwork, TrainConfig, reverse_sample
+from cfrs.diffusion import EpsNetwork, reverse_sample
 from cfrs.estimation import (assign_pilots, estimation_statistics,
                              perfect_csi_statistics)
 from cfrs.experiments import DIFFUSION_SYSTEM, held_out_envs, training_envs
@@ -355,8 +355,7 @@ def test_criterion_09_network_gradients():
 @pytest.fixture(scope="module")
 def trained_policy():
     scenario, dataset, trainer = train_policy(
-        DIFFUSION_SYSTEM, 60, training_envs(), GAConfig(pop_size=24, generations=60),
-        TrainConfig(lr=1e-3))
+        DIFFUSION_SYSTEM, 60, training_envs(), GAConfig(pop_size=24, generations=60), 1e-3)
     history = trainer.run(30000)
     return scenario, dataset, trainer.schedule, trainer.net, history
 

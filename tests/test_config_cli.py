@@ -448,6 +448,29 @@ def test_cli_non_finite_report_keeps_contract(tmp_path, capsys, monkeypatch):
     assert list(_strict_json(captured.err)) == ["error"]
 
 
+def test_cli_validate_fails_fast_on_degenerate_drop(capsys, monkeypatch):
+    """A drop whose first AP no user reaches has a zero common-precoder
+    norm: validate exits 4 from the closed form, before any block is drawn."""
+    statistics = scenario.EnvScenario.statistics
+
+    def unreachable_ap(self, env=None):
+        stats = statistics(self, env)
+        hbar, R = stats.hbar.copy(), stats.R.copy()
+        hbar[:, 0] = 0.0
+        R[:, 0] = 0.0
+        return replace(stats, hbar=hbar, R=R)
+
+    sampled = []
+    monkeypatch.setattr(scenario.EnvScenario, "statistics", unreachable_ap)
+    monkeypatch.setattr(cli, "sample_moments", lambda *args: sampled.append(args))
+    assert cli.main(["validate", "--draws", "100"]) == 4
+    assert sampled == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)
+    assert list(err) == ["error"] and "normalizer" in err["error"]
+
+
 # Stage name -> (owner, attribute) that the CLI reaches at that stage.
 _STAGES = {"estimation_statistics": (scenario, "estimation_statistics"),
            "train": (DiffusionTrainer, "step")}

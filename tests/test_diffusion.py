@@ -5,11 +5,12 @@ import csv
 import numpy as np
 import pytest
 
+from cfrs import diffusion
 from cfrs.closed_form import PowerAllocation
 from cfrs.diffusion import (Adam, DiffusionTrainer, Environment, EpsNetwork,
-                            ExpertDataset, Schedule, TrainConfig,
-                            TrainingError, forward_diffuse, load_checkpoint,
-                            make_schedule, reverse_sample, save_checkpoint)
+                            ExpertDataset, Schedule, TrainingError,
+                            forward_diffuse, load_checkpoint, make_schedule,
+                            reverse_sample, save_checkpoint)
 from cfrs.rng import substream
 from conftest import dict_train
 
@@ -195,7 +196,7 @@ def test_loss_and_grads_writes_into_out():
     rng = substream(13, "out")
     ds = _toy_dataset(dim=5)
     net = EpsNetwork(5, hidden=8, rng=rng)
-    trainer = DiffusionTrainer(net, make_schedule(), ds, TrainConfig(), rng)
+    trainer = DiffusionTrainer(net, make_schedule(), ds, 1e-4, rng)
     x = rng.standard_normal((6, 5))
     t = rng.integers(1, 11, size=6)
     env = rng.uniform(-1, 1, size=(6, 2))
@@ -216,11 +217,11 @@ def test_trainer_matches_dict_oracle():
     bit: every loss and every weight after 50 steps."""
     ds = _toy_dataset()
     s = make_schedule()
-    cfg = TrainConfig(lr=1e-3)
+    lr = 1e-3
     net = EpsNetwork(ds.dim, rng=substream(53, "init"))
     params = {k: v.copy() for k, v in net.params.items()}
-    losses = DiffusionTrainer(net, s, ds, cfg, substream(53, "train")).run(50)
-    oracle = dict_train(params, s, ds, cfg, substream(53, "train"), 50)
+    losses = DiffusionTrainer(net, s, ds, lr, substream(53, "train")).run(50)
+    oracle = dict_train(params, s, ds, lr, substream(53, "train"), 50)
     assert np.array_equal(losses, oracle)
     for key, arr in params.items():
         assert np.array_equal(net.params[key], arr), key
@@ -272,12 +273,10 @@ def test_expert_dataset_validation():
 def test_training_reduces_loss_and_is_deterministic():
     ds = _toy_dataset()
     s = make_schedule()
-    cfg = TrainConfig(lr=1e-3)
-
     def run():
         rng = substream(19, "train")
         net = EpsNetwork(ds.dim, rng=rng)
-        return net, DiffusionTrainer(net, s, ds, cfg, rng).run(1500)
+        return net, DiffusionTrainer(net, s, ds, 1e-3, rng).run(1500)
 
     net1, hist1 = run()
     net2, hist2 = run()
@@ -292,21 +291,21 @@ def test_training_guard_catches_nonfinite_state():
     ds.x0[0, 0] = np.nan  # poisoned record propagates to a non-finite loss
     rng = substream(23, "t")
     trainer = DiffusionTrainer(EpsNetwork(ds.dim, rng=rng), make_schedule(), ds,
-                               TrainConfig(), rng)
+                               1e-4, rng)
     with pytest.raises(TrainingError):
         trainer.run(50)
 
 
-def test_degenerate_target_reconstruction():
+def test_degenerate_target_reconstruction(monkeypatch):
     """A dataset with a single expert vector has no residual uncertainty, so
-    sampling must collapse onto that vector."""
+    sampling must collapse onto that vector. The targets are not jittered."""
+    monkeypatch.setattr(diffusion, "EXPLORE_NOISE", 0.0)
     x0 = np.array([0.15, 0.35, 0.55, 0.75, 0.9, 0.5])
     ds = ExpertDataset(kappa_db=np.array([5.0]), asd_deg=np.array([15.0]),
                        x0=x0[None], sum_se=np.array([1.0]))
     s = make_schedule()
-    cfg = TrainConfig(lr=1e-3, explore_noise=0.0)
     net = EpsNetwork(6, hidden=64, rng=substream(29, "init"))
-    hist = DiffusionTrainer(net, s, ds, cfg, substream(29, "train")).run(20000)
+    hist = DiffusionTrainer(net, s, ds, 1e-3, substream(29, "train")).run(20000)
     env = Environment(5.0, 15.0)
     worst = 0.0
     for trial in range(8):

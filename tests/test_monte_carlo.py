@@ -9,18 +9,18 @@ import numpy as np
 import pytest
 
 from cfrs import monte_carlo
-from cfrs.closed_form import PowerAllocation, evaluate_cache
+from cfrs.closed_form import PowerAllocation, evaluate_cache, normalization_coeffs
 from cfrs.config import SystemConfig
 from cfrs.estimation import (EstimationError, copilot_cross_moment,
                              perfect_csi_statistics)
 from cfrs.geometry import hermitian_sqrt
 from cfrs.monte_carlo import (ChannelSampler, achievable_sum_se,
-                              build_precoders, instantaneous_sinrs,
-                              sample_moments)
+                              instantaneous_sinrs, sample_moments)
 from cfrs.rng import complex_normal_blocks, substream
 from cfrs.scenario import EnvScenario
 from conftest import (expected_tx_power, joint_draw_achievable, max_rel_diff,
-                      mc_uatf_sinrs, random_allocation, sample_tx_power)
+                      mc_uatf_sinrs, random_allocation, sample_tx_power,
+                      unit_precoders)
 
 
 def _desk_drop_under_los(rician_db):
@@ -69,20 +69,19 @@ def _sinrs_by_hand(ghat, v_c, v_p, C, alloc, cfg):
 @pytest.mark.parametrize("drop", ORACLE_DROPS)
 def test_instantaneous_sinrs_match_hand_loop(drop, request):
     cfg, stats, est, pilots = request.getfixturevalue(drop)
-    sampler = ChannelSampler(stats, est, pilots, cfg)
-    _, ghat = sampler.draw(6, substream(79, drop, "draw"))
-    v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
+    _, ghat = ChannelSampler(stats, est, pilots, cfg).draw(6, substream(79, drop, "draw"))
+    mu = normalization_coeffs(stats, est, pilots)
+    v_c, v_p = unit_precoders(ghat, *mu)
     allocs = [PowerAllocation.no_rs(stats.K, stats.L),
               PowerAllocation.equal_split(stats.K, stats.L, 0.6),
               random_allocation(stats.K, stats.L, substream(79, drop, "alloc"))]
     for alloc in allocs:
-        batched = instantaneous_sinrs(ghat, v_c, v_p, est.C, alloc, cfg)
-        grid = instantaneous_sinrs(ghat.reshape(2, 3, *ghat.shape[1:]),
-                                   v_c.reshape(2, 3, *v_c.shape[1:]),
-                                   v_p.reshape(2, 3, *v_p.shape[1:]), est.C, alloc, cfg)
+        batched = instantaneous_sinrs(ghat, est.C, *mu, alloc, cfg)
+        grid = instantaneous_sinrs(ghat.reshape(2, 3, *ghat.shape[1:]), est.C, *mu,
+                                   alloc, cfg)
         for b in range(ghat.shape[0]):
             ref = _sinrs_by_hand(ghat[b], v_c[b], v_p[b], est.C, alloc, cfg)
-            single = instantaneous_sinrs(ghat[b], v_c[b], v_p[b], est.C, alloc, cfg)
+            single = instantaneous_sinrs(ghat[b], est.C, *mu, alloc, cfg)
             for got in (single, tuple(x[b] for x in batched),
                         tuple(x[b // 3, b % 3] for x in grid)):
                 for value, expected in zip(got, ref):
@@ -187,6 +186,26 @@ def test_sample_moments_peak_memory(desk_pieces):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
+
+
+def test_achievable_peak_memory(copilot_pieces):
+    """One chunk of rates holds the estimates and the weighted precoders,
+    not an unweighted copy beside them: a 3,000-block co-pilot pass (one
+    chunk) peaks at about 4.7 times the bytes of its estimates, traced, where
+    a second (n, K, L, N) precoder tensor would take about 5.8."""
+    cfg, stats, est, pilots = copilot_pieces
+    n = 3000
+    per_block = stats.L * stats.N * max(stats.K, stats.N)
+    assert n * per_block <= monte_carlo._CHUNK_ENTRY_BUDGET
+    alloc = PowerAllocation.equal_split(stats.K, stats.L, 0.5)
+    tracemalloc.start()
+    try:
+        achievable_sum_se(stats, est, pilots, cfg, alloc, n, substream(139, "memory"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    estimates = n * stats.K * stats.L * stats.N * np.dtype(complex).itemsize
+    assert peak <= 5.2 * estimates, peak / estimates
 
 
 def test_sample_moments_rejects_single_draw(desk_pieces):
@@ -356,10 +375,10 @@ def test_estimate_draw_is_chunk_invariant(csi, copilot_pieces, monkeypatch):
                                   complex_normal_blocks(substream(103, csi), 100, shape))
 
     alloc = random_allocation(stats.K, stats.L, substream(103, csi, "alloc"))
+    mu = normalization_coeffs(stats, est, pilots)
 
     def totals(ghat):
-        v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
-        sinr_c, sinr_p = instantaneous_sinrs(ghat, v_c, v_p, est.C, alloc, cfg)
+        sinr_c, sinr_p = instantaneous_sinrs(ghat, est.C, *mu, alloc, cfg)
         return np.log2(1.0 + sinr_c.min(axis=-1)) + np.log2(1.0 + sinr_p).sum(axis=-1)
 
     rng = substream(107, csi)
@@ -436,9 +455,8 @@ def test_achievable_rejects_wrong_shaped_allocation(desk_pieces):
 
 def test_precoders_unit_average_power(desk_pieces):
     cfg, stats, est, pilots = desk_pieces
-    sampler = ChannelSampler(stats, est, pilots, cfg)
-    _, ghat = sampler.draw(50000, substream(47, "prec"))
-    v_c, v_p = build_precoders(ghat, sampler.mu_c, sampler.mu_p)
+    _, ghat = ChannelSampler(stats, est, pilots, cfg).draw(50000, substream(47, "prec"))
+    v_c, v_p = unit_precoders(ghat, *normalization_coeffs(stats, est, pilots))
     pc = np.einsum("bln,bln->bl", v_c.conj(), v_c).real.mean(axis=0)
     np.testing.assert_allclose(pc, 1.0, atol=0.03)
     pp = np.einsum("biln,biln->bil", v_p.conj(), v_p).real.mean(axis=0)
