@@ -10,7 +10,8 @@ All user/AP coupling enters through a small set of per-(k, i, l) scalars that
 are cached once per network, stored in the layout the SINR assembly reads as
 matrix operands: re-evaluating the bound for a batch of P power allocations
 costs one batched GEMM over the users, one (P, K*L) @ (K*L, K) GEMM and two
-(P, L) products. That cache is what the optimizers iterate on.
+(P, L) products. That cache is what the optimizers iterate on. Building it
+costs one (K+1, 2N^2) @ (2N^2, K) GEMM per AP for every variance term.
 """
 
 from dataclasses import dataclass
@@ -179,38 +180,48 @@ class SECache:
 
 def build_cache(stats: LinkStatistics, est: EstimationStatistics,
                 pilots: PilotAssignment, cfg: SystemConfig) -> SECache:
+    K, L, N = stats.K, stats.L, stats.N
     hbar = stats.hbar
-    # hbar_kl^H hbar_il plus the co-pilot traces; each (K, K, L) field is
-    # re-laid out as soon as it is complete, so no second copy outlives it.
-    p1 = np.einsum("kln,iln->kil", hbar.conj(), hbar) + est.trQbar
-    c1 = p1.sum(axis=1)
-    p1 = _gemm_layout(p1, (1, 2, 0))
+    # hbar_kl^H hbar_il plus the co-pilot traces, written in the (i, L, k)
+    # layout. Off the pilot groups p1 is this line-of-sight product bit for
+    # bit, so it stays an einsum (one rounding order for every caller).
+    p1 = np.einsum("kln,iln->ilk", hbar.conj(), hbar, order="C")
+    p1 += est.trQbar.transpose(1, 2, 0)
+    c1 = p1.sum(axis=0)                                            # (L, k)
 
-    trQR = np.einsum("ilnm,klmn->kil", est.Q, stats.R, optimize=True)
-    hQh = np.einsum("kln,ilnm,klm->kil", hbar.conj(), est.Q, hbar, optimize=True)
-    hRh = np.einsum("iln,klnm,ilm->kil", hbar.conj(), stats.R, hbar, optimize=True)
-    p2 = _gemm_layout(_ensure_real(trQR + hQh + hRh, "private variance terms"), (1, 2, 0))
-
-    # Common-precoder variance: the estimate cross-moments summed over every
-    # user pair, M_l = sum_ij Qbar_ijl, seen through R_kl and hbar_kl, plus the
-    # line-of-sight outer sum.
-    M = est.Qbar_sum                                               # (L, N, N)
-    trMR = np.einsum("lnm,klmn->kl", M, stats.R, optimize=True)
-    hMh = np.einsum("kln,lnm,klm->kl", hbar.conj(), M, hbar, optimize=True)
+    # Every variance term is an inner product <X, Y> = sum_nm X[n, m] Y[n, m]
+    # over the flattened N^2 axis, of one (N, N) matrix per row user and one
+    # per column user. With O_kl = conj(hbar_kl) hbar_kl^T, so that
+    # hbar^H X hbar = <O, X>:
+    #   p2[k, i, l] = tr(Q_il R_kl) + hbar_kl^H Q_il hbar_kl + hbar_il^H R_kl hbar_il
+    #               = <Q_il, R_kl^T + O_kl> + <O_il, R_kl>,
+    #   c2[k, l]    = <M_l, R_kl^T + O_kl> + <S_l, R_kl>,
+    # where M_l = sum_ij Qbar_ijl is the estimates' pair sum seen by the common
+    # precoder and S_l the outer product of s_l = sum_i hbar_il. The K rows i
+    # and one common row meet the K columns k in a single
+    # (K+1, 2N^2) @ (2N^2, K) product per AP.
+    NN = N * N
+    O = hbar.conj()[..., :, None] * hbar[..., None, :]             # (K, L, N, N)
     s = hbar.sum(axis=0)                                           # (L, N)
-    sRs = np.einsum("ln,klnm,lm->kl", s.conj(), stats.R, s, optimize=True)
-    c2 = _ensure_real(trMR + hMh + sRs, "common variance terms")
+    rows = np.empty((L, K + 1, 2, NN), dtype=complex)
+    rows[:, :K, 0] = est.Q.reshape(K, L, NN).transpose(1, 0, 2)
+    rows[:, :K, 1] = O.reshape(K, L, NN).transpose(1, 0, 2)
+    rows[:, K, 0] = est.Qbar_sum.reshape(L, NN)
+    rows[:, K, 1] = (s.conj()[:, :, None] * s[:, None, :]).reshape(L, NN)
+    cols = np.empty((L, K, 2, N, N), dtype=complex)
+    np.add(stats.R.swapaxes(-1, -2), O, out=cols[:, :, 0].transpose(1, 0, 2, 3))
+    cols[:, :, 1] = stats.R.transpose(1, 0, 2, 3)
+    var = rows.reshape(L, K + 1, 2 * NN) @ cols.reshape(L, K, 2 * NN).swapaxes(-1, -2)
+    p2 = _ensure_real(var[:, :K], "private variance terms")
+    c2 = _ensure_real(var[:, K], "common variance terms")
 
     mu_c, mu_p = normalization_coeffs(stats, est, pilots)
-    return SECache(c1=_gemm_layout(c1, (1, 0)), c2=_gemm_layout(c2, (1, 0)),
-                   p1=p1, p2=p2, mu_c=mu_c, mu_p=mu_p,
+    # Stored contiguous as (i, L, k) and (L, k); the fields are the (k, i, L)
+    # and (k, L) views.
+    return SECache(c1=c1.T, c2=np.ascontiguousarray(c2).T, p1=p1.transpose(2, 0, 1),
+                   p2=np.ascontiguousarray(p2.transpose(1, 0, 2)).transpose(2, 0, 1),
+                   mu_c=mu_c, mu_p=mu_p,
                    p_dl=cfg.p_dl_mw, noise=cfg.noise_mw, prelog=cfg.prelog)
-
-
-def _gemm_layout(x, axes):
-    """x with the same shape and values, stored contiguous in the axis
-    order `axes`: a view whose transpose by `axes` is C-contiguous."""
-    return np.ascontiguousarray(x.transpose(axes)).transpose(np.argsort(axes))
 
 
 def _sinr_terms(cache: SECache, rho, eta):

@@ -19,6 +19,18 @@ def db_to_linear(db):
     return 10.0 ** (db / 10.0)
 
 
+def check_propagation(rician_db, asd_deg):
+    """Raise ValueError unless rician_db is finite or -inf (Rayleigh) and
+    asd_deg is finite and positive: the propagation environment that
+    SystemConfig and the link_statistics overrides accept."""
+    if math.isnan(rician_db) or rician_db == math.inf:
+        raise ValueError("rician_db must be finite or -inf")
+    if not math.isfinite(asd_deg):
+        raise ValueError("asd_deg must be finite")
+    if asd_deg <= 0:
+        raise ValueError("asd_deg must be positive")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of one cell-free downlink deployment."""
@@ -41,11 +53,10 @@ class SystemConfig:
     balanced_pilots: bool = True
 
     def __post_init__(self):
-        for name in ("area_side", "asd_deg", "p_pilot_dbm", "p_dl_dbm", "noise_dbm"):
+        for name in ("area_side", "p_pilot_dbm", "p_dl_dbm", "noise_dbm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if math.isnan(self.rician_db) or self.rician_db == math.inf:
-            raise ValueError("rician_db must be finite or -inf")
+        check_propagation(self.rician_db, self.asd_deg)
         # Perfect CSI is recognised by zero pilot energy, so a real pilot
         # power must not underflow to 0 mW.
         if self.p_pilot_mw == 0:
@@ -66,8 +77,6 @@ class SystemConfig:
             raise ValueError("d_H must lie in (0, 0.5]")
         if self.N_c < 1:
             raise ValueError("N_c must be a positive integer")
-        if self.asd_deg <= 0:
-            raise ValueError("asd_deg must be positive")
 
     @property
     def p_pilot_mw(self):

@@ -14,9 +14,11 @@ different pilots.
 
 The closed form needs Qbar only through its traces tr Qbar_kil (K, K, L) and
 its sum over all user pairs, sum_{k,i} Qbar_kil (L, N, N). Psi_kl is shared
-by the users of pilot t, so that sum collapses per pilot group to
-p tau_p A_tl Psi_tl A_tl with A_tl = sum_{i in t} R_il. EstimationStatistics
-stores those two reductions; copilot_cross_moment gives single entries.
+by the users of pilot t, so both are computed per pilot group: the traces
+over the group's co-pilot pairs only (every other entry is zero), and the
+sum as p tau_p A_tl Psi_tl A_tl with A_tl = sum_{i in t} R_il.
+EstimationStatistics stores those two reductions; copilot_cross_moment gives
+single entries.
 """
 
 from dataclasses import dataclass
@@ -77,23 +79,30 @@ def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
     eye = np.eye(N)
     # One observation covariance per (pilot, AP); users on the same pilot share it.
     Psi = np.empty((K, L, N, N), dtype=complex)
+    Q = np.empty((K, L, N, N), dtype=complex)
+    trQbar = np.zeros((K, K, L), dtype=complex)
     Qbar_sum = np.zeros((L, N, N), dtype=complex)
     for t in np.unique(pilots.pilot_of):
         members = np.flatnonzero(pilots.pilot_of == t)
-        A = stats.R[members].sum(axis=0)                        # (L, N, N)
+        R_t = stats.R[members]                                  # (m, L, N, N)
+        A = R_t.sum(axis=0)                                     # (L, N, N)
         S = ptau * A + cfg.noise_mw * eye
         try:
             Psi_t = np.linalg.inv(S)
         except np.linalg.LinAlgError as exc:
             raise EstimationError(f"pilot {t}: observation covariance is singular") from exc
         Psi[members] = Psi_t[None]
+        PsiR = Psi_t @ R_t                                      # (m, L, N, N)
+        Q[members] = ptau * (R_t @ PsiR)
+        # tr(R_il Psi_kl R_kl) = sum_ab R_il[a, b] (Psi_kl R_kl)[b, a], one
+        # (m, N^2) @ (N^2, m) product per AP over the group's pairs only.
+        m = len(members)
+        PsiR_T = PsiR.swapaxes(-1, -2).transpose(1, 0, 2, 3).reshape(L, m, N * N)
+        R_flat = R_t.transpose(1, 0, 2, 3).reshape(L, m, N * N)
+        tr_t = ptau * (PsiR_T @ R_flat.swapaxes(-1, -2))        # (L, k, i)
+        trQbar[members[:, None], members[None, :]] = tr_t.transpose(1, 2, 0)
         Qbar_sum += ptau * (A @ Psi_t @ A)
-    PsiR = np.einsum("klab,klbc->klac", Psi, stats.R)
-    Q = np.einsum("klab,klbc->klac", stats.R, PsiR) * ptau
     C = stats.R - Q
-    # tr(R_il Psi_kl R_kl) = sum_ab R_il[a, b] (Psi_kl R_kl)[b, a]
-    trQbar = np.einsum("ilab,klba->kil", stats.R, PsiR, optimize=True) * ptau
-    trQbar = trQbar * pilots.copilot[:, :, None]
     return EstimationStatistics(Psi=Psi, Q=Q, C=C, trQbar=trQbar, Qbar_sum=Qbar_sum,
                                 ptau=ptau)
 

@@ -8,7 +8,10 @@ a (user k, access point l) link is
 where hbar_kl is the deterministic line-of-sight component steered along the
 nominal angle of the link, and R_kl is the spatial correlation of the
 non-line-of-sight part, built from N_c scattering clusters with Gaussian
-angular spread around nominal angles drawn once per link.
+angular spread around nominal angles drawn once per link. R_kl is formed in
+closed form: each cluster adds a steering-phased Gaussian-kernel Toeplitz
+matrix, which is PSD, so the sum is PSD by construction and no
+eigendecomposition is needed; its diagonal is beta_nlos exactly.
 """
 
 import math
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, db_to_linear
+from .config import SystemConfig, check_propagation, db_to_linear
 
 # Three-slope distance law in dB: -140.7 - 35 log10(d_km) beyond 50 m, a
 # 20 dB/decade segment between 10 m and 50 m, flat inside 10 m. The two inner
@@ -125,36 +128,45 @@ def correlation_matrix_from_angles(beta_nlos, angles, asd_rad, N):
     """Spatial correlation matrices of the scattered component.
 
     angles has shape (..., N_c) and beta_nlos shape (...); the result has
-    shape (..., N, N), one matrix per leading index. Entry (s, m) averages
-    exp(j pi (s-m) sin(phi_t)) over the clusters, each damped by a Gaussian
-    angular spread of std asd_rad around its nominal angle. Each matrix is
-    projected onto the PSD cone (eigenvalue clipping) and rescaled so that
-    trace(R) = N * beta_nlos holds exactly; beta_nlos = 0 gives the zero
-    matrix.
+    shape (..., N, N), one matrix per leading index. Entry (s, m) is
+    beta_nlos times the cluster average of
+
+        exp(-asd_rad^2 (pi (s-m) cos(phi_c))^2 / 2) exp(j pi (s-m) sin(phi_c)),
+
+    the Gaussian local-scattering approximation of a spread of std asd_rad
+    around each nominal angle phi_c. Each cluster's term is D_c T_c D_c^H
+    with D_c the diagonal steering phases and T_c a Gaussian-kernel matrix
+    in s - m, which is PSD; so every matrix is PSD by construction, and its
+    diagonal is exactly beta_nlos, so trace(R) = N * beta_nlos.
+    beta_nlos = 0 gives the zero matrix.
     """
     angles = np.asarray(angles, dtype=float)
     beta_nlos = np.asarray(beta_nlos, dtype=float)
-    # Entries depend on s - m only (Toeplitz), so sum each of the 2N - 1
-    # distinct offsets once and index them into place.
-    offsets = np.arange(1 - N, N)[:, None]                     # (2N-1, 1) integer s - m
-    sin = np.sin(angles)[..., None, :]                         # (..., 1, N_c)
-    cos = np.cos(angles)[..., None, :]
-    arg = np.pi * offsets * sin                                # (..., 2N-1, N_c)
-    damp = 0.5 * (asd_rad ** 2) * (np.pi * offsets * cos) ** 2
-    per_offset = np.sum(np.exp(1j * arg - damp), axis=-1)      # (..., 2N-1)
+    if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(beta_nlos))):
+        raise ValueError("cluster angles and beta_nlos must be finite")
+    if not (math.isfinite(asd_rad) and asd_rad >= 0):
+        raise ValueError("the angular spread must be finite and nonnegative")
+    if np.any(beta_nlos < 0):
+        raise ValueError("correlation matrix collapsed: beta_nlos must be nonnegative")
+    # Entries depend on s - m only (Toeplitz). Average each positive offset
+    # d = 1..N-1 over the clusters; offset 0 is 1 and the negative offsets
+    # are the conjugates. The phases exp(j pi d sin(phi_c)) are powers of
+    # the d = 1 phase. Clusters go first, so that each average adds whole
+    # arrays in the same order for any batch shape.
+    n_c = angles.shape[-1]
+    ang = np.moveaxis(angles, -1, 0)                            # (N_c, ...)
+    arg = np.pi * np.sin(ang)
+    step = np.cos(arg) + 1j * np.sin(arg)
+    spread = -0.5 * np.square(asd_rad * np.pi * np.cos(ang))
+    offset = np.empty(beta_nlos.shape + (2 * N - 1,), dtype=complex)
+    offset[..., N - 1] = beta_nlos
+    phase = np.ones_like(step)
+    for d in range(1, N):
+        phase = phase * step
+        offset[..., N - 1 + d] = beta_nlos * (sum(np.exp(d * d * spread) * phase) / n_c)
+    offset[..., :N - 1] = offset[..., :N - 1:-1].conj()
     diff = np.arange(N)[:, None] - np.arange(N)[None, :]
-    R = (beta_nlos / angles.shape[-1])[..., None, None] * per_offset[..., diff + N - 1]
-    R = 0.5 * (R + np.swapaxes(R.conj(), -1, -2))
-    w, V = np.linalg.eigh(R)
-    w = np.clip(w, 0.0, None)
-    total = w.sum(axis=-1)
-    zero = beta_nlos == 0.0
-    if np.any((total <= 0.0) & ~zero):
-        raise ValueError("correlation matrix collapsed to zero")
-    w *= (N * beta_nlos / np.where(zero, 1.0, total))[..., None]
-    R = (V * w[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
-    R[zero] = 0.0
-    return R
+    return np.take(offset, diff + N - 1, axis=-1)
 
 
 def draw_geometry(cfg: SystemConfig, rng) -> Geometry:
@@ -180,10 +192,14 @@ def link_statistics(cfg: SystemConfig, geometry: Geometry,
     """Build line-of-sight means and correlation matrices for a geometry.
 
     rician_db and asd_deg override the config values, which lets one geometry
-    be re-evaluated under different propagation environments.
+    be re-evaluated under different propagation environments; they must pass
+    the checks SystemConfig makes.
     """
-    kappa = db_to_linear(cfg.rician_db if rician_db is None else rician_db)
-    asd = math.radians(cfg.asd_deg if asd_deg is None else asd_deg)
+    rician_db = cfg.rician_db if rician_db is None else rician_db
+    asd_deg = cfg.asd_deg if asd_deg is None else asd_deg
+    check_propagation(rician_db, asd_deg)
+    kappa = db_to_linear(rician_db)
+    asd = math.radians(asd_deg)
     beta_los, beta_nlos = rician_split(geometry.zeta, kappa)
     n = np.arange(cfg.N)
     hbar = np.sqrt(beta_los)[..., None] * np.exp(

@@ -5,7 +5,8 @@ is small enough that closed-form and Monte Carlo quantities can be compared
 in seconds, so most statistical tests run on it. Session scope lets the
 module tests and the acceptance suite share the same statistics objects.
 
-The oracles below (dense co-pilot tensor, scalar uncorrelated cache,
+The oracles below (eigenvalue-projected correlation matrices, dense co-pilot
+tensor, scalar uncorrelated cache,
 per-term einsum SINR assembly, sample-moment SINR assembly, achievable rate
 from the joint channel draw, transmit-power audit, per-parameter training
 loop) are independent routes to quantities the package computes; the tests
@@ -70,6 +71,32 @@ def random_allocation(K, L, rng):
 
     return PowerAllocation(rho=rng.uniform(0.05, 0.95, size=L),
                            eta=rng.uniform(0.05, 1.0, size=(K, L)))
+
+
+def eigh_projected_correlation(beta_nlos, angles, asd_rad, N):
+    """Reference correlation matrices by the route that does not rely on
+    their PSD structure: the cluster average of exp(j pi d sin(phi_c)) damped
+    by exp(-(asd_rad pi d cos(phi_c))^2 / 2) at every offset d = s - m,
+    Hermitian-symmetrized, projected onto the PSD cone by clipping the
+    eigenvalues and rescaled to trace N * beta_nlos."""
+    angles = np.asarray(angles, dtype=float)
+    beta_nlos = np.asarray(beta_nlos, dtype=float)
+    offsets = np.arange(1 - N, N)[:, None]
+    sin = np.sin(angles)[..., None, :]
+    cos = np.cos(angles)[..., None, :]
+    damp = 0.5 * (asd_rad ** 2) * (np.pi * offsets * cos) ** 2
+    per_offset = np.sum(np.exp(1j * np.pi * offsets * sin - damp), axis=-1)
+    diff = np.arange(N)[:, None] - np.arange(N)[None, :]
+    R = (beta_nlos / angles.shape[-1])[..., None, None] * per_offset[..., diff + N - 1]
+    R = 0.5 * (R + np.swapaxes(R.conj(), -1, -2))
+    w, V = np.linalg.eigh(R)
+    w = np.clip(w, 0.0, None)
+    total = w.sum(axis=-1)
+    zero = beta_nlos == 0.0
+    w *= (N * beta_nlos / np.where(zero, 1.0, total))[..., None]
+    R = (V * w[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    R[zero] = 0.0
+    return R
 
 
 def dense_qbar(stats, est, pilots, cfg):

@@ -12,7 +12,8 @@ from cfrs.closed_form import (PowerAllocation, _sinr_terms, build_cache,
 from cfrs.config import SystemConfig
 from cfrs.estimation import (PilotAssignment, assign_pilots,
                              estimation_statistics, perfect_csi_statistics)
-from cfrs.geometry import LinkStatistics, draw_geometry, link_statistics
+from cfrs.geometry import (LinkStatistics, draw_geometry, hermitian_sqrt,
+                           link_statistics)
 from cfrs.monte_carlo import sample_moments
 from cfrs.rng import substream
 from cfrs.scenario import EnvScenario
@@ -330,7 +331,8 @@ def _paper_scale_pieces():
                                     "K40_L100", "pickled"])
 def test_gemm_sinr_matches_einsum(pieces, request):
     """The GEMM assembly agrees with one einsum per term, on caches in the
-    GEMM layout and on a pickled one, which unpickles in plain C order."""
+    GEMM layout that build_cache stores and on a pickled one, which
+    unpickles in plain C order."""
     if pieces == "K40_L100":
         cfg, stats, est, pilots = _paper_scale_pieces()
     else:
@@ -340,6 +342,11 @@ def test_gemm_sinr_matches_einsum(pieces, request):
     if pieces == "pickled":
         cache = pickle.loads(pickle.dumps(cache))
         assert cache.p1.flags.c_contiguous
+    else:
+        for name in ("p1", "p2"):
+            assert getattr(cache, name).transpose(1, 2, 0).flags.c_contiguous, name
+        for name in ("c1", "c2"):
+            assert getattr(cache, name).T.flags.c_contiguous, name
     K, L = stats.K, stats.L
     rng = substream(47, pieces)
     rho = np.concatenate([rng.uniform(size=(18, L)), np.zeros((1, L)),
@@ -348,3 +355,26 @@ def test_gemm_sinr_matches_einsum(pieces, request):
     for got, want in zip(_sinr_terms(cache, rho, eta), einsum_sinr_terms(cache, rho, eta)):
         assert got.shape == want.shape == (21, K)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_statistics_path_needs_no_eigendecomposition(monkeypatch):
+    """A K=40, L=100 drop goes from link statistics through the estimation
+    statistics to the cache without one call of numpy.linalg.eigh: the
+    correlation matrices are PSD by construction."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    cfg = SystemConfig(K=40, L=100, N=4, tau_p=10, seed=60)
+    stats = link_statistics(cfg, draw_geometry(cfg, substream(cfg.seed, "geometry")))
+    pilots = assign_pilots(cfg.K, cfg.tau_p, substream(cfg.seed, "pilots"))
+    est = estimation_statistics(stats, pilots, cfg)
+    build_cache(stats, est, pilots, cfg)
+    assert calls == []
+    # The spy does see the one caller that still needs an eigendecomposition.
+    hermitian_sqrt(stats.R[0, 0])
+    assert calls == [(4, 4)]

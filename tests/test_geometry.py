@@ -10,6 +10,7 @@ from cfrs.geometry import (correlation_matrix_from_angles, draw_geometry,
                            link_statistics, path_loss, place_network,
                            rician_split)
 from cfrs.rng import substream
+from conftest import eigh_projected_correlation
 
 
 def test_path_loss_far_slope_anchor():
@@ -113,6 +114,56 @@ def test_correlation_matrix_batched_zero_and_collapse():
     np.testing.assert_array_equal(R[2], correlation_matrix_from_angles(1.3, angles[2], 0.2, 3))
     with pytest.raises(ValueError, match="collapsed"):
         correlation_matrix_from_angles(np.array([0.7, -1.0, 1.3]), angles, 0.2, 3)
+
+
+def test_correlation_matrix_matches_projected_oracle():
+    """The closed-form matrices equal the eigenvalue-projected oracle to
+    1e-12 of their trace, and are PSD to roundoff, over every array size and
+    cluster count from 1 to 8, spreads from 1e-4 to 180 degrees, and angles
+    at +-pi/2 where the spread damps nothing."""
+    rng = substream(21, "oracle-angles")
+    for N in range(1, 9):
+        for n_c in range(1, 9):
+            for asd_deg in (1e-4, 1e-2, 1.0, 15.0, 60.0, 180.0):
+                angles = rng.uniform(-np.pi, np.pi, size=(8, n_c))
+                angles[0] = np.pi / 2
+                angles[1] = -np.pi / 2
+                angles[2, 0] = np.pi / 2
+                beta = rng.uniform(0.1, 3.0, size=8)
+                beta[3] = 0.0
+                asd = math.radians(asd_deg)
+                R = correlation_matrix_from_angles(beta, angles, asd, N)
+                assert R.flags.c_contiguous
+                oracle = eigh_projected_correlation(beta, angles, asd, N)
+                trace = N * beta
+                err = np.max(np.abs(R - oracle), axis=(-1, -2))
+                assert np.all(err <= 1e-12 * trace), (N, n_c, asd_deg)
+                least = np.linalg.eigvalsh(R)[..., 0]
+                assert np.all(least >= -1e-12 * trace), (N, n_c, asd_deg)
+
+
+@pytest.mark.parametrize("beta, angle", [
+    (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf), (np.nan, 0.3), (np.inf, 0.3),
+])
+def test_correlation_matrix_rejects_non_finite(beta, angle):
+    angles = np.array([[0.2, angle], [0.1, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        correlation_matrix_from_angles(np.array([beta, 0.7]), angles, 0.2, 3)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("asd_deg", -15.0), ("asd_deg", 0.0), ("asd_deg", float("inf")), ("asd_deg", float("nan")),
+    ("rician_db", float("nan")), ("rician_db", float("inf")),
+])
+def test_link_statistics_rejects_bad_overrides(name, value):
+    """The environment overrides pass the checks SystemConfig makes, instead
+    of returning matrices of a negative spread or NaN statistics."""
+    cfg = SystemConfig(L=3, K=2, N=3, tau_p=2, seed=4)
+    geo = draw_geometry(cfg, substream(4, "geometry"))
+    with pytest.raises(ValueError, match=name):
+        link_statistics(cfg, geo, **{name: value})
+    rayleigh = link_statistics(cfg, geo, rician_db=float("-inf"))
+    assert np.all(rayleigh.beta_los == 0) and np.all(np.isfinite(rayleigh.R))
 
 
 def test_link_statistics_equals_per_link_matrices():
