@@ -14,7 +14,8 @@ message} to stderr and exit nonzero so scripts can parse failures. Exit codes:
        (ConfigError, FileNotFoundError)
     3  validate: a Monte Carlo estimate missed its tolerance (report on stdout)
     4  degenerate statistics: a normalizer or SINR denominator is not positive
-    5  channel estimation failed: a pilot observation covariance is singular
+    5  channel estimation failed: a pilot observation covariance is not
+       positive definite
     6  training diverged
 """
 

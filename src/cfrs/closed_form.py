@@ -123,9 +123,9 @@ def upsilon_moments(k, i, j, l, stats: LinkStatistics, est: EstimationStatistics
     hj = stats.hbar[j, l]
     a_i = hk.conj() @ hi
     a_j = hk.conj() @ hj
-    Qbar_ij = copilot_cross_moment(i, j, l, stats, est, pilots)
-    tq_i = np.trace(copilot_cross_moment(k, i, l, stats, est, pilots))
-    tq_j = np.trace(copilot_cross_moment(k, j, l, stats, est, pilots))
+    Qbar_ij = copilot_cross_moment(i, j, l, est, pilots)
+    tq_i = np.trace(copilot_cross_moment(k, i, l, est, pilots))
+    tq_j = np.trace(copilot_cross_moment(k, j, l, est, pilots))
     u4 = (np.conj(a_i) * a_j + hi.conj() @ est.Q[k, l] @ hj
           + hk.conj() @ Qbar_ij @ hk + np.trace(Qbar_ij @ est.Q[k, l])
           + np.conj(tq_i) * a_j + tq_j * np.conj(a_i) + np.conj(tq_i) * tq_j)
@@ -133,8 +133,7 @@ def upsilon_moments(k, i, j, l, stats: LinkStatistics, est: EstimationStatistics
     return complex(u4), complex(u5)
 
 
-def normalization_coeffs(stats: LinkStatistics, est: EstimationStatistics,
-                         pilots: PilotAssignment):
+def normalization_coeffs(stats: LinkStatistics, est: EstimationStatistics):
     """Average-power normalizers of the two precoders.
 
     mu_c[l] = 1 / E{|| sum_i ghat_il ||^2} for the common precoder and
@@ -215,7 +214,7 @@ def build_cache(stats: LinkStatistics, est: EstimationStatistics,
     p2 = _ensure_real(var[:, :K], "private variance terms")
     c2 = _ensure_real(var[:, K], "common variance terms")
 
-    mu_c, mu_p = normalization_coeffs(stats, est, pilots)
+    mu_c, mu_p = normalization_coeffs(stats, est)
     # Stored contiguous as (i, L, k) and (L, k); the fields are the (k, i, L)
     # and (k, L) views.
     return SECache(c1=c1.T, c2=np.ascontiguousarray(c2).T, p1=p1.transpose(2, 0, 1),

@@ -1,24 +1,27 @@
-"""Pilot assignment and MMSE channel estimation statistics.
+"""Pilot assignment and MMSE channel estimation statistics, in square-root form.
 
 Users sharing a pilot contaminate each other's estimates. With pilot power p
-and pilot length tau_p, the estimate of link (k, l) is
+and pilot length tau_p, the despread observation y_tl of pilot t at AP l has
+covariance S_tl = p tau_p sum_{i in t} R_il + sigma^2 I, and the MMSE
+estimate of link (k, l) is hbar_kl + sqrt(p tau_p) R_kl S_tl^-1 y_tl with
+t = t(k) (Björnson, Hoydis & Sanguinetti, Massive MIMO Networks, 2017, §3).
+It is stated once, in square-root (whitened) form (Kailath, Sayed & Hassibi,
+Linear Estimation, 2000): with one Cholesky factor S_tl = L_tl L_tl^H per
+(pilot, AP), W_tl = L_tl^-H and G_kl = sqrt(p tau_p) R_kl W_{t(k), l}, the
+whitened observation z_tl = W_tl^H y_tl is CN(0, I) and
 
-    ghat_kl = hbar_kl + sqrt(p tau_p) R_kl Psi_kl (z_kl - zbar_kl),
+    ghat_kl = hbar_kl + G_kl z_{t(k), l}.
 
-where z_kl is the despread pilot observation (shared by all users on the same
-pilot) and Psi_kl = (sum_{i in P_k} p tau_p R_il + sigma^2 I)^{-1}. The
-estimation-error covariance is C_kl = R_kl - Q_kl with
-Q_kl = p tau_p R_kl Psi_kl R_kl, and the cross-moment of two co-pilot
-estimates is Qbar_kil = p tau_p R_il Psi_kl R_kl; it vanishes when k and i use
-different pilots.
+Every statistic is a product of G: the estimate covariance Q_kl = G_kl G_kl^H,
+the error covariance C_kl = R_kl - Q_kl, and the cross-moment of two co-pilot
+estimates Qbar_kil = G_il G_kl^H, zero when k and i use different pilots.
 
 The closed form needs Qbar only through its traces tr Qbar_kil (K, K, L) and
-its sum over all user pairs, sum_{k,i} Qbar_kil (L, N, N). Psi_kl is shared
-by the users of pilot t, so both are computed per pilot group: the traces
-over the group's co-pilot pairs only (every other entry is zero), and the
-sum as p tau_p A_tl Psi_tl A_tl with A_tl = sum_{i in t} R_il.
-EstimationStatistics stores those two reductions; copilot_cross_moment gives
-single entries.
+its sum over all user pairs, sum_{k,i} Qbar_kil (L, N, N). Both are computed
+per pilot group: the traces as one (m, N^2) @ (N^2, m) GEMM per AP over the
+group's m users (every other entry is zero), and the sum as B_tl B_tl^H with
+B_tl = sum_{i in t} G_il. EstimationStatistics stores those two reductions;
+copilot_cross_moment gives single entries.
 """
 
 from dataclasses import dataclass
@@ -26,22 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .geometry import LinkStatistics
+from .geometry import LinkStatistics, hermitian_sqrt
 
 
 class EstimationError(RuntimeError):
-    """Raised when the pilot observation covariance is not invertible."""
+    """Raised when a pilot observation covariance is not positive definite."""
 
 
 @dataclass(frozen=True)
 class PilotAssignment:
     pilot_of: np.ndarray  # (K,) pilot index of each user, in [0, tau_p)
     tau_p: int
-
-    @property
-    def copilot(self):
-        """(K, K) boolean matrix; entry (k, i) is True iff i shares k's pilot."""
-        return self.pilot_of[:, None] == self.pilot_of[None, :]
 
 
 def assign_pilots(K, tau_p, rng, balanced=True) -> PilotAssignment:
@@ -63,8 +61,9 @@ def assign_pilots(K, tau_p, rng, balanced=True) -> PilotAssignment:
 
 @dataclass(frozen=True)
 class EstimationStatistics:
-    Psi: np.ndarray       # (K, L, N, N) inverse pilot-observation covariances
-    Q: np.ndarray         # (K, L, N, N) estimate covariances
+    G: np.ndarray         # (K, L, N, N) per-link factors: ghat_kl = hbar_kl + G_kl z_{t(k), l}
+    W: np.ndarray         # (tau_p, L, N, N) whiteners L_tl^-H; no pilots for perfect CSI
+    Q: np.ndarray         # (K, L, N, N) estimate covariances, G G^H
     C: np.ndarray         # (K, L, N, N) error covariances, R - Q
     trQbar: np.ndarray    # (K, K, L) tr Qbar_kil; zero off pilot group, tr Q_kl on the diagonal
     Qbar_sum: np.ndarray  # (L, N, N) sum of Qbar_kil over all user pairs (k, i)
@@ -73,52 +72,54 @@ class EstimationStatistics:
 
 def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
                           cfg: SystemConfig) -> EstimationStatistics:
-    """Second-order statistics of the MMSE channel estimates for all links."""
+    """Second-order statistics of the MMSE channel estimates for all links.
+    Raises EstimationError if a pilot observation covariance has no Cholesky
+    factor."""
     K, L, N = stats.K, stats.L, stats.N
     ptau = cfg.p_pilot_mw * cfg.tau_p
-    eye = np.eye(N)
-    # One observation covariance per (pilot, AP); users on the same pilot share it.
-    Psi = np.empty((K, L, N, N), dtype=complex)
-    Q = np.empty((K, L, N, N), dtype=complex)
+    W = np.empty((pilots.tau_p, L, N, N), dtype=complex)
+    G = np.empty((K, L, N, N), dtype=complex)
     trQbar = np.zeros((K, K, L), dtype=complex)
     Qbar_sum = np.zeros((L, N, N), dtype=complex)
-    for t in np.unique(pilots.pilot_of):
+    for t in range(pilots.tau_p):
         members = np.flatnonzero(pilots.pilot_of == t)
         R_t = stats.R[members]                                  # (m, L, N, N)
-        A = R_t.sum(axis=0)                                     # (L, N, N)
-        S = ptau * A + cfg.noise_mw * eye
+        S = ptau * R_t.sum(axis=0) + cfg.noise_mw * np.eye(N)
         try:
-            Psi_t = np.linalg.inv(S)
+            chol = np.linalg.cholesky(S)
         except np.linalg.LinAlgError as exc:
-            raise EstimationError(f"pilot {t}: observation covariance is singular") from exc
-        Psi[members] = Psi_t[None]
-        PsiR = Psi_t @ R_t                                      # (m, L, N, N)
-        Q[members] = ptau * (R_t @ PsiR)
-        # tr(R_il Psi_kl R_kl) = sum_ab R_il[a, b] (Psi_kl R_kl)[b, a], one
+            raise EstimationError(f"pilot {t}: observation covariance is not "
+                                  "positive definite") from exc
+        W[t] = np.linalg.inv(chol).conj().swapaxes(-1, -2)
+        G_t = np.sqrt(ptau) * (R_t @ W[t])                      # (m, L, N, N)
+        G[members] = G_t
+        # tr(G_il G_kl^H) = sum_ab conj(G_kl[a, b]) G_il[a, b], one
         # (m, N^2) @ (N^2, m) product per AP over the group's pairs only.
         m = len(members)
-        PsiR_T = PsiR.swapaxes(-1, -2).transpose(1, 0, 2, 3).reshape(L, m, N * N)
-        R_flat = R_t.transpose(1, 0, 2, 3).reshape(L, m, N * N)
-        tr_t = ptau * (PsiR_T @ R_flat.swapaxes(-1, -2))        # (L, k, i)
+        G_flat = G_t.transpose(1, 0, 2, 3).reshape(L, m, N * N)
+        tr_t = G_flat.conj() @ G_flat.swapaxes(-1, -2)          # (L, k, i)
         trQbar[members[:, None], members[None, :]] = tr_t.transpose(1, 2, 0)
-        Qbar_sum += ptau * (A @ Psi_t @ A)
-    C = stats.R - Q
-    return EstimationStatistics(Psi=Psi, Q=Q, C=C, trQbar=trQbar, Qbar_sum=Qbar_sum,
-                                ptau=ptau)
+        B = G_t.sum(axis=0)                                     # (L, N, N)
+        Qbar_sum += B @ B.conj().swapaxes(-1, -2)
+    Q = G @ G.conj().swapaxes(-1, -2)
+    return EstimationStatistics(G=G, W=W, Q=Q, C=stats.R - Q, trQbar=trQbar,
+                                Qbar_sum=Qbar_sum, ptau=ptau)
 
 
 def perfect_csi_statistics(stats: LinkStatistics) -> EstimationStatistics:
     """Statistics of an oracle estimator that returns the true channel.
 
     Q = R and C = 0, and estimates of different users are uncorrelated, so
-    Qbar_kil is R_kl for i = k and zero otherwise. Keeps the downstream code
-    path identical.
+    Qbar_kil is R_kl for i = k and zero otherwise. Each user is its own
+    source, G = R^1/2, and there are no pilots to whiten. Keeps the
+    downstream code path identical.
     """
     K, L, N = stats.K, stats.L, stats.N
     trQbar = np.zeros((K, K, L), dtype=complex)
     trQbar[np.arange(K), np.arange(K)] = np.trace(stats.R, axis1=-2, axis2=-1)
     return EstimationStatistics(
-        Psi=np.zeros((K, L, N, N), dtype=complex),
+        G=hermitian_sqrt(stats.R),
+        W=np.zeros((0, L, N, N), dtype=complex),
         Q=stats.R.copy(),
         C=np.zeros((K, L, N, N), dtype=complex),
         trQbar=trQbar,
@@ -127,13 +128,12 @@ def perfect_csi_statistics(stats: LinkStatistics) -> EstimationStatistics:
     )
 
 
-def copilot_cross_moment(k, i, l, stats: LinkStatistics, est: EstimationStatistics,
-                         pilots: PilotAssignment):
+def copilot_cross_moment(k, i, l, est: EstimationStatistics, pilots: PilotAssignment):
     """One entry Qbar_kil (N, N) of the co-pilot cross-moments: Q_kl for
-    i = k, p tau_p R_il Psi_kl R_kl when k and i share a pilot, else zero."""
+    i = k, G_il G_kl^H when k and i share a pilot, else zero (and always
+    zero off the diagonal under perfect CSI)."""
     if i == k:
         return est.Q[k, l]
-    if pilots.pilot_of[k] != pilots.pilot_of[i]:
+    if pilots.pilot_of[k] != pilots.pilot_of[i] or est.ptau == 0:
         return np.zeros_like(est.Q[k, l])
-    return est.ptau * (stats.R[i, l] @ (est.Psi[k, l] @ stats.R[k, l]))
-
+    return est.G[i, l] @ est.G[k, l].conj().T

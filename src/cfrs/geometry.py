@@ -49,7 +49,6 @@ class Geometry:
     vary."""
 
     placement: Placement
-    distances: np.ndarray       # (K, L) meters
     phi: np.ndarray             # (K, L) nominal angle of each link, radians
     cluster_angles: np.ndarray  # (K, L, N_c) nominal cluster angles, radians
     zeta: np.ndarray            # (K, L) large-scale channel gain, linear
@@ -64,7 +63,6 @@ class LinkStatistics:
     beta_los: np.ndarray  # (K, L) line-of-sight gains
     beta_nlos: np.ndarray  # (K, L) scattered gains
     zeta: np.ndarray      # (K, L) total large-scale gains
-    phi: np.ndarray       # (K, L) nominal angles
 
     @property
     def K(self):
@@ -173,18 +171,16 @@ def draw_geometry(cfg: SystemConfig, rng) -> Geometry:
     """Drop a network and fix every per-link geometric random draw."""
     placement = place_network(cfg, rng)
     delta = placement.ue_positions[:, None, :] - placement.ap_positions[None, :, :]
-    distances = np.linalg.norm(delta, axis=-1)
     phi = np.arctan2(delta[..., 1], delta[..., 0])
     angles = rng.uniform(
         phi[..., None] - _CLUSTER_HALF_WIDTH_RAD,
         phi[..., None] + _CLUSTER_HALF_WIDTH_RAD,
         size=(cfg.K, cfg.L, cfg.N_c),
     )
-    zeta = path_loss(distances)
+    zeta = path_loss(np.linalg.norm(delta, axis=-1))
     if cfg.shadowing:
         zeta = zeta * 10.0 ** (_SHADOW_SIGMA_DB * rng.standard_normal(zeta.shape) / 10.0)
-    return Geometry(placement=placement, distances=distances, phi=phi,
-                    cluster_angles=angles, zeta=zeta)
+    return Geometry(placement=placement, phi=phi, cluster_angles=angles, zeta=zeta)
 
 
 def link_statistics(cfg: SystemConfig, geometry: Geometry,
@@ -206,7 +202,7 @@ def link_statistics(cfg: SystemConfig, geometry: Geometry,
         1j * 2.0 * np.pi * cfg.d_H * n * np.sin(geometry.phi)[..., None])
     R = correlation_matrix_from_angles(beta_nlos, geometry.cluster_angles, asd, cfg.N)
     return LinkStatistics(hbar=hbar, R=R, beta_los=beta_los, beta_nlos=beta_nlos,
-                          zeta=geometry.zeta, phi=geometry.phi)
+                          zeta=geometry.zeta)
 
 
 def hermitian_sqrt(R):

@@ -13,7 +13,8 @@ draw per kind of caller:
   CSI) and one (N, N) product per (k, l).
 - draw serves sample_moments and the tests: the joint law of the channels g
   and their estimates ghat. A block costs (K + tau_p) L N complex normals,
-  the R^1/2 product, a (tau_p, K) pilot-group GEMM and the estimator product.
+  the R^1/2 product, a (tau_p, K) pilot-group GEMM, the whitening of the
+  pilot innovation and the estimator product.
 
 Both draws follow one stream rule: the normals are drawn blocks first
 (rng.complex_normal_blocks), so block b reads the b-th run of the stream
@@ -37,7 +38,7 @@ import numpy as np
 
 from .closed_form import PowerAllocation, check_allocation_shape, normalization_coeffs
 from .config import SystemConfig
-from .estimation import EstimationError, EstimationStatistics, PilotAssignment
+from .estimation import EstimationStatistics, PilotAssignment
 from .geometry import LinkStatistics, hermitian_sqrt
 from .rng import complex_normal_blocks
 
@@ -55,30 +56,30 @@ class ChannelSampler:
 
     Both draws read their normals blocks first, one block of the stream per
     coherence block, so a block's draw does not depend on how many blocks a
-    call draws.
+    call draws. Both end in the estimator's own step,
+
+        ghat_kl = hbar_kl + G_kl z_{source[k], l},
+
+    with the per-link factors G of the estimation statistics: the sampler
+    owns no estimator matrix.
 
     draw returns the joint law of (g, ghat), for sample_moments and the
     tests. The pilot noise of a coherence block is drawn once per (pilot, AP)
     and shared by every user on that pilot, which reproduces the
     estimation-error correlation between co-pilot users. A block costs
     (K + tau_p) L N complex normals, the K channel sources first and then
-    the tau_p noise sources (K alone under perfect CSI), and three batched
-    products.
+    the tau_p noise sources (K alone under perfect CSI). The channels are
+    hbar + R^1/2 w; their pilot innovation, summed over each pilot group by
+    one (tau_p, K) GEMM and whitened by W^H = L^-1, is the z of the
+    estimator step.
 
-    draw_estimates returns ghat alone, for achievable_sum_se. The despread
-    observation of pilot t at AP l has covariance S_tl = Psi_tl^-1, so with
-    z_tl ~ CN(0, I),
-
-        ghat_kl = hbar_kl + A_kl z_{t(k), l},  A_kl = sqrt(p tau_p) R_kl Psi_tl chol(S_tl),
-
-    whose cross-moments A_kl A_il^H are Qbar exactly, co-pilot pairs
-    included. A block costs tau_p L N complex normals and one (N, N) product
-    per (k, l).
+    draw_estimates returns ghat alone, for achievable_sum_se: z is drawn
+    directly, tau_p L N complex normals a block, whose products G_kl G_il^H
+    are the cross-moments Qbar exactly, co-pilot pairs included.
 
     Statistics without pilot energy (est.ptau == 0, as from
     perfect_csi_statistics) give perfect CSI: the estimate is the channel
-    itself, and draw_estimates gives each user its own source with
-    A = R^1/2. Each draw computes its own matrices on first use.
+    itself, and each user is its own source with G = R^1/2.
     """
 
     def __init__(self, stats: LinkStatistics, est: EstimationStatistics,
@@ -90,37 +91,27 @@ class ChannelSampler:
         self.perfect_csi = est.ptau == 0
         self.indicator = (np.arange(pilots.tau_p)[:, None]
                           == pilots.pilot_of[None, :]).astype(float)
+        if self.perfect_csi:
+            self.source, self.n_sources = np.arange(stats.K), stats.K
+        else:
+            self.source, self.n_sources = pilots.pilot_of, pilots.tau_p
 
     @cached_property
     def Rhalf(self):
         return hermitian_sqrt(self.stats.R)
 
-    @cached_property
-    def Bmat(self):
-        return np.sqrt(self.est.ptau) * np.einsum("klab,klbc->klac", self.stats.R, self.est.Psi)
-
-    @cached_property
-    def _estimate_map(self):
-        """(A, source, n_sources): ghat_kl = hbar_kl + A_kl z_{source[k], l}."""
-        stats, pilots = self.stats, self.pilots
-        if self.perfect_csi:
-            return self.Rhalf, np.arange(stats.K), stats.K
-        K, L, N = stats.K, stats.L, stats.N
-        S = (self.indicator @ stats.R.reshape(K, -1)).reshape(pilots.tau_p, L, N, N)
-        S = self.est.ptau * S + self.cfg.noise_mw * np.eye(N)
-        try:
-            chol = np.linalg.cholesky(S)
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError("a pilot observation covariance is not "
-                                  "positive definite") from exc
-        return self.Bmat @ chol[pilots.pilot_of], pilots.pilot_of, pilots.tau_p
+    def _estimates(self, z):
+        """hbar + G z[source], C-contiguous (n, K, L, N), from the sources
+        z (n_sources, L, N, n) laid out blocks last."""
+        spread = self.est.G @ z[self.source]                        # (K, L, N, n)
+        return np.add(self.stats.hbar[None], np.moveaxis(spread, -1, 0), order="C")
 
     def draw(self, n, rng):
         """Return (g, ghat), each C-contiguous of shape (n, K, L, N). A block's
         K channel normals z[:K] and tau_p pilot-noise normals z[K:] are one
-        block of the stream; Rhalf, the pilot-group sum and Bmat act as
-        matmuls on blocks-last (K, L, N, n) views."""
-        stats, cfg, K = self.stats, self.cfg, self.stats.K
+        block of the stream; Rhalf, the pilot-group sum, the whitening and G
+        act as matmuls on blocks-last (K, L, N, n) views."""
+        stats, est, K = self.stats, self.est, self.stats.K
         n_noise = 0 if self.perfect_csi else self.pilots.tau_p
         z = complex_normal_blocks(rng, n, (K + n_noise, stats.L, stats.N))
         z = np.moveaxis(z, 0, -1)                                   # (K + tau_p, L, N, n)
@@ -130,19 +121,15 @@ class ChannelSampler:
             return g, g
         innovation = (self.indicator @ scattered.reshape(K, -1)).reshape(
             n_noise, *scattered.shape[1:])                          # (tau_p, L, N, n)
-        innovation *= np.sqrt(cfg.p_pilot_mw * cfg.tau_p)
-        innovation += np.sqrt(cfg.noise_mw) * z[K:]
-        spread = self.Bmat @ innovation[self.pilots.pilot_of]       # (K, L, N, n)
-        ghat = np.add(stats.hbar[None], np.moveaxis(spread, -1, 0), order="C")
-        return g, ghat
+        innovation *= np.sqrt(est.ptau)
+        innovation += np.sqrt(self.cfg.noise_mw) * z[K:]
+        return g, self._estimates(est.W.conj().swapaxes(-1, -2) @ innovation)
 
     def draw_estimates(self, n, rng):
         """Return ghat alone, C-contiguous of shape (n, K, L, N)."""
-        A, source, n_sources = self._estimate_map
         stats = self.stats
-        z = complex_normal_blocks(rng, n, (n_sources, stats.L, stats.N))
-        spread = A @ np.moveaxis(z, 0, -1)[source]                  # (K, L, N, n)
-        return np.add(stats.hbar[None], np.moveaxis(spread, -1, 0), order="C")
+        z = complex_normal_blocks(rng, n, (self.n_sources, stats.L, stats.N))
+        return self._estimates(np.moveaxis(z, 0, -1))
 
 
 def _chunks(n, per_block, budget):
@@ -227,7 +214,7 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
     if n_blocks < 2:
         raise ValueError("n_blocks must be at least 2")
     check_allocation_shape(alloc.rho.shape, alloc.eta.shape, stats.K, stats.L)
-    mu_c, mu_p = normalization_coeffs(stats, est, pilots)
+    mu_c, mu_p = normalization_coeffs(stats, est)
     sampler = ChannelSampler(stats, est, pilots, cfg)
     se_c, se_p = [], []
     for n in _chunks(n_blocks, stats.L * stats.N * max(stats.K, stats.N),

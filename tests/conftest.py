@@ -6,7 +6,8 @@ in seconds, so most statistical tests run on it. Session scope lets the
 module tests and the acceptance suite share the same statistics objects.
 
 The oracles below (eigenvalue-projected correlation matrices, dense co-pilot
-tensor, scalar uncorrelated cache,
+tensor from inverted observation covariances, subtraction-free error
+covariances, scalar uncorrelated cache,
 per-term einsum SINR assembly, sample-moment SINR assembly, achievable rate
 from the joint channel draw, transmit-power audit, per-parameter training
 loop) are independent routes to quantities the package computes; the tests
@@ -99,14 +100,45 @@ def eigh_projected_correlation(beta_nlos, angles, asd_rad, N):
     return R
 
 
-def dense_qbar(stats, est, pilots, cfg):
-    """Reference (K, K, L, N, N) co-pilot cross-moments built from R, Psi and
-    the pilots: Qbar_kil = p tau_p R_il Psi_kl R_kl on pilot groups, zero
-    elsewhere."""
+def copilot_matrix(pilots):
+    """(K, K) boolean matrix; entry (k, i) is True iff i shares k's pilot."""
+    return pilots.pilot_of[:, None] == pilots.pilot_of[None, :]
+
+
+def observation_covariances(stats, pilots, cfg):
+    """Per-user pilot observation covariances S_kl = p tau_p sum_{i on k's
+    pilot} R_il + sigma^2 I, (K, L, N, N), summed user by user from R."""
     ptau = cfg.p_pilot_mw * cfg.tau_p
-    PsiR = np.einsum("klab,klbc->klac", est.Psi, stats.R)
+    copilot = copilot_matrix(pilots)
+    S = np.empty_like(stats.R)
+    for k in range(stats.K):
+        S[k] = ptau * stats.R[copilot[k]].sum(axis=0) + cfg.noise_mw * np.eye(stats.N)
+    return S
+
+
+def dense_qbar(stats, pilots, cfg):
+    """Reference (K, K, L, N, N) co-pilot cross-moments built from R, the
+    inverted observation covariances Psi = S^-1 and the pilots:
+    Qbar_kil = p tau_p R_il Psi_kl R_kl on pilot groups, zero elsewhere."""
+    ptau = cfg.p_pilot_mw * cfg.tau_p
+    Psi = np.linalg.inv(observation_covariances(stats, pilots, cfg))
+    PsiR = np.einsum("klab,klbc->klac", Psi, stats.R)
     Qbar = np.einsum("ilab,klbc->kilac", stats.R, PsiR) * ptau
-    return Qbar * pilots.copilot[:, :, None, None, None]
+    return Qbar * copilot_matrix(pilots)[:, :, None, None, None]
+
+
+def error_covariances(stats, pilots, cfg):
+    """Reference MMSE error covariances without the cancelling subtraction
+    R - Q: C_kl = R_kl S_kl^-1 (p tau_p sum_{i on k's pilot, i != k} R_il
+    + sigma^2 I), whose second factor leaves out user k's own term."""
+    ptau = cfg.p_pilot_mw * cfg.tau_p
+    copilot = copilot_matrix(pilots)
+    C = np.empty_like(stats.R)
+    for k in range(stats.K):
+        others = copilot[k] & (np.arange(stats.K) != k)
+        X = ptau * stats.R[others].sum(axis=0) + cfg.noise_mw * np.eye(stats.N)
+        C[k] = stats.R[k] @ np.linalg.solve(X + ptau * stats.R[k], X)
+    return C
 
 
 def dense_qbar_perfect(stats):
@@ -125,7 +157,7 @@ def uncorrelated_cache(beta_los, beta_nlos, pilots, cfg):
     K, L = beta_los.shape
     N = cfg.N
     ptau = cfg.p_pilot_mw * cfg.tau_p
-    copilot = pilots.copilot
+    copilot = copilot_matrix(pilots)
 
     denom = ptau * np.einsum("ki,il->kl", copilot.astype(float), beta_nlos) + cfg.noise_mw
     gamma = ptau * beta_nlos ** 2 / denom
@@ -188,7 +220,7 @@ def mc_uatf_sinrs(stats, est, pilots, cfg, alloc, n_draws, rng):
     closed-form bound does. Returns (sinr_c, sinr_p), each (K,).
     """
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    mu = normalization_coeffs(stats, est, pilots)
+    mu = normalization_coeffs(stats, est)
     K, L, N = stats.K, stats.L, stats.N
     amp_c = np.sqrt(alloc.rho)[:, None]
     amp_p = np.sqrt((1.0 - alloc.rho)[None, :] * alloc.eta)[:, :, None]
@@ -216,7 +248,7 @@ def joint_draw_achievable(stats, est, pilots, cfg, alloc, n_blocks, rng):
     from sampled channels and pilot noise, not from their own law. Returns
     (sum SE, standard error)."""
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    mu = normalization_coeffs(stats, est, pilots)
+    mu = normalization_coeffs(stats, est)
     totals = []
     for n in _oracle_chunks(stats, n_blocks):
         _, ghat = sampler.draw(n, rng)
@@ -247,7 +279,7 @@ def sample_tx_power(stats, est, pilots, cfg, alloc, l, n_draws, rng):
     with the normalized precoders and fresh unit-power data symbols (the
     common one, then K private ones per block, drawn ahead of the channels)."""
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    mu = normalization_coeffs(stats, est, pilots)
+    mu = normalization_coeffs(stats, est)
     amp_c = np.sqrt(cfg.p_dl_mw * alloc.rho[l])
     amp_p = np.sqrt(cfg.p_dl_mw * (1.0 - alloc.rho[l]) * alloc.eta[:, l] / stats.K)
     symbols = complex_normal_blocks(rng, n_draws, (stats.K + 1,))

@@ -17,10 +17,9 @@ from cfrs.diffusion import EpsNetwork, reverse_sample
 from cfrs.estimation import (assign_pilots, estimation_statistics,
                              perfect_csi_statistics)
 from cfrs.experiments import DIFFUSION_SYSTEM, held_out_envs, training_envs
-from cfrs.geometry import draw_geometry, link_statistics
 from cfrs.monte_carlo import achievable_sum_se, sample_moments
 from cfrs.rng import substream
-from cfrs.scenario import DEFAULT_RHO_GRID, train_policy
+from cfrs.scenario import DEFAULT_RHO_GRID, EnvScenario, train_policy
 from conftest import (mc_uatf_sinrs, random_allocation, sample_tx_power,
                       uncorrelated_cache)
 from test_closed_form import _aligned_stats, _classical_private_sinrs
@@ -150,10 +149,10 @@ def geometry_sweep():
     cfg = SystemConfig()
     rows = []
     for g in range(50):
-        geo = draw_geometry(cfg, substream(1, "sweep", g, "geometry"))
-        stats = link_statistics(cfg, geo)
-        pilots = assign_pilots(cfg.K, cfg.tau_p, substream(1, "sweep", g, "pilots"))
-        est = estimation_statistics(stats, pilots, cfg)
+        scenario = EnvScenario(cfg, rngs=(substream(1, "sweep", g, "geometry"),
+                                          substream(1, "sweep", g, "pilots")))
+        stats, est = scenario.drop_statistics()
+        pilots = scenario.pilots
         cache = build_cache(stats, est, pilots, cfg)
         no_rs = evaluate_cache(cache, PowerAllocation.no_rs(cfg.K, cfg.L)).sum_se
         equal_vals = [evaluate_cache(
@@ -212,16 +211,14 @@ def test_criterion_05_splitting_gain(geometry_sweep):
 @pytest.fixture(scope="module")
 def rho_sweep():
     cfg = SystemConfig()
-    geo = draw_geometry(cfg, substream(1, "rho", "geometry"))
-    stats = link_statistics(cfg, geo)
-    pilots = assign_pilots(cfg.K, cfg.tau_p, substream(1, "rho", "pilots"))
-    est = estimation_statistics(stats, pilots, cfg)
-    cache = build_cache(stats, est, pilots, cfg)
+    scenario = EnvScenario(cfg, rngs=(substream(1, "rho", "geometry"),
+                                      substream(1, "rho", "pilots")))
+    cache = scenario.cache()
     equal_vals = np.array([evaluate_cache(
         cache, PowerAllocation.equal_split(cfg.K, cfg.L, r)).sum_se
         for r in DEFAULT_RHO_GRID])
-    eta = heuristic_control(geo.zeta)
-    heur_allocs = [PowerAllocation(rho=heuristic_split(geo.zeta, r), eta=eta)
+    eta = heuristic_control(scenario.zeta)
+    heur_allocs = [PowerAllocation(rho=heuristic_split(scenario.zeta, r), eta=eta)
                    for r in DEFAULT_RHO_GRID]
     heur_vals = np.array([evaluate_cache(cache, a).sum_se for a in heur_allocs])
     best_heur = heur_allocs[int(np.argmax(heur_vals))]
@@ -261,10 +258,10 @@ def test_criterion_07_power_saturation():
     # pin the private interference to the budget and flatline.
     rho_grid = (0.0, 0.5, 0.9, 0.99, 0.995, 0.999, 0.9995, 0.9999)
     for g in range(3):
-        geo = draw_geometry(cfg, substream(1, "sat", g, "geometry"))
-        stats = link_statistics(cfg, geo)
-        pilots = assign_pilots(cfg.K, cfg.tau_p, substream(1, "sat", g, "pilots"))
-        est = estimation_statistics(stats, pilots, cfg)
+        scenario = EnvScenario(cfg, rngs=(substream(1, "sat", g, "geometry"),
+                                          substream(1, "sat", g, "pilots")))
+        stats, est = scenario.drop_statistics()
+        pilots = scenario.pilots
         closed = {}
         ach = {}
         for p_dbm in (33.0, 43.0):

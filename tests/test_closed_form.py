@@ -17,8 +17,9 @@ from cfrs.geometry import (LinkStatistics, draw_geometry, hermitian_sqrt,
 from cfrs.monte_carlo import sample_moments
 from cfrs.rng import substream
 from cfrs.scenario import EnvScenario
-from conftest import (dense_qbar, dense_qbar_perfect, einsum_sinr_terms,
-                      max_rel_diff, random_allocation, uncorrelated_cache)
+from conftest import (copilot_matrix, dense_qbar, dense_qbar_perfect,
+                      einsum_sinr_terms, max_rel_diff, random_allocation,
+                      uncorrelated_cache)
 
 
 def test_power_allocation_roundtrip():
@@ -88,7 +89,7 @@ def test_upsilon_decomposition_against_sampling(desk_pieces, desk_moments):
 
 def test_normalizers_match_sampling(desk_pieces, desk_moments):
     _, stats, est, pilots = desk_pieces
-    mu_c, mu_p = normalization_coeffs(stats, est, pilots)
+    mu_c, mu_p = normalization_coeffs(stats, est)
     assert np.all(mu_c > 0) and np.all(mu_p > 0)
     for l in range(stats.L):
         mc = desk_moments.common_norm.mean[l]
@@ -142,7 +143,7 @@ def _dense_cache_fields(stats, Qbar, pilots):
     tr(Qbar_ijl R_kl) + hbar_kl^H Qbar_ijl hbar_kl over every pair (i, j)."""
     hbar = stats.hbar
     trQbar = np.trace(Qbar, axis1=-2, axis2=-1)
-    p1 = np.einsum("kln,iln->kil", hbar.conj(), hbar) + trQbar * pilots.copilot[:, :, None]
+    p1 = np.einsum("kln,iln->kil", hbar.conj(), hbar) + trQbar * copilot_matrix(pilots)[:, :, None]
     trQbarR = np.einsum("ijlnm,klmn->kijl", Qbar, stats.R)
     hQbarh = np.einsum("kln,ijlnm,klm->kijl", hbar.conj(), Qbar, hbar)
     s = hbar.sum(axis=0)
@@ -161,13 +162,13 @@ def test_cache_matches_dense_oracle(pieces, request):
         Qbar = dense_qbar_perfect(stats)
     else:
         cfg, stats, est, pilots = request.getfixturevalue(pieces)
-        Qbar = dense_qbar(stats, est, pilots, cfg)
+        Qbar = dense_qbar(stats, pilots, cfg)
     cache = build_cache(stats, est, pilots, cfg)
     for name, expected in _dense_cache_fields(stats, Qbar, pilots).items():
         assert max_rel_diff(getattr(cache, name), expected) <= 1e-12, name
     # Off the pilot groups p1 is exactly the line-of-sight product, which is
     # what lets the SINR assembly use p1 for every user pair.
-    off = ~pilots.copilot
+    off = ~copilot_matrix(pilots)
     hdot = np.einsum("kln,iln->kil", stats.hbar.conj(), stats.hbar)
     np.testing.assert_array_equal(cache.p1[off], hdot[off])
 
@@ -175,13 +176,11 @@ def test_cache_matches_dense_oracle(pieces, request):
 def _aligned_stats(beta_los, beta_nlos, N):
     """Statistics with R = beta_nlos * I and phase-aligned LoS means, the
     regime where the scalar cache applies."""
-    K, L = beta_los.shape
     hbar = np.sqrt(beta_los)[..., None] * np.ones(N)
     R = beta_nlos[..., None, None] * np.eye(N)
     return LinkStatistics(hbar=hbar.astype(complex), R=R.astype(complex),
                           beta_los=beta_los, beta_nlos=beta_nlos,
-                          zeta=np.hypot(beta_los, beta_nlos),
-                          phi=np.zeros((K, L)))
+                          zeta=np.hypot(beta_los, beta_nlos))
 
 
 def test_scalar_cache_matches_matrix_cache():
@@ -214,14 +213,14 @@ def _classical_private_sinrs(beta, eta, pilots, cfg):
     ptau = cfg.p_pilot_mw * cfg.tau_p
     lam = np.zeros((K, L))
     for i in range(K):
-        members = np.flatnonzero(pilots.copilot[i])
+        members = np.flatnonzero(copilot_matrix(pilots)[i])
         lam[i] = ptau * beta[members].sum(axis=0) + cfg.noise_mw
     q = ptau * beta ** 2 / lam
     sinr = np.zeros(K)
     for k in range(K):
         signal = np.sum(np.sqrt(eta[k] * q[k])) ** 2
         interference = np.sum(eta * beta[k][None, :])
-        for i in np.flatnonzero(pilots.copilot[k]):
+        for i in np.flatnonzero(copilot_matrix(pilots)[k]):
             if i == k:
                 continue
             c = ptau * beta[k] * beta[i] / lam[i]
@@ -259,8 +258,8 @@ def _relabelled_drop(stats, est, pilots, users, aps):
 
     stats = dataclasses.replace(stats, **{f.name: link(getattr(stats, f.name))
                                           for f in dataclasses.fields(stats)})
-    est = dataclasses.replace(est, Psi=link(est.Psi), Q=link(est.Q), C=link(est.C),
-                              trQbar=est.trQbar[users][:, users][:, :, aps],
+    est = dataclasses.replace(est, G=link(est.G), W=est.W[:, aps], Q=link(est.Q),
+                              C=link(est.C), trQbar=est.trQbar[users][:, users][:, :, aps],
                               Qbar_sum=est.Qbar_sum[aps])
     return stats, est, PilotAssignment(pilots.pilot_of[users], pilots.tau_p)
 

@@ -8,8 +8,11 @@ import pytest
 from cfrs.config import SystemConfig
 from cfrs.estimation import (assign_pilots, copilot_cross_moment,
                              estimation_statistics, perfect_csi_statistics)
+from cfrs.geometry import hermitian_sqrt
 from cfrs.rng import substream
-from conftest import dense_qbar, dense_qbar_perfect, max_rel_diff
+from cfrs.scenario import EnvScenario
+from conftest import (copilot_matrix, dense_qbar, dense_qbar_perfect,
+                      error_covariances, max_rel_diff)
 
 
 def test_assign_pilots_balanced_counts():
@@ -23,7 +26,7 @@ def test_assign_pilots_balanced_counts():
 
 def test_assign_pilots_copilot_matrix():
     p = assign_pilots(6, 3, substream(8, "pilots"))
-    cop = p.copilot
+    cop = copilot_matrix(p)
     assert cop.shape == (6, 6)
     assert np.all(np.diag(cop))
     np.testing.assert_array_equal(cop, cop.T)
@@ -69,10 +72,24 @@ def test_estimation_noise_limit_kills_estimate(desk_pieces):
     np.testing.assert_allclose(est.C, stats.R, rtol=1e-6, atol=1e-18)
 
 
+def test_error_covariance_matches_subtraction_free_oracle():
+    """C = R - G G^H keeps its accuracy on near links, where R and Q nearly
+    cancel: every link of the paper-scale drop is within 5e-11 of
+    R S^-1 (p tau_p sum_{i != k} R_i + sigma^2 I), relative to its own size."""
+    cfg = SystemConfig(K=20, L=100, N=4, tau_p=10, seed=60)
+    scenario = EnvScenario(cfg)
+    stats, est = scenario.drop_statistics()
+    ref = error_covariances(stats, scenario.pilots, cfg)
+    err = np.abs(est.C - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+    assert err.max() <= 5e-11
+
+
 def test_perfect_csi_statistics(desk_pieces):
     _, stats, _, _ = desk_pieces
     est = perfect_csi_statistics(stats)
     np.testing.assert_array_equal(est.Q, stats.R)
+    np.testing.assert_array_equal(est.G, hermitian_sqrt(stats.R))
+    assert est.W.shape[0] == 0 and est.ptau == 0
     assert np.all(est.C == 0)
     np.testing.assert_array_equal(est.Qbar_sum, stats.R.sum(axis=0))
     for k in range(stats.K):
@@ -93,14 +110,14 @@ def test_reductions_match_dense_oracle(pieces, request):
         Qbar = dense_qbar_perfect(stats)
     else:
         cfg, stats, est, pilots = request.getfixturevalue(pieces)
-        Qbar = dense_qbar(stats, est, pilots, cfg)
+        Qbar = dense_qbar(stats, pilots, cfg)
     K, L, N = stats.K, stats.L, stats.N
     assert max_rel_diff(est.trQbar, np.trace(Qbar, axis1=-2, axis2=-1)) <= 1e-12
     assert max_rel_diff(est.Qbar_sum, Qbar.sum(axis=(0, 1))) <= 1e-12
     for k in range(K):
         for i in range(K):
             for l in range(L):
-                entry = copilot_cross_moment(k, i, l, stats, est, pilots)
+                entry = copilot_cross_moment(k, i, l, est, pilots)
                 assert max_rel_diff(entry, Qbar[k, i, l]) <= 1e-12
     for name, value in vars(est).items():
         assert np.shape(value) != (K, K, L, N, N), name

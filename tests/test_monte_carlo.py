@@ -12,15 +12,15 @@ from cfrs import monte_carlo
 from cfrs.closed_form import PowerAllocation, evaluate_cache, normalization_coeffs
 from cfrs.config import SystemConfig
 from cfrs.estimation import (EstimationError, copilot_cross_moment,
-                             perfect_csi_statistics)
+                             estimation_statistics, perfect_csi_statistics)
 from cfrs.geometry import hermitian_sqrt
 from cfrs.monte_carlo import (ChannelSampler, achievable_sum_se,
                               instantaneous_sinrs, sample_moments)
 from cfrs.rng import complex_normal_blocks, substream
 from cfrs.scenario import EnvScenario
 from conftest import (expected_tx_power, joint_draw_achievable, max_rel_diff,
-                      mc_uatf_sinrs, random_allocation, sample_tx_power,
-                      unit_precoders)
+                      mc_uatf_sinrs, observation_covariances, random_allocation,
+                      sample_tx_power, unit_precoders)
 
 
 def _desk_drop_under_los(rician_db):
@@ -70,7 +70,7 @@ def _sinrs_by_hand(ghat, v_c, v_p, C, alloc, cfg):
 def test_instantaneous_sinrs_match_hand_loop(drop, request):
     cfg, stats, est, pilots = request.getfixturevalue(drop)
     _, ghat = ChannelSampler(stats, est, pilots, cfg).draw(6, substream(79, drop, "draw"))
-    mu = normalization_coeffs(stats, est, pilots)
+    mu = normalization_coeffs(stats, est)
     v_c, v_p = unit_precoders(ghat, *mu)
     allocs = [PowerAllocation.no_rs(stats.K, stats.L),
               PowerAllocation.equal_split(stats.K, stats.L, 0.6),
@@ -91,8 +91,9 @@ def test_instantaneous_sinrs_match_hand_loop(drop, request):
 
 @pytest.mark.parametrize("drop", ORACLE_DROPS)
 def test_sampler_draw_matches_per_link_reference(drop, request):
-    """g = hbar + R^1/2 w per link, and ghat = hbar + sqrt(p tau_p) R Psi y
-    with y the despread pilot signal of the user's group, on the same stream:
+    """g = hbar + R^1/2 w per link, and ghat = hbar + sqrt(p tau_p) R S^-1 y
+    with y the despread pilot signal of the user's group and S its
+    covariance, on the same stream:
     each block reads its K channel normals w, then its tau_p noise normals."""
     cfg, stats, est, pilots = request.getfixturevalue(drop)
     n = 5
@@ -102,6 +103,7 @@ def test_sampler_draw_matches_per_link_reference(drop, request):
     w, noise = z[:, :stats.K], z[:, stats.K:]
     ptau = cfg.p_pilot_mw * cfg.tau_p
     Rhalf = hermitian_sqrt(stats.R)
+    S = observation_covariances(stats, pilots, cfg)
     g_ref = np.empty_like(g)
     ghat_ref = np.empty_like(ghat)
     for b in range(n):
@@ -114,7 +116,7 @@ def test_sampler_draw_matches_per_link_reference(drop, request):
                                          if pilots.pilot_of[i] == t)
                      + np.sqrt(cfg.noise_mw) * noise[b, t, l])
                 ghat_ref[b, k, l] = (stats.hbar[k, l] + np.sqrt(ptau)
-                                     * stats.R[k, l] @ est.Psi[k, l] @ y)
+                                     * stats.R[k, l] @ np.linalg.solve(S[k, l], y))
     assert max_rel_diff(g, g_ref) <= 1e-12
     assert max_rel_diff(ghat, ghat_ref) <= 1e-12
 
@@ -266,7 +268,7 @@ def test_sampler_channels_match_statistics():
 def test_sampler_estimate_moments(desk_pieces):
     """Empirical moments of the sampled estimates match Q and Qbar, and the
     residual is uncorrelated with the estimate. E{(ghat_k - hbar_k)
-    (ghat_i - hbar_i)^H} is Qbar_ik = p tau_p R_k Psi R_i."""
+    (ghat_i - hbar_i)^H} is Qbar_ik = G_k G_i^H."""
     cfg, stats, est, pilots = desk_pieces
     n = 20000
     g, ghat = ChannelSampler(stats, est, pilots, cfg).draw(n, substream(21, "mc"))
@@ -291,7 +293,7 @@ def test_sampler_estimate_moments(desk_pieces):
                 ck = ghat[:, k, l] - stats.hbar[k, l]
                 ci = ghat[:, i, l] - stats.hbar[i, l]
                 emp = np.einsum("bn,bm->nm", ck, ci.conj()) / n
-                ref = copilot_cross_moment(i, k, l, stats, est, pilots)
+                ref = copilot_cross_moment(i, k, l, est, pilots)
                 assert np.abs(emp - ref).max() <= 0.1 * np.abs(ref).max()
                 pairs += 1
     assert pairs > 0
@@ -340,7 +342,7 @@ def _estimate_covariances(stats, est, pilots):
         if i == k:
             ref[k, i, l] = stats.R[k, l] if perfect else est.Q[k, l]
         elif not perfect and pilots.pilot_of[k] == pilots.pilot_of[i]:
-            ref[k, i, l] = copilot_cross_moment(i, k, l, stats, est, pilots)
+            ref[k, i, l] = copilot_cross_moment(i, k, l, est, pilots)
     return ref
 
 
@@ -375,7 +377,7 @@ def test_estimate_draw_is_chunk_invariant(csi, copilot_pieces, monkeypatch):
                                   complex_normal_blocks(substream(103, csi), 100, shape))
 
     alloc = random_allocation(stats.K, stats.L, substream(103, csi, "alloc"))
-    mu = normalization_coeffs(stats, est, pilots)
+    mu = normalization_coeffs(stats, est)
 
     def totals(ghat):
         sinr_c, sinr_p = instantaneous_sinrs(ghat, est.C, *mu, alloc, cfg)
@@ -437,13 +439,13 @@ def test_achievable_agrees_with_joint_draw(drop, request):
 
 
 def test_estimate_draw_rejects_indefinite_observation(desk_pieces):
-    """A pilot observation covariance without a Cholesky factor raises
-    EstimationError, not a NaN rate."""
-    cfg, stats, est, pilots = desk_pieces
+    """A pilot observation covariance without a Cholesky factor fails in the
+    estimator with EstimationError, before any statistic reaches a cache or a
+    sampler: never a NaN rate."""
+    cfg, stats, _, pilots = desk_pieces
     bad = dataclasses.replace(stats, R=-1e3 * stats.R)   # pilot SNRs reach -400
-    alloc = PowerAllocation.equal_split(stats.K, stats.L, 0.5)
-    with pytest.raises(EstimationError):
-        achievable_sum_se(bad, est, pilots, cfg, alloc, 10, substream(127, "bad"))
+    with pytest.raises(EstimationError, match="not positive definite"):
+        estimation_statistics(bad, pilots, cfg)
 
 
 def test_achievable_rejects_wrong_shaped_allocation(desk_pieces):
@@ -456,7 +458,7 @@ def test_achievable_rejects_wrong_shaped_allocation(desk_pieces):
 def test_precoders_unit_average_power(desk_pieces):
     cfg, stats, est, pilots = desk_pieces
     _, ghat = ChannelSampler(stats, est, pilots, cfg).draw(50000, substream(47, "prec"))
-    v_c, v_p = unit_precoders(ghat, *normalization_coeffs(stats, est, pilots))
+    v_c, v_p = unit_precoders(ghat, *normalization_coeffs(stats, est))
     pc = np.einsum("bln,bln->bl", v_c.conj(), v_c).real.mean(axis=0)
     np.testing.assert_allclose(pc, 1.0, atol=0.03)
     pp = np.einsum("biln,biln->bil", v_p.conj(), v_p).real.mean(axis=0)
