@@ -4,7 +4,8 @@ Subcommands: run a config file, reproduce a figure-style sweep, train and
 save the conditional optimizer, generate an allocation for an environment,
 and validate the closed forms against their Monte Carlo estimators. validate
 reads the first and second moments and the normalizers from the SECache the
-optimizers score, and the Upsilon cross-moments from upsilon_moments. Reports
+optimizers score, and the Upsilon cross-moments from upsilon_moments, and
+samples each of its six moments per block in one sample_moments pass. Reports
 are strict JSON on stdout; errors print a single JSON object {"error":
 message} to stderr and exit nonzero so scripts can parse failures. Exit codes:
 
@@ -106,6 +107,28 @@ def _cmd_infer(args):
     return 0
 
 
+def _inner(x, y):
+    """x^H y over the last axis."""
+    return np.sum(x.conj() * y, axis=-1)
+
+
+def _validate_samples(C):
+    """The per-block samples of validate's checks at AP 0, named as the
+    checks, from (n, K, L, N) draws: a = g_00^H ghat_10 and |a|^2, the
+    Upsilon4 and Upsilon5 samples of (k, i, j) = (0, 1, 2) with C_00 = C,
+    and the two precoder norms."""
+    def samples(g, ghat):
+        h = ghat[:, :, 0]                                       # (n, K, N)
+        a = _inner(g[:, 0, 0], h[:, 1])
+        return {"first_moment[0,1,0]": a,
+                "second_moment[0,1,0]": np.abs(a) ** 2,
+                "upsilon4[0,1,2,0]": _inner(h[:, 0], h[:, 1]).conj() * _inner(h[:, 0], h[:, 2]),
+                "upsilon5[0,1,2,0]": _inner(h[:, 1], h[:, 2] @ C.T),
+                "common_normalizer[0]": np.sum(np.abs(h.sum(axis=1)) ** 2, axis=-1),
+                "private_normalizer[0,0]": np.sum(np.abs(h[:, 0]) ** 2, axis=-1)}
+    return samples
+
+
 def _cmd_validate(args):
     cfg = SystemConfig(K=3, L=2, N=2, tau_p=2, seed=args.seed)
     scenario = EnvScenario(cfg)
@@ -114,24 +137,23 @@ def _cmd_validate(args):
     # The cache draws nothing, so building it first fails a degenerate drop
     # before the sampling pass and leaves the stream where it was.
     cache = build_cache(stats, est, pilots, cfg)
-    m = sample_moments(stats, est, pilots, cfg, args.draws, substream(args.seed, "mc"))
+    m = sample_moments(stats, est, pilots, cfg, _validate_samples(est.C[0, 0]),
+                       args.draws, substream(args.seed, "mc"))
     first = cache.p1[0, 1, 0]
     u4, u5 = upsilon_moments(0, 1, 2, 0, stats, est, pilots)
 
     checks = []
-    for name, closed, (mean, err), idx, tol in [
-            ("first_moment[0,1,0]", first, m.first, (0, 1, 0), 0.01),
-            ("second_moment[0,1,0]", abs(first) ** 2 + cache.p2[0, 1, 0], m.second,
-             (0, 1, 0), 0.02),
-            ("upsilon4[0,1,2,0]", u4, m.upsilon4, (0, 1, 2, 0), 0.02),
-            ("upsilon5[0,1,2,0]", u5, m.upsilon5, (0, 1, 2, 0), 0.02),
-            ("common_normalizer[0]", 1.0 / cache.mu_c[0], m.common_norm, (0,), 0.02),
-            ("private_normalizer[0,0]", 1.0 / cache.mu_p[0, 0], m.private_norm, (0, 0),
-             0.02)]:
-        estimate = mean[idx]
+    for name, closed, tol in [
+            ("first_moment[0,1,0]", first, 0.01),
+            ("second_moment[0,1,0]", abs(first) ** 2 + cache.p2[0, 1, 0], 0.02),
+            ("upsilon4[0,1,2,0]", u4, 0.02),
+            ("upsilon5[0,1,2,0]", u5, 0.02),
+            ("common_normalizer[0]", 1.0 / cache.mu_c[0], 0.02),
+            ("private_normalizer[0,0]", 1.0 / cache.mu_p[0, 0], 0.02)]:
+        estimate, err = m[name]
         rel = abs(estimate - closed) / max(abs(closed), 1e-300)
         checks.append({"name": name, "closed": _c2j(closed), "monte_carlo": _c2j(estimate),
-                       "stderr": float(err[idx]), "rel_err": float(rel), "tol": tol,
+                       "stderr": float(err), "rel_err": float(rel), "tol": tol,
                        "ok": bool(rel <= tol)})
 
     ok = all(c["ok"] for c in checks)

@@ -11,6 +11,8 @@ gradients.
 
 import csv
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +79,9 @@ class Schedule:
 
     def __init__(self, v):
         v = np.asarray(v, dtype=float)
-        if v.ndim != 1 or len(v) == 0 or not np.all((v > 0.0) & (v < 1.0)):
+        if v.ndim != 1 or len(v) == 0:
+            raise ValueError(f"schedule variances must be a non-empty vector, not {v.shape}")
+        if not np.all((v > 0.0) & (v < 1.0)):
             raise ValueError("schedule variances must lie in (0, 1)")
         self.v = v
         self.alpha = 1.0 - v
@@ -355,25 +359,55 @@ def save_checkpoint(path, net: EpsNetwork, schedule: Schedule):
     np.savez(path, meta=json.dumps(meta), v=schedule.v, **net.params)
 
 
+def _checkpoint_array(arrays, path, key, shape=None):
+    """The real array key of a checkpoint's arrays, of the given shape if any."""
+    if key not in arrays:
+        raise ValueError(f"{path}: missing array {key!r}")
+    value = arrays[key]
+    if value.dtype.kind not in "fiu" or shape is not None and value.shape != shape:
+        raise ValueError(f"{path}: array {key!r} is {value.dtype} {value.shape}, "
+                         f"expected a real array of shape {shape or 'any'}")
+    return value
+
+
 def load_checkpoint(path):
-    """Load (net, schedule); raises ValueError on version or shape mismatch."""
-    with np.load(path, allow_pickle=False) as data:
-        try:
-            meta = json.loads(str(data["meta"]))
-        except KeyError as exc:
-            raise ValueError(f"{path}: not a policy checkpoint") from exc
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version "
-                             f"{meta.get('version')!r}")
-        if meta.get("t_embed") != T_EMBED:
-            raise ValueError(f"{path}: incompatible step-embedding width")
-        params = {k: data[k] for k in ("W1", "b1", "W2", "b2", "W3", "b3")}
-        dim, hidden = meta["dim"], meta["hidden"]
-        if params["W1"].shape != (hidden, dim + T_EMBED + 2) \
-                or params["W3"].shape != (dim, hidden):
-            raise ValueError(f"{path}: weight shapes do not match the header")
-        try:
-            schedule = Schedule(data["v"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    """Load (net, schedule). Raises ValueError, naming the file, when it is
+    not a readable policy checkpoint or an entry is missing or does not
+    match the header."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            arrays = {key: data[key] for key in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"{path}: not a policy checkpoint ({exc})") from exc
+    if "meta" not in arrays:
+        raise ValueError(f"{path}: not a policy checkpoint")
+    try:
+        meta = json.loads(str(arrays["meta"]))
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint meta is not a JSON object")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version "
+                         f"{meta.get('version')!r}")
+    if meta.get("t_embed") != T_EMBED:
+        raise ValueError(f"{path}: incompatible step-embedding width")
+    for key in ("dim", "hidden"):
+        value = meta.get(key)
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{path}: checkpoint meta {key!r} is {value!r}, "
+                             "not a positive integer")
+    dim, hidden = meta["dim"], meta["hidden"]
+    shapes = {"W1": (hidden, dim + T_EMBED + 2), "b1": (hidden,),
+              "W2": (hidden, hidden), "b2": (hidden,), "W3": (dim, hidden), "b3": (dim,)}
+    params = {key: _checkpoint_array(arrays, path, key, shape)
+              for key, shape in shapes.items()}
+    v = _checkpoint_array(arrays, path, "v")
+    try:
+        schedule = Schedule(v)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return EpsNetwork(dim, hidden=hidden, params=params), schedule

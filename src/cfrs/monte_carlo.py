@@ -22,12 +22,9 @@ whatever the chunk it falls in, and chunks are sized for memory alone.
 
 The rates of a block then cost the weighted precoders, one (K, L*N) GEMM for
 the effective channels and O(K L N^2) work for the estimation-error terms.
-sample_moments estimates every closed-form moment from one pass, for
-`cfrs validate` and the tests. It never forms the K^3 L per-block Upsilon3/4 samples: their shifted
-sums are block-axis Grams of the inner products' deviations from the first
-block (the shifted-data form of the sample variance, Chan, Golub & LeVeque
-1983), so a chunk of n blocks costs O(K^3 L N n) arithmetic in a fixed
-number of numpy calls, with no per-block matmul.
+sample_moments averages whatever per-block samples its caller forms from the
+joint draw, each shifted by its first block's value; `cfrs validate` forms
+the six moments it checks, and the tests form every closed-form moment.
 """
 
 from dataclasses import dataclass
@@ -44,11 +41,10 @@ from .rng import complex_normal_blocks
 
 # Entries of a chunk's largest per-block tensor: (K, L, N), or (L, N, N) if N > K.
 _CHUNK_ENTRY_BUDGET = 1_000_000
-# Entries per chunk of sample_moments, counted as K^2 L max(K, N^2) per block:
-# 694 blocks at desk scale (K=3, L=2, N=2). The largest per-block tensors left
-# are the (L, K, K, K) complex Upsilon5 sample and the (2, L, K, 3K+1) real
-# Gram rows of Upsilon3/4, of similar size; for N > 1 the count bounds both.
-_MOMENT_ENTRY_BUDGET = 50_000
+# Entries of the (K, L, N) draw per chunk of sample_moments: 694 blocks at desk
+# scale (K=3, L=2, N=2). A pass holds one chunk's draws and samples at a time,
+# so this bounds its memory whatever the number of draws.
+_MOMENT_ENTRY_BUDGET = 8_333
 
 
 class ChannelSampler:
@@ -242,137 +238,35 @@ class Estimate(NamedTuple):
     stderr: np.ndarray        # ddof=1; var(re) + var(im) for complex samples
 
 
-@dataclass(frozen=True)
-class SampleMoments:
-    """Sample means of the closed-form moments over n_draws blocks.
-
-    Indices follow SECache.p1[k, i, l] and upsilon_moments(k, i, j, l):
-      first[k, i, l]           E{g_kl^H ghat_il}
-      second[k, i, l]          E{|g_kl^H ghat_il|^2}
-      upsilon3[k, i, j, l]     E{(g_kl^H ghat_il)^* (g_kl^H ghat_jl)}
-      upsilon4[k, i, j, l]     E{(ghat_kl^H ghat_il)^* (ghat_kl^H ghat_jl)}
-      upsilon5[k, i, j, l]     E{ghat_il^H C_kl ghat_jl}
-      common_norm[l]           E{|| sum_i ghat_il ||^2}
-      private_norm[i, l]       E{|| ghat_il ||^2}
-    """
-    first: Estimate
-    second: Estimate
-    upsilon3: Estimate
-    upsilon4: Estimate
-    upsilon5: Estimate
-    common_norm: Estimate
-    private_norm: Estimate
-
-
-def _chunk_samples(g, ghat, Cl):
-    """Per-block samples of one chunk, blocks last.
-
-    Returns ac, with ac[0] = a = g_kl^H ghat_il and ac[1] = c = ghat_kl^H
-    ghat_il as [s, l, k, i, b], and the list of the Upsilon5 sample
-    ghat_il^H C_kl ghat_jl as [l, k, i, j, b], the common norms [l, b] and the
-    private norms [l, i, b]. Cl[l] stacks the C_kl as (K N, N) rows.
-    """
-    gT, hT = (np.ascontiguousarray(x.transpose(2, 3, 1, 0)) for x in (g, ghat))  # (L, N, K, n)
-    L, N, K, n = hT.shape
-    hc = hT.conj()
-    ac = np.einsum("slqkb,lqib->slkib", np.stack([gT.conj(), hc]), hT)
-    Ch = (Cl @ hT.reshape(L, N, K * n)).reshape(L, K, N, K, n)  # [l, k, :, j] = C_kl ghat_jl
-    u5 = hc[:, None, 0, :, None] * Ch[:, :, 0, None]
-    for q in range(1, N):
-        u5 += hc[:, None, q, :, None] * Ch[:, :, q, None]
-    return ac, [u5, (np.abs(hT.sum(axis=2)) ** 2).sum(axis=1), (np.abs(hT) ** 2).sum(axis=1)]
-
-
-def _deviation_gram(x, m):
-    """Block-axis Gram of the real rows [Re D; Im D; |D|^2; 1] of the
-    deviations D = x - m of x (..., K, n) from m (..., K): (..., 3K+1, 3K+1)."""
-    K, n = x.shape[-2:]
-    X = np.empty(x.shape[:-2] + (3 * K + 1, n))
-    np.subtract(x.real, m.real[..., None], out=X[..., :K, :])
-    np.subtract(x.imag, m.imag[..., None], out=X[..., K:2 * K, :])
-    np.multiply(X[..., :K, :], X[..., :K, :], out=X[..., 2 * K:3 * K, :])
-    X[..., 2 * K:3 * K, :] += X[..., K:2 * K, :] ** 2
-    X[..., -1, :] = 1.0
-    return X @ X.swapaxes(-1, -2)
-
-
-def _gram_sums(m, W):
-    """Shifted sums of x and of its pairs y_ij = conj(x_i) x_j from W, the
-    block-axis Gram of the real rows [Re D; Im D; |D|^2; 1] of D = x - m,
-    shape (..., 3K+1, 3K+1).
-
-    Returns (m, sum D, sum |D|^2), each (..., K), and (y0, sum(y - y0),
-    sum |y - y0|^2), each (..., K, K), about y0_ij = conj(m_i) m_j:
-
-      sum(y - y0)   = conj(m_i) sum D_j + m_j conj(sum D_i) + sum conj(D_i) D_j
-      sum|y - y0|^2 = |m_i|^2 sum|D_j|^2 + |m_j|^2 sum|D_i|^2 + sum |D_i|^2 |D_j|^2
-                      + 2 Re[conj(m_i m_j) sum D_i D_j + conj(m_i) sum D_i |D_j|^2
-                             + conj(m_j) sum D_j |D_i|^2]
-    """
-    K = m.shape[-1]
-    Z = W[..., :K, :] + 1j * W[..., K:2 * K, :]       # [i, r] = sum D_i X_r
-    dd = Z[..., :K] + 1j * Z[..., K:2 * K]            # sum D_i D_j
-    ddc = (Z[..., :K] - 1j * Z[..., K:2 * K]).conj()  # sum conj(D_i) D_j
-    de, s1 = Z[..., 2 * K:3 * K], Z[..., -1]          # sum D_i |D_j|^2, sum D_i
-    ee, sq = W[..., 2 * K:3 * K, 2 * K:3 * K], W[..., 2 * K:3 * K, -1]
-    mi, mj = m[..., :, None], m[..., None, :]
-    t1 = mi.conj() * s1[..., None, :] + mj * s1[..., :, None].conj() + ddc
-    t2 = (np.abs(mi) ** 2 * sq[..., None, :] + np.abs(mj) ** 2 * sq[..., :, None] + ee
-          + 2 * ((mi * mj).conj() * dd + mi.conj() * de
-                 + mj.conj() * de.swapaxes(-1, -2)).real)
-    return (m, s1, sq), (mi.conj() * mj, t1, t2)
-
-
-def _estimate(x0, s1, s2, n, axes):
-    """The Estimate of samples x from x0, sum(x - x0) and sum |x - x0|^2."""
-    var = (s2 - np.abs(s1) ** 2 / n) / (n - 1)
-    return Estimate((x0 + s1 / n).transpose(axes), np.sqrt(var / n).transpose(axes))
-
-
 def sample_moments(stats: LinkStatistics, est: EstimationStatistics,
                    pilots: PilotAssignment, cfg: SystemConfig,
-                   n_draws, rng) -> SampleMoments:
-    """Estimate every closed-form moment from one pass of n_draws blocks.
+                   samples, n_draws, rng) -> dict:
+    """Average per-block samples of the joint draw over n_draws blocks.
 
-    Each entry's mean and variance come from sums of its deviations from the
-    first block's sample x0: unshifted, the variance of an entry whose mean
-    dwarfs its spread (a LoS-dominated norm) loses digits in proportion to
-    mean^2 / var. A chunk of n blocks is laid out blocks-last as (L, N, K, n):
-
-    - the inner products a = g_kl^H ghat_il and c = ghat_kl^H ghat_il come
-      from one einsum over N;
-    - Upsilon3/4 are never formed per block. With m the first block's a (or
-      c) and D = a - m, every shifted sum they need, and those of the first
-      and second moments, is a block-axis Gram of the real rows
-      [Re D; Im D; |D|^2; 1], one (3K+1, n) @ (n, 3K+1) GEMM per (l, k);
-      _gram_sums assembles them;
-    - the Upsilon5 sample is one GEMM of C_l against ghat_l plus a
-      contraction over N, and it and the norms accumulate per block.
-
-    A chunk costs O(K^3 L N n) arithmetic in a fixed number of numpy calls.
+    samples(g, ghat) maps a chunk's channels and estimates, each (n, K, L,
+    N), to {name: (n, ...) array}; the result maps each name to the Estimate
+    of its samples. Each entry's mean and variance come from sums of its
+    deviations from the first block's sample: unshifted, the variance of an
+    entry whose mean dwarfs its spread (a LoS-dominated norm) loses digits
+    in proportion to mean^2 / var (the shifted-data form, Chan, Golub &
+    LeVeque 1983).
     """
     if n_draws < 2:
         raise ValueError("n_draws must be at least 2")
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    K, L, N = stats.K, stats.L, stats.N
-    Cl = est.C.transpose(1, 0, 2, 3).reshape(L, K * N, N)   # [l, k N + a, b] = C_kl[a, b]
-    gram, shifts, sums = 0.0, None, [[0.0, 0.0] for _ in range(3)]
-    for n in _chunks(n_draws, K ** 2 * L * max(K, N ** 2), _MOMENT_ENTRY_BUDGET):
-        ac, samples = _chunk_samples(*sampler.draw(n, rng), Cl)
+    shifts, sums = None, None
+    for n in _chunks(n_draws, stats.K * stats.L * stats.N, _MOMENT_ENTRY_BUDGET):
+        chunk = samples(*sampler.draw(n, rng))
         if shifts is None:
-            m, shifts = ac[..., 0].copy(), [x[..., 0].copy() for x in samples]
-        gram += _deviation_gram(ac, m)
-        for acc, x, x0 in zip(sums, samples, shifts):
-            x -= x0[..., None]
-            dv = x.view(np.float64)        # sum |x - x0|^2 = dv . dv
-            acc[0] += x.sum(axis=-1)
-            acc[1] += np.einsum("...b,...b->...", dv, dv)
-        del ac, samples            # a pass holds one chunk's tensors at a time
-    kil, kijl = (1, 2, 0), (1, 2, 3, 0)
-    (first, u3), (_, u4) = (_gram_sums(m[s], gram[s]) for s in range(2))
-    second = tuple(x.diagonal(axis1=-2, axis2=-1).real for x in u3)   # |a|^2 = y_ii
-    u5, common, private = (_estimate(x0, *acc, n_draws, axes) for x0, acc, axes
-                           in zip(shifts, sums, [kijl, (0,), (1, 0)]))
-    return SampleMoments(*(_estimate(*x, n_draws, axes) for x, axes in
-                           [(first, kil), (second, kil), (u3, kijl), (u4, kijl)]),
-                         u5, common, private)
+            shifts = {name: x[0].copy() for name, x in chunk.items()}
+            sums = {name: [0.0, 0.0] for name in chunk}
+        for name, x in chunk.items():
+            d = x - shifts[name]
+            sums[name][0] += d.sum(axis=0)
+            sums[name][1] += (d.real ** 2 + d.imag ** 2).sum(axis=0)
+        del chunk, x, d            # a pass holds one chunk's samples at a time
+    estimates = {}
+    for name, (s1, s2) in sums.items():
+        var = (s2 - np.abs(s1) ** 2 / n_draws) / (n_draws - 1)
+        estimates[name] = Estimate(shifts[name] + s1 / n_draws, np.sqrt(var / n_draws))
+    return estimates

@@ -11,8 +11,11 @@ covariances, scalar uncorrelated cache,
 per-term einsum SINR assembly, sample-moment SINR assembly, achievable rate
 from the joint channel draw, transmit-power audit, per-parameter training
 loop) are independent routes to quantities the package computes; the tests
-compare the two.
+compare the two. moment_samples forms every closed-form moment per block
+for the sampling passes of the moment tests.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -256,6 +259,49 @@ def joint_draw_achievable(stats, est, pilots, cfg, alloc, n_blocks, rng):
         totals.append(np.log2(1.0 + sinr_c.min(axis=-1)) + np.log2(1.0 + sinr_p).sum(axis=-1))
     total = cfg.prelog * np.concatenate(totals)
     return float(total.mean()), float(total.std(ddof=1) / np.sqrt(n_blocks))
+
+
+def _inner(x, y):
+    """x^H y over the last axis, as a sum over its few entries."""
+    return sum(x[..., q].conj() * y[..., q] for q in range(x.shape[-1]))
+
+
+def moment_samples(C, tuples=None):
+    """A sample_moments samples function of every closed-form moment, from
+    the error covariances C (K, L, N, N). Each sample has a leading block
+    axis; the others follow SECache.p1[k, i, l] and upsilon_moments(k, i, j, l):
+      first[k, i, l]           g_kl^H ghat_il
+      second[k, i, l]          |g_kl^H ghat_il|^2
+      upsilon3[k, i, j, l]     (g_kl^H ghat_il)^* (g_kl^H ghat_jl)
+      upsilon4[k, i, j, l]     (ghat_kl^H ghat_il)^* (ghat_kl^H ghat_jl)
+      upsilon5[k, i, j, l]     ghat_il^H C_kl ghat_jl
+      common_norm[l]           || sum_i ghat_il ||^2
+      private_norm[i, l]       || ghat_il ||^2
+    With tuples, a list of (k, i, j, l), the Upsilon samples hold only those
+    entries, in that order on their last axis.
+    """
+    K, L, N = C.shape[:3]
+    if tuples is None:
+        shape = (K, K, K, L)
+        tuples = list(itertools.product(*map(range, shape)))
+    else:
+        shape = (len(tuples),)
+    k, i, j, l = np.array(tuples).T
+    Ckl = C[k, l]                                                   # (T, N, N)
+
+    def samples(g, ghat):
+        a = _inner(g[:, :, None], ghat[:, None])                    # [b, k, i, l]
+        c = _inner(ghat[:, :, None], ghat[:, None])
+        hj = ghat[:, j, l]                                          # (n, T, N)
+        Chj = sum(Ckl[..., m] * hj[:, :, None, m] for m in range(N))  # C_kl ghat_jl
+        upsilon = {"upsilon3": a[:, k, i, l].conj() * a[:, k, j, l],
+                   "upsilon4": c[:, k, i, l].conj() * c[:, k, j, l],
+                   "upsilon5": _inner(ghat[:, i, l], Chj)}
+        return {"first": a, "second": np.abs(a) ** 2,
+                **{name: x.reshape(-1, *shape) for name, x in upsilon.items()},
+                "common_norm": (np.abs(ghat.sum(axis=1)) ** 2).sum(axis=-1),
+                "private_norm": (np.abs(ghat) ** 2).sum(axis=-1)}
+    return samples
 
 
 def max_rel_diff(a, b):

@@ -20,8 +20,8 @@ from cfrs.experiments import DIFFUSION_SYSTEM, held_out_envs, training_envs
 from cfrs.monte_carlo import achievable_sum_se, sample_moments
 from cfrs.rng import substream
 from cfrs.scenario import DEFAULT_RHO_GRID, EnvScenario, train_policy
-from conftest import (mc_uatf_sinrs, random_allocation, sample_tx_power,
-                      uncorrelated_cache)
+from conftest import (mc_uatf_sinrs, moment_samples, random_allocation,
+                      sample_tx_power, uncorrelated_cache)
 from test_closed_form import _aligned_stats, _classical_private_sinrs
 
 MC_DRAWS = 200_000
@@ -63,23 +63,27 @@ def test_criterion_01_moment_formulas_match_sampling(desk_pieces, desk_cache):
     est3 = estimation_statistics(stats, pilots3, cfg3)
     cases3 = _pattern_tuples(pilots3, stats.K)
     assert (False, False, False) in cases3
-    m = sample_moments(stats, est, pilots, cfg, MC_DRAWS, substream(101, "c1"))
-    m3 = sample_moments(stats, est3, pilots3, cfg3, MC_DRAWS, substream(202, "c1"))
+    tuples = [(k, i, j, 0) for k, i, j in cases.values()]
+    tuples3 = [(*cases3[(False, False, False)], 0)]
+    m = sample_moments(stats, est, pilots, cfg, moment_samples(est.C, tuples), MC_DRAWS,
+                       substream(101, "c1"))
+    m3 = sample_moments(stats, est3, pilots3, cfg3, moment_samples(est3.C, tuples3),
+                        MC_DRAWS, substream(202, "c1"))
 
     # Every (k, i, l) entry of the cache the optimizers score.
     first = desk_cache.p1
-    worst["first"] = np.max(_rel(m.first.mean, first))
-    worst["second"] = np.max(_rel(m.second.mean, np.abs(first) ** 2 + desk_cache.p2))
+    worst["first"] = np.max(_rel(m["first"].mean, first))
+    worst["second"] = np.max(_rel(m["second"].mean, np.abs(first) ** 2 + desk_cache.p2))
 
-    jobs = [(est, pilots, m, kij) for kij in cases.values()]
-    jobs.append((est3, pilots3, m3, cases3[(False, False, False)]))
-    for job_est, job_pilots, job_m, (k, i, j) in jobs:
-        u4, u5 = upsilon_moments(k, i, j, 0, stats, job_est, job_pilots)
-        worst["upsilon4"] = max(worst["upsilon4"], _rel(job_m.upsilon4.mean[k, i, j, 0], u4))
-        worst["upsilon5"] = max(worst["upsilon5"], _rel(job_m.upsilon5.mean[k, i, j, 0], u5))
+    jobs = [(est, pilots, m, tuples), (est3, pilots3, m3, tuples3)]
+    for job_est, job_pilots, job_m, job_tuples in jobs:
+        for t, (k, i, j, l) in enumerate(job_tuples):
+            u4, u5 = upsilon_moments(k, i, j, l, stats, job_est, job_pilots)
+            worst["upsilon4"] = max(worst["upsilon4"], _rel(job_m["upsilon4"].mean[t], u4))
+            worst["upsilon5"] = max(worst["upsilon5"], _rel(job_m["upsilon5"].mean[t], u5))
 
-    worst["norm"] = max(np.max(_rel(m.common_norm.mean, 1.0 / desk_cache.mu_c)),
-                        np.max(_rel(m.private_norm.mean, 1.0 / desk_cache.mu_p)))
+    worst["norm"] = max(np.max(_rel(m["common_norm"].mean, 1.0 / desk_cache.mu_c)),
+                        np.max(_rel(m["private_norm"].mean, 1.0 / desk_cache.mu_p)))
 
     elapsed = time.monotonic() - start
     print(f"criterion 01 PASS: worst rel err first {worst['first']:.4f} "

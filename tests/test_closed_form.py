@@ -18,8 +18,8 @@ from cfrs.monte_carlo import sample_moments
 from cfrs.rng import substream
 from cfrs.scenario import EnvScenario
 from conftest import (copilot_matrix, dense_qbar, dense_qbar_perfect,
-                      einsum_sinr_terms, max_rel_diff, random_allocation,
-                      uncorrelated_cache)
+                      einsum_sinr_terms, max_rel_diff, moment_samples,
+                      random_allocation, uncorrelated_cache)
 
 
 def test_power_allocation_roundtrip():
@@ -62,7 +62,8 @@ def test_power_allocation_validation():
 def desk_moments(desk_pieces):
     """One 40,000-draw pass of every sampled moment on the desk drop."""
     cfg, stats, est, pilots = desk_pieces
-    return sample_moments(stats, est, pilots, cfg, 40000, substream(31, "moments"))
+    return sample_moments(stats, est, pilots, cfg, moment_samples(est.C), 40000,
+                          substream(31, "moments"))
 
 
 def test_closed_moments_against_sampling(desk_cache, desk_moments):
@@ -71,8 +72,8 @@ def test_closed_moments_against_sampling(desk_cache, desk_moments):
     sweep at a much larger draw count."""
     first = desk_cache.p1
     second = np.abs(first) ** 2 + desk_cache.p2
-    assert np.all(np.abs(desk_moments.first.mean - first) <= 0.05 * np.abs(first))
-    assert np.all(np.abs(desk_moments.second.mean - second) <= 0.05 * second)
+    assert np.all(np.abs(desk_moments["first"].mean - first) <= 0.05 * np.abs(first))
+    assert np.all(np.abs(desk_moments["second"].mean - second) <= 0.05 * second)
 
 
 def test_upsilon_decomposition_against_sampling(desk_pieces, desk_moments):
@@ -81,8 +82,8 @@ def test_upsilon_decomposition_against_sampling(desk_pieces, desk_moments):
     combos = [(0, 1, 2), (1, 0, 2), (2, 2, 1), (0, 0, 0)]
     for k, i, j in combos:
         u4, u5 = upsilon_moments(k, i, j, 0, stats, est, pilots)
-        mc3 = desk_moments.upsilon3.mean[k, i, j, 0]
-        err = desk_moments.upsilon3.stderr[k, i, j, 0]
+        mc3 = desk_moments["upsilon3"].mean[k, i, j, 0]
+        err = desk_moments["upsilon3"].stderr[k, i, j, 0]
         scale = max(abs(u4 + u5), 10 * err)
         assert abs(mc3 - (u4 + u5)) <= 0.06 * scale
 
@@ -92,9 +93,9 @@ def test_normalizers_match_sampling(desk_pieces, desk_moments):
     mu_c, mu_p = normalization_coeffs(stats, est)
     assert np.all(mu_c > 0) and np.all(mu_p > 0)
     for l in range(stats.L):
-        mc = desk_moments.common_norm.mean[l]
+        mc = desk_moments["common_norm"].mean[l]
         assert abs(mc - 1.0 / mu_c[l]) <= 0.03 / mu_c[l]
-    mc = desk_moments.private_norm.mean[1, 0]
+    mc = desk_moments["private_norm"].mean[1, 0]
     assert abs(mc - 1.0 / mu_p[1, 0]) <= 0.03 / mu_p[1, 0]
 
 

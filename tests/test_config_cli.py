@@ -15,6 +15,7 @@ from cfrs.estimation import EstimationError
 from cfrs.experiments import (EXPERIMENT_IDS, FIGURE_PRESETS, ConfigError,
                               ExperimentSpec, parse_config_text,
                               run_experiment)
+from cfrs.monte_carlo import ChannelSampler
 from cfrs.rng import substream
 
 TINY_CONFIG = """\
@@ -363,6 +364,48 @@ def test_cli_validate(capsys):
                for check in out["checks"])
 
 
+def _inner(x, y):
+    return np.sum(x.conj() * y, axis=-1)
+
+
+# Check kind -> its per-block sample at the indices its name gives, from
+# the draws g and ghat (n, K, L, N) and the error covariances C.
+_VALIDATE_SAMPLES = {
+    "first_moment": lambda g, h, C, k, i, l: _inner(g[:, k, l], h[:, i, l]),
+    "second_moment": lambda g, h, C, k, i, l: np.abs(_inner(g[:, k, l], h[:, i, l])) ** 2,
+    "upsilon4": lambda g, h, C, k, i, j, l: (_inner(h[:, k, l], h[:, i, l]).conj()
+                                             * _inner(h[:, k, l], h[:, j, l])),
+    "upsilon5": lambda g, h, C, k, i, j, l: _inner(h[:, i, l], h[:, j, l] @ C[k, l].T),
+    "common_normalizer": lambda g, h, C, l: _inner(h[:, :, l].sum(axis=1),
+                                                   h[:, :, l].sum(axis=1)).real,
+    "private_normalizer": lambda g, h, C, i, l: _inner(h[:, i, l], h[:, i, l]).real,
+}
+
+
+def test_cli_validate_reports_the_named_tuples(capsys):
+    """Each check's monte_carlo and stderr are the sample mean and ddof=1
+    standard error (var(re) + var(im)) of the tuple its name gives, over one
+    draw of every block on validate's stream."""
+    seed, n = 61, 3000
+    assert cli.main(["validate", "--draws", str(n), "--seed", str(seed)]) in (0, 3)
+    checks = _strict_json(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "first_moment[0,1,0]", "second_moment[0,1,0]", "upsilon4[0,1,2,0]",
+        "upsilon5[0,1,2,0]", "common_normalizer[0]", "private_normalizer[0,0]"]
+    cfg = SystemConfig(K=3, L=2, N=2, tau_p=2, seed=seed)
+    drop = scenario.EnvScenario(cfg)
+    stats, est = drop.drop_statistics()
+    g, ghat = ChannelSampler(stats, est, drop.pilots, cfg).draw(n, substream(seed, "mc"))
+    for check in checks:
+        kind, index = check["name"].rstrip("]").split("[")
+        x = _VALIDATE_SAMPLES[kind](g, ghat, est.C, *map(int, index.split(",")))
+        value = check["monte_carlo"]
+        mean = complex(value["re"], value["im"]) if isinstance(value, dict) else value
+        assert abs(mean - x.mean()) <= 1e-12 * abs(x.mean()), check["name"]
+        stderr = np.sqrt((x.real.var(ddof=1) + x.imag.var(ddof=1)) / n)
+        assert abs(check["stderr"] - stderr) <= 1e-12 * stderr, check["name"]
+
+
 def test_cli_train_and_infer(tmp_path, capsys):
     rc = cli.main(["train", "--steps", "150", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -410,6 +453,23 @@ def test_cli_infer_rejects_nan_checkpoint(tmp_path, capsys):
     assert captured.out == ""
     err = _strict_json(captured.err)
     assert list(err) == ["error"] and "non-finite" in err["error"]
+
+
+def test_cli_infer_rejects_malformed_checkpoint(tmp_path, capsys):
+    """A checkpoint without b2 once raised KeyError out of main as a
+    traceback: exit 1 with one JSON object on stderr naming the file and
+    the array."""
+    ckpt = tmp_path / "policy.npz"
+    save_checkpoint(str(ckpt), _policy_net(), make_schedule())
+    with np.load(ckpt) as data:
+        blobs = {k: data[k] for k in data.files if k != "b2"}
+    np.savez(ckpt, **blobs)
+    rc = cli.main(["infer", "--kappa-db", "5", "--asd-deg", "30", "--checkpoint", str(ckpt)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = _strict_json(captured.err)
+    assert list(err) == ["error"] and str(ckpt) in err["error"] and "'b2'" in err["error"]
 
 
 @pytest.mark.parametrize("argv, code, field", [

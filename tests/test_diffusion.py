@@ -337,6 +337,13 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(a, b)
 
 
+def _flip_bytes(path, start, n):
+    """The bytes of the file at path with n of them inverted from start."""
+    data = bytearray(path.read_bytes())
+    data[start:start + n] = bytes(b ^ 0xFF for b in data[start:start + n])
+    return bytes(data)
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     other = tmp_path / "other.npz"
     np.savez(other, stuff=np.zeros(3))
@@ -366,6 +373,38 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     np.savez(torn, **blobs)
     with pytest.raises(ValueError):
         load_checkpoint(torn)
+
+    # Each malformed file names itself and the missing or mismatched entry.
+    meta["version"] = 1
+    blobs["W3"] = net.params["W3"]
+    broken = {
+        "no_v": ({k: b for k, b in blobs.items() if k != "v"}, "'v'"),
+        "no_b2": ({k: b for k, b in blobs.items() if k != "b2"}, "'b2'"),
+        "no_dim": ({**blobs, "meta": json.dumps({k: m for k, m in meta.items()
+                                                 if k != "dim"})}, "'dim'"),
+        "float_hidden": ({**blobs, "meta": json.dumps({**meta, "hidden": 6.0})}, "'hidden'"),
+        "list_meta": ({**blobs, "meta": json.dumps([meta])}, "JSON object"),
+        "text_meta": ({**blobs, "meta": "not json"}, "JSON object"),
+        "W2_shape": ({**blobs, "W2": np.zeros((6, 5))}, "'W2'"),
+        "b1_shape": ({**blobs, "b1": np.zeros(5)}, "'b1'"),
+        "b3_shape": ({**blobs, "b3": np.zeros((3, 1))}, "'b3'"),
+        "W1_text": ({**blobs, "W1": np.full(blobs["W1"].shape, "x")}, "'W1'"),
+        "v_matrix": ({**blobs, "v": np.full((2, 5), 0.1)}, "non-empty vector"),
+    }
+    for name, (contents, entry) in broken.items():
+        path = tmp_path / f"{name}.npz"
+        np.savez(path, **contents)
+        with pytest.raises(ValueError, match=entry) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value), name
+    for name, write in [("array.npy", lambda p: np.save(p, np.zeros(3))),
+                        ("empty.npz", lambda p: p.write_bytes(b"")),
+                        ("truncated.npz", lambda p: p.write_bytes(good.read_bytes()[:40])),
+                        ("corrupt.npz", lambda p: p.write_bytes(_flip_bytes(good, 2000, 100)))]:
+        path = tmp_path / name
+        write(path)
+        with pytest.raises(ValueError, match="not a policy checkpoint"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_schedule(tmp_path):

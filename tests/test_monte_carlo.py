@@ -19,8 +19,8 @@ from cfrs.monte_carlo import (ChannelSampler, achievable_sum_se,
 from cfrs.rng import complex_normal_blocks, substream
 from cfrs.scenario import EnvScenario
 from conftest import (expected_tx_power, joint_draw_achievable, max_rel_diff,
-                      mc_uatf_sinrs, observation_covariances, random_allocation,
-                      sample_tx_power, unit_precoders)
+                      mc_uatf_sinrs, moment_samples, observation_covariances,
+                      random_allocation, sample_tx_power, unit_precoders)
 
 
 def _desk_drop_under_los(rician_db):
@@ -122,7 +122,7 @@ def test_sampler_draw_matches_per_link_reference(drop, request):
 
 
 def _moment_samples_by_hand(g, ghat, C):
-    """Every SampleMoments sample, tuple by tuple as its docstring defines
+    """Every moment_samples sample, tuple by tuple as its docstring defines
     them, each (n, *field shape); g and ghat are (n, K, L, N)."""
     _, K, L, _ = g.shape
 
@@ -158,17 +158,24 @@ def test_sample_moments_match_hand_loop(drop, n, request):
     """One pass equals the per-tuple sample means and their ddof=1 standard
     errors (var(re) + var(im) for complex moments) of one draw of all n
     blocks on the same stream. The pass spans more than one chunk and ends
-    on a partial one (of a single block for 695 desk draws)."""
+    on a partial one (of a single block for 695 desk draws). The samples
+    function's tuples variant picks the same Upsilon samples."""
     cfg, stats, est, pilots = request.getfixturevalue(drop)
-    moments = sample_moments(stats, est, pilots, cfg, n, substream(97, drop))
-    chunk = monte_carlo._MOMENT_ENTRY_BUDGET // (
-        stats.K ** 2 * stats.L * max(stats.K, stats.N ** 2))
+    moments = sample_moments(stats, est, pilots, cfg, moment_samples(est.C), n,
+                             substream(97, drop))
+    chunk = monte_carlo._MOMENT_ENTRY_BUDGET // (stats.K * stats.L * stats.N)
     assert chunk < n and n % chunk
     g, ghat = ChannelSampler(stats, est, pilots, cfg).draw(n, substream(97, drop))
-    for name, x in zip(["first", "second", "upsilon3", "upsilon4", "upsilon5",
-                        "common_norm", "private_norm"],
-                       _moment_samples_by_hand(g, ghat, est.C)):
-        got = getattr(moments, name)
+    names = ["first", "second", "upsilon3", "upsilon4", "upsilon5", "common_norm",
+             "private_norm"]
+    assert list(moments) == names
+    tuples = [(stats.K - 1, 0, 1, stats.L - 1), (0, 0, 0, 0)]
+    picked = moment_samples(est.C, tuples)(g, ghat)
+    for name, x in zip(names, _moment_samples_by_hand(g, ghat, est.C)):
+        if name.startswith("upsilon"):     # the tuples variant picks entries
+            want = np.stack([x[:, k, i, j, l] for k, i, j, l in tuples], axis=-1)
+            np.testing.assert_allclose(picked[name], want, rtol=1e-12, atol=0, err_msg=name)
+        got = moments[name]
         var = x.real.var(axis=0, ddof=1) + x.imag.var(axis=0, ddof=1)
         assert got.mean.shape == got.stderr.shape == x.shape[1:], name
         np.testing.assert_allclose(got.mean, x.mean(axis=0), rtol=1e-12, atol=0,
@@ -178,12 +185,15 @@ def test_sample_moments_match_hand_loop(drop, n, request):
 
 
 def test_sample_moments_peak_memory(desk_pieces):
-    """A pass holds one chunk's tensors at a time: a 5,000-draw desk pass
-    peaks at about 3 MB traced, where 8192-block chunks would take 19 MB."""
+    """A pass holds one chunk's samples at a time: a 5,000-draw desk pass of
+    the moments criterion 01 reads (every first and second moment and norm,
+    four Upsilon tuples) peaks at about 1.2 MB traced, where one 5,000-block
+    chunk would take 8.2 MB."""
     cfg, stats, est, pilots = desk_pieces
+    samples = moment_samples(est.C, [(0, 1, 2, 0), (1, 0, 2, 0), (2, 2, 1, 0), (0, 0, 0, 0)])
     tracemalloc.start()
     try:
-        sample_moments(stats, est, pilots, cfg, 5000, substream(97, "memory"))
+        sample_moments(stats, est, pilots, cfg, samples, 5000, substream(97, "memory"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -213,7 +223,8 @@ def test_achievable_peak_memory(copilot_pieces):
 def test_sample_moments_rejects_single_draw(desk_pieces):
     cfg, stats, est, pilots = desk_pieces
     with pytest.raises(ValueError):
-        sample_moments(stats, est, pilots, cfg, 1, substream(97, "one"))
+        sample_moments(stats, est, pilots, cfg, moment_samples(est.C), 1,
+                       substream(97, "one"))
 
 
 def test_expected_tx_power_hand_values():
