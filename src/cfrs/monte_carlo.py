@@ -18,7 +18,9 @@ draw per kind of caller:
 
 Both draws follow one stream rule: the normals are drawn blocks first
 (rng.complex_normal_blocks), so block b reads the b-th run of the stream
-whatever the chunk it falls in, and chunks are sized for memory alone.
+whatever the chunk it falls in, and the chunking never moves a result.
+achievable_sum_se draws chunks whose (n, K, L, N) tensors take about 1 MiB
+and writes every chunk into one workspace that the call allocates once.
 
 The rates of a block then cost the weighted precoders, one (K, L*N) GEMM for
 the effective channels and O(K L N^2) work for the estimation-error terms.
@@ -27,6 +29,7 @@ joint draw, each shifted by its first block's value; `cfrs validate` forms
 the six moments it checks, and the tests form every closed-form moment.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -39,8 +42,17 @@ from .estimation import EstimationStatistics, PilotAssignment
 from .geometry import LinkStatistics, hermitian_sqrt
 from .rng import complex_normal_blocks
 
-# Entries of a chunk's largest per-block tensor: (K, L, N), or (L, N, N) if N > K.
-_CHUNK_ENTRY_BUDGET = 1_000_000
+# Entries of a chunk's largest tensor in achievable_sum_se: n blocks of (K, L,
+# N), or of (L, N, N) if N > K. 65,536 complex entries take 1 MiB: 8 blocks at
+# paper scale (K=20, L=100, N=4), 204 at the default scale, 5,461 at desk
+# scale. Small chunks pay only because each call writes every chunk into one
+# workspace. Measured on 20 paper-scale drops in a fresh process (two
+# 100-block calls each, one BLAS thread, 2-vCPU VM): a 1,000,000-entry budget
+# (one chunk a call) took 5.7k-6.7k minor page faults a drop and 88.7 MB peak
+# RSS; this budget with fresh temporaries a chunk, 19.9k faults (every chunk
+# re-faults every temporary) and 46.6 MB; with the workspace, 3.1k faults and
+# 46.5 MB.
+_CHUNK_ENTRY_BUDGET = 65_536
 # Entries of the (K, L, N) draw per chunk of sample_moments: 694 blocks at desk
 # scale (K=3, L=2, N=2). A pass holds one chunk's draws and samples at a time,
 # so this bounds its memory whatever the number of draws.
@@ -72,6 +84,7 @@ class ChannelSampler:
     draw_estimates returns ghat alone, for achievable_sum_se: z is drawn
     directly, tau_p L N complex normals a block, whose products G_kl G_il^H
     are the cross-moments Qbar exactly, co-pilot pairs included.
+    achievable_sum_se calls its kernel, _draw_estimates, on its workspace.
 
     Statistics without pilot energy (est.ptau == 0, as from
     perfect_csi_statistics) give perfect CSI: the estimate is the channel
@@ -97,8 +110,8 @@ class ChannelSampler:
         return hermitian_sqrt(self.stats.R)
 
     def _estimates(self, z):
-        """hbar + G z[source], C-contiguous (n, K, L, N), from the sources
-        z (n_sources, L, N, n) laid out blocks last."""
+        """draw's hbar + G z[source], C-contiguous (n, K, L, N), from the
+        sources z (n_sources, L, N, n) laid out blocks last."""
         spread = self.est.G @ z[self.source]                        # (K, L, N, n)
         return np.add(self.stats.hbar[None], np.moveaxis(spread, -1, 0), order="C")
 
@@ -123,27 +136,41 @@ class ChannelSampler:
 
     def draw_estimates(self, n, rng):
         """Return ghat alone, C-contiguous of shape (n, K, L, N)."""
-        stats = self.stats
-        z = complex_normal_blocks(rng, n, (self.n_sources, stats.L, stats.N))
-        return self._estimates(np.moveaxis(z, 0, -1))
+        size = n * self.stats.L * self.stats.N
+        return self._draw_estimates(n, rng,
+                                    np.empty(size * max(self.stats.K, self.n_sources), complex),
+                                    np.empty(size * self.stats.K, complex))
+
+    def _draw_estimates(self, n, rng, work, out):
+        """draw_estimates into flat complex buffers: work, of n L N max(K,
+        n_sources) entries, holds the normals and then G z[source] blocks
+        last; out, of n K L N entries, holds the gathered z[source] and then
+        ghat, which is returned. The normals are complex_normal_blocks'
+        numbers, drawn into work's float view."""
+        stats, K = self.stats, self.stats.K
+        L, N = stats.L, stats.N
+        x = rng.standard_normal(out=_view(work.view(float), n, self.n_sources * L * N, 2))
+        x *= 1.0 / np.sqrt(2.0)
+        z = x.view(complex).reshape(n, self.n_sources, L, N)
+        # mode="clip" writes straight into out; the default mode buffers it.
+        gathered = np.take(z, self.source, axis=1, out=_view(out, n, K, L, N), mode="clip")
+        spread = np.matmul(self.est.G, np.moveaxis(gathered, 0, -1),
+                           out=_view(work, K, L, N, n))
+        return np.add(stats.hbar[None], np.moveaxis(spread, -1, 0), out=gathered)
+
+
+def _view(buf, *shape):
+    """The first prod(shape) entries of the flat buffer buf, C-contiguous of
+    that shape: a chunk shorter than the workspace's uses a prefix."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 def _chunks(n, per_block, budget):
     """Lengths of the chunks that cover n blocks of per_block entries each,
     at most budget entries a chunk. The draws read their normals blocks
-    first, so the chunking decides memory alone, never the result."""
+    first, so the chunking never decides the result."""
     step = max(1, min(n, budget // per_block))
     return [min(step, n - start) for start in range(0, n, step)]
-
-
-def _effective_gains(h, u_c, u_p):
-    """s_c[k] = sum_l h_kl^H u_c,l and s_p[k, i] = sum_l h_kl^H u_il, one GEMM
-    each over the flattened (L*N) antennas of h and u_p, both (..., K, L, N)."""
-    *batch, K, L, N = h.shape
-    hH = h.reshape(*batch, K, L * N).conj()
-    s_c = hH @ u_c.reshape(*batch, L * N, 1)
-    s_p = hH @ u_p.reshape(*batch, K, L * N).swapaxes(-1, -2)
-    return s_c[..., 0], s_p
 
 
 def instantaneous_sinrs(ghat, C, mu_c, mu_p, alloc: PowerAllocation, cfg: SystemConfig):
@@ -168,20 +195,40 @@ def instantaneous_sinrs(ghat, C, mu_c, mu_p, alloc: PowerAllocation, cfg: System
     sinr_p), each (..., K).
     """
     *batch, K, L, N = ghat.shape
+    ghat = ghat.reshape(-1, K, L, N)
+    size = ghat.size
+    sinr_c, sinr_p = _sinrs(ghat, C, mu_c, mu_p, alloc, cfg, np.empty(size, complex),
+                            np.empty(size, complex), np.empty(size // K * N, complex))
+    return sinr_c.reshape(*batch, K), sinr_p.reshape(*batch, K)
+
+
+def _sinrs(ghat, C, mu_c, mu_p, alloc, cfg, precoders, work, gram):
+    """instantaneous_sinrs of the blocks ghat (n, K, L, N), writing its
+    largest temporaries into flat complex buffers: u_p into precoders and
+    the conjugates into work (n K L N entries each), the (n, L, N, N)
+    Grams into gram."""
+    n, K, L, N = ghat.shape
     p_d = cfg.p_dl_mw
-    u_c = np.sqrt(alloc.rho * mu_c)[:, None] * ghat.sum(axis=-3)
-    u_p = np.sqrt((1.0 - alloc.rho) * alloc.eta * mu_p)[:, :, None] * ghat
-    s_c, s_p = _effective_gains(ghat, u_c, u_p)
-    coh = np.abs(s_p) ** 2                                          # (..., K, K)
+    u_c = np.sqrt(alloc.rho * mu_c)[:, None] * ghat.sum(axis=-3)           # (n, L, N)
+    u_p = np.multiply(np.sqrt((1.0 - alloc.rho) * alloc.eta * mu_p)[:, :, None], ghat,
+                      out=_view(precoders, n, K, L, N))
+    # s_c[k] = sum_l h_kl^H u_c,l and s_p[k, i] = sum_l h_kl^H u_il, one GEMM
+    # each over the flattened (L*N) antennas.
+    hH = np.conjugate(ghat, out=_view(work, n, K, L, N)).reshape(n, K, L * N)
+    s_c = (hH @ u_c.reshape(n, L * N, 1))[..., 0]
+    s_p = hH @ u_p.reshape(n, K, L * N).swapaxes(-1, -2)
+    coh = np.abs(s_p) ** 2                                          # (n, K, K)
 
     # e = sum_l tr(C_kl S_l), S_l = u_c,l u_c,l^H or sum_i u_il u_il^H; as
     # tr(C S) = sum_nm C[n, m] S[m, n], C meets S transposed: conj(u)[n] u[m].
     Ct = C.reshape(K, L * N * N).T
-    S_c = u_c.conj()[..., :, None] * u_c[..., None, :]              # (..., L, N, N)
-    u_l = np.moveaxis(u_p, -3, -2)                                  # (..., L, K, N)
-    S_p = u_l.conj().swapaxes(-1, -2) @ u_l
-    err_c = (S_c.reshape(*batch, -1) @ Ct).real
-    err_p = (S_p.reshape(*batch, -1) @ Ct).real
+    S_c = np.multiply(u_c.conj()[..., :, None], u_c[..., None, :],
+                      out=_view(gram, n, L, N, N))
+    err_c = (S_c.reshape(n, -1) @ Ct).real
+    u_l = np.moveaxis(u_p, -3, -2)                                  # (n, L, K, N)
+    u_l_conj = np.moveaxis(np.conjugate(u_p, out=_view(work, n, K, L, N)), -3, -2)
+    S_p = np.matmul(u_l_conj.swapaxes(-1, -2), u_l, out=_view(gram, n, L, N, N))
+    err_p = (S_p.reshape(n, -1) @ Ct).real
     den_c = p_d * err_c + (p_d / K) * (coh.sum(axis=-1) + err_p) + cfg.noise_mw
     own = coh[..., np.arange(K), np.arange(K)]
     den_p = (p_d / K) * (coh.sum(axis=-1) - own + err_p) + cfg.noise_mw
@@ -204,22 +251,34 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
     """Ergodic achievable sum SE averaged over sampled coherence blocks.
 
     The rates read only the estimates and est.C, so the blocks come from
-    ChannelSampler.draw_estimates. Its stream is blocks first: chunks are
-    sized for memory alone and do not move the result.
+    ChannelSampler.draw_estimates. Its stream is blocks first, so the
+    chunking does not move the result: a chunk's (n, K, L, N) tensors take
+    about 1 MiB (_CHUNK_ENTRY_BUDGET), and every chunk is written into one
+    workspace that the call allocates once.
     """
-    if n_blocks < 2:
-        raise ValueError("n_blocks must be at least 2")
+    _check_count("n_blocks", n_blocks)
     check_allocation_shape(alloc.rho.shape, alloc.eta.shape, stats.K, stats.L)
     mu_c, mu_p = normalization_coeffs(stats, est)
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    se_c, se_p = [], []
-    for n in _chunks(n_blocks, stats.L * stats.N * max(stats.K, stats.N),
-                     _CHUNK_ENTRY_BUDGET):
-        sinr_c, sinr_p = instantaneous_sinrs(sampler.draw_estimates(n, rng), est.C,
-                                             mu_c, mu_p, alloc, cfg)
-        se_c.append(np.log2(1.0 + sinr_c.min(axis=-1)))
-        se_p.append(np.log2(1.0 + sinr_p))
-    se_c, se_p = np.concatenate(se_c), np.concatenate(se_p)
+    chunks = _chunks(n_blocks, stats.L * stats.N * max(stats.K, stats.N),
+                     _CHUNK_ENTRY_BUDGET)
+    # The workspace, flat buffers that every chunk writes through prefix
+    # views, each reused once its contents are dead: work holds the normals,
+    # then G z[source], then conj(ghat) and conj(u_p) in turn; estimates the
+    # gathered sources, then ghat; precoders u_p; gram S_c, then S_p.
+    size = chunks[0] * stats.L * stats.N
+    work = np.empty(size * max(stats.K, sampler.n_sources), complex)
+    estimates = np.empty(size * stats.K, complex)
+    precoders = np.empty(size * stats.K, complex)
+    gram = np.empty(size * stats.N, complex)
+    se_c, se_p = np.empty(n_blocks), np.empty((n_blocks, stats.K))
+    start = 0
+    for n in chunks:
+        ghat = sampler._draw_estimates(n, rng, work, estimates)
+        sinr_c, sinr_p = _sinrs(ghat, est.C, mu_c, mu_p, alloc, cfg, precoders, work, gram)
+        np.log2(1.0 + sinr_c.min(axis=-1), out=se_c[start:start + n])
+        np.log2(1.0 + sinr_p, out=se_p[start:start + n])
+        start += n
     total = se_c + se_p.sum(axis=-1)
     prelog = cfg.prelog
     return AchievableReport(
@@ -230,6 +289,15 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
         n_blocks=n_blocks,
         prelog=prelog,
     )
+
+
+def _check_count(name, n):
+    """A block count is an integer (a numpy one included) of at least 2, the
+    fewest that give a standard error."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"{name} must be at least 2")
 
 
 class Estimate(NamedTuple):
@@ -251,8 +319,7 @@ def sample_moments(stats: LinkStatistics, est: EstimationStatistics,
     in proportion to mean^2 / var (the shifted-data form, Chan, Golub &
     LeVeque 1983).
     """
-    if n_draws < 2:
-        raise ValueError("n_draws must be at least 2")
+    _check_count("n_draws", n_draws)
     sampler = ChannelSampler(stats, est, pilots, cfg)
     shifts, sums = None, None
     for n in _chunks(n_draws, stats.K * stats.L * stats.N, _MOMENT_ENTRY_BUDGET):

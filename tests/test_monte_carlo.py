@@ -200,24 +200,55 @@ def test_sample_moments_peak_memory(desk_pieces):
     assert peak <= 4 * 2 ** 20
 
 
-def test_achievable_peak_memory(copilot_pieces):
-    """One chunk of rates holds the estimates and the weighted precoders,
-    not an unweighted copy beside them: a 3,000-block co-pilot pass (one
-    chunk) peaks at about 4.7 times the bytes of its estimates, traced, where
-    a second (n, K, L, N) precoder tensor would take about 5.8."""
-    cfg, stats, est, pilots = copilot_pieces
-    n = 3000
-    per_block = stats.L * stats.N * max(stats.K, stats.N)
-    assert n * per_block <= monte_carlo._CHUNK_ENTRY_BUDGET
+def _achievable_peak(pieces, n_chunks):
+    """Traced peak bytes of an achievable_sum_se pass of n_chunks chunks of
+    1 MiB (65,536 complex entries a (n, K, L, N) tensor), and the blocks of
+    one chunk."""
+    cfg, stats, est, pilots = pieces
+    chunk = 65_536 // (stats.L * stats.N * max(stats.K, stats.N))
     alloc = PowerAllocation.equal_split(stats.K, stats.L, 0.5)
     tracemalloc.start()
     try:
-        achievable_sum_se(stats, est, pilots, cfg, alloc, n, substream(139, "memory"))
+        achievable_sum_se(stats, est, pilots, cfg, alloc, n_chunks * chunk,
+                          substream(139, "memory"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    estimates = n * stats.K * stats.L * stats.N * np.dtype(complex).itemsize
-    assert peak <= 5.2 * estimates, peak / estimates
+    return peak, chunk
+
+
+def test_achievable_peak_memory(copilot_pieces):
+    """A pass holds one chunk's working set, written into one workspace, and
+    its per-block outputs: a 10-chunk co-pilot pass (3,410 blocks) peaks at
+    about 4.6 times the bytes of one chunk's estimates beside its outputs,
+    traced, where one 3,410-block chunk would take about 46."""
+    cfg, stats, est, pilots = copilot_pieces
+    n_chunks = 10
+    peak, chunk = _achievable_peak(copilot_pieces, n_chunks)
+    estimates = chunk * stats.K * stats.L * stats.N * np.dtype(complex).itemsize
+    outputs = n_chunks * chunk * (stats.K + 1) * np.dtype(float).itemsize
+    assert peak <= 5.2 * estimates + outputs, (peak - outputs) / estimates
+
+
+def test_achievable_peak_memory_is_flat_in_blocks(copilot_pieces):
+    """The workspace, not the number of blocks, sets a pass's memory: a
+    12-chunk pass peaks no more than 10% above a 2-chunk pass (5% traced)."""
+    twelve, _ = _achievable_peak(copilot_pieces, 12)
+    two, _ = _achievable_peak(copilot_pieces, 2)
+    assert twelve <= 1.1 * two, twelve / two
+
+
+@pytest.mark.parametrize("count", [2.5, 100.0, float("nan")])
+def test_block_counts_must_be_integers(count, desk_pieces):
+    """A block count that is not an integer fails naming its argument, not
+    in range()."""
+    cfg, stats, est, pilots = desk_pieces
+    alloc = PowerAllocation.equal_split(3, 2, rho0=0.4)
+    with pytest.raises(ValueError, match="n_blocks must be an integer"):
+        achievable_sum_se(stats, est, pilots, cfg, alloc, count, substream(59, "count"))
+    with pytest.raises(ValueError, match="n_draws must be an integer"):
+        sample_moments(stats, est, pilots, cfg, moment_samples(est.C), count,
+                       substream(97, "count"))
 
 
 def test_sample_moments_rejects_single_draw(desk_pieces):
@@ -495,6 +526,9 @@ def test_achievable_report_and_determinism(desk_pieces):
                               substream(59, "mc"))
     assert rep.sum_se == again.sum_se
     assert rep.n_blocks == 2000
+    numpy_count = achievable_sum_se(stats, est, pilots, cfg, alloc, np.int64(2000),
+                                    substream(59, "mc"))
+    assert numpy_count.sum_se == rep.sum_se
     assert rep.stderr > 0
     assert rep.sum_se == pytest.approx(
         rep.se_common + rep.se_private.sum(), rel=1e-12)
