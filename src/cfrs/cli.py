@@ -11,8 +11,9 @@ message} to stderr and exit nonzero so scripts can parse failures. Exit codes:
 
     0  success
     1  invalid value, I/O failure or non-finite report (ValueError, OSError)
-    2  bad config or train option, unknown figure or missing file
-       (ConfigError, FileNotFoundError)
+    2  bad command line (unknown command or option, missing or malformed
+       value), bad config or train option, unknown figure or missing file
+       (UsageError, ConfigError, FileNotFoundError)
     3  validate: a Monte Carlo estimate missed its tolerance (report on stdout)
     4  degenerate statistics: a normalizer or SINR denominator is not positive
     5  channel estimation failed: a pilot observation covariance is not
@@ -169,8 +170,23 @@ def _c2j(value):
     return {"re": value.real, "im": value.imag}
 
 
+class UsageError(Exception):
+    """A command line argparse rejects: unknown command or option, missing
+    or malformed value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as UsageError, which main turns into the JSON
+    error contract (exit 2), instead of printing usage text and exiting.
+    Subparsers are built with the parser's own class, so they report alike;
+    --help still prints and exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfrs",
         description="Rate-splitting cell-free massive MIMO simulator and optimizer")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -209,8 +225,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        return _fail(str(exc), code=2)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -11,7 +11,11 @@ are cached once per network, stored in the layout the SINR assembly reads as
 matrix operands: re-evaluating the bound for a batch of P power allocations
 costs one batched GEMM over the users, one (P, K*L) @ (K*L, K) GEMM and two
 (P, L) products. That cache is what the optimizers iterate on. Building it
-costs one (K+1, 2N^2) @ (2N^2, K) GEMM per AP for every variance term.
+costs one (K+1, 2N^2) @ (2N^2, K) GEMM per AP for every variance term, run
+over blocks of APs whose temporaries take about 1 MiB each and are reused
+from block to block, so a build holds little beyond the fields it returns.
+The co-pilot traces enter p1 and the common normalizer per user pair that
+shares a pilot, never as a dense (K, K, L) tensor.
 """
 
 from dataclasses import dataclass
@@ -23,10 +27,22 @@ from .estimation import EstimationStatistics, PilotAssignment, copilot_cross_mom
 from .geometry import LinkStatistics
 
 _REAL_TOL = 1e-10
+# Entries of build_cache's largest temporary per block of APs. 65,536 complex
+# entries take 1 MiB, the budget of achievable_sum_se's chunks: 39 APs a
+# block at K=40, N=4, 97 at K=20, and the whole network at the default scale.
+_BLOCK_ENTRY_BUDGET = 65_536
 
 
 class DegenerateStatisticsError(RuntimeError):
     """Raised when a normalization or SINR denominator is not positive."""
+
+
+def _check_real(scale, resid, name):
+    """Raise unless the imaginary residue resid of terms whose largest
+    magnitude is scale is numerical roundoff."""
+    if scale > 0 and resid > _REAL_TOL * scale:
+        raise DegenerateStatisticsError(
+            f"{name}: imaginary residue {resid:.3e} exceeds tolerance at scale {scale:.3e}")
 
 
 def _ensure_real(x, name):
@@ -35,9 +51,7 @@ def _ensure_real(x, name):
     x = np.asarray(x)
     scale = np.max(np.abs(x)) if x.size else 0.0
     resid = np.max(np.abs(x.imag)) if np.iscomplexobj(x) else 0.0
-    if scale > 0 and resid > _REAL_TOL * scale:
-        raise DegenerateStatisticsError(
-            f"{name}: imaginary residue {resid:.3e} exceeds tolerance at scale {scale:.3e}")
+    _check_real(scale, resid, name)
     return x.real if np.iscomplexobj(x) else x
 
 
@@ -142,7 +156,10 @@ def normalization_coeffs(stats: LinkStatistics, est: EstimationStatistics):
     hbar = stats.hbar
     s = hbar.sum(axis=0)                                     # (L, N)
     common = np.einsum("ln,ln->l", s.conj(), s)              # ||sum_i hbar||^2
-    common = common + est.trQbar.sum(axis=(0, 1))
+    # Summed over the co-pilot pairs in row-major (k, i) order, as numpy sums
+    # a dense (K, K, L) tensor over both user axes when L >= 2 (at L = 1 it
+    # sums pairwise, which can differ in the last bit).
+    common = common + np.add.reduce(est.copilot_traces, axis=0)
     common = _ensure_real(common, "common normalizer")
     trQ = np.trace(est.Q, axis1=-2, axis2=-1)
     private = np.einsum("kln,kln->kl", hbar.conj(), hbar) + trQ
@@ -177,16 +194,29 @@ class SECache:
     prelog: float
 
 
+def _ap_blocks(K, L, N):
+    """Slices covering range(L) with blocks of as many APs as fit
+    _BLOCK_ENTRY_BUDGET entries of build_cache's largest per-block temporary:
+    the (K+1, 2N^2) rows or the (K+1, K) product, per AP."""
+    step = max(1, _BLOCK_ENTRY_BUDGET // ((K + 1) * max(2 * N * N, K)))
+    return [slice(a, min(a + step, L)) for a in range(0, L, step)]
+
+
 def build_cache(stats: LinkStatistics, est: EstimationStatistics,
                 pilots: PilotAssignment, cfg: SystemConfig) -> SECache:
+    """The SECache of a drop. pilots is not read: the co-pilot pairs come
+    with the estimation statistics, which also cover perfect CSI."""
     K, L, N = stats.K, stats.L, stats.N
+    NN = N * N
     hbar = stats.hbar
-    # hbar_kl^H hbar_il plus the co-pilot traces, written in the (i, L, k)
-    # layout. Off the pilot groups p1 is this line-of-sight product bit for
-    # bit, so it stays an einsum (one rounding order for every caller).
-    p1 = np.einsum("kln,iln->ilk", hbar.conj(), hbar, order="C")
-    p1 += est.trQbar.transpose(1, 2, 0)
-    c1 = p1.sum(axis=0)                                            # (L, k)
+    hbar_c = hbar.conj()
+    s = hbar.sum(axis=0)                                           # (L, N)
+    pair_k, pair_i = est.copilot_pairs.T
+    # Stored contiguous as (i, L, k) and (L, k); the fields are the (k, i, L)
+    # and (k, L) views. Every block writes its APs' entries in place.
+    p1 = np.empty((K, L, K), dtype=complex)
+    p2 = np.empty((K, L, K))
+    c2 = np.empty((L, K))
 
     # Every variance term is an inner product <X, Y> = sum_nm X[n, m] Y[n, m]
     # over the flattened N^2 axis, of one (N, N) matrix per row user and one
@@ -198,28 +228,46 @@ def build_cache(stats: LinkStatistics, est: EstimationStatistics,
     # where M_l = sum_ij Qbar_ijl is the estimates' pair sum seen by the common
     # precoder and S_l the outer product of s_l = sum_i hbar_il. The K rows i
     # and one common row meet the K columns k in a single
-    # (K+1, 2N^2) @ (2N^2, K) product per AP.
-    NN = N * N
-    O = hbar.conj()[..., :, None] * hbar[..., None, :]             # (K, L, N, N)
-    s = hbar.sum(axis=0)                                           # (L, N)
-    rows = np.empty((L, K + 1, 2, NN), dtype=complex)
-    rows[:, :K, 0] = est.Q.reshape(K, L, NN).transpose(1, 0, 2)
-    rows[:, :K, 1] = O.reshape(K, L, NN).transpose(1, 0, 2)
-    rows[:, K, 0] = est.Qbar_sum.reshape(L, NN)
-    rows[:, K, 1] = (s.conj()[:, :, None] * s[:, None, :]).reshape(L, NN)
-    cols = np.empty((L, K, 2, N, N), dtype=complex)
-    np.add(stats.R.swapaxes(-1, -2), O, out=cols[:, :, 0].transpose(1, 0, 2, 3))
-    cols[:, :, 1] = stats.R.transpose(1, 0, 2, 3)
-    var = rows.reshape(L, K + 1, 2 * NN) @ cols.reshape(L, K, 2 * NN).swapaxes(-1, -2)
-    p2 = _ensure_real(var[:, :K], "private variance terms")
-    c2 = _ensure_real(var[:, K], "common variance terms")
+    # (K+1, 2N^2) @ (2N^2, K) product per AP, in workspaces sized for one
+    # block of APs and reused by every block.
+    blocks = _ap_blocks(K, L, N)
+    nb = blocks[0].stop
+    rows = np.empty((nb, K + 1, 2, N, N), dtype=complex)
+    cols = np.empty((nb, K, 2, N, N), dtype=complex)
+    var = np.empty((nb, K + 1, K), dtype=complex)
+    # Running max |x| and max |imag x| of the private and the common terms,
+    # for one network-wide _check_real each; np.maximum keeps a NaN.
+    bounds = np.zeros((2, 2))
+    for blk in blocks:
+        n = blk.stop - blk.start
+        # hbar_kl^H hbar_il plus the co-pilot traces. Off the pilot groups
+        # p1 is this line-of-sight product bit for bit, so it stays an
+        # einsum (one rounding order for every caller).
+        np.einsum("kln,iln->ilk", hbar_c[:, blk], hbar[:, blk], out=p1[:, blk])
+        p1[pair_i, blk, pair_k] += est.copilot_traces[:, blk]
+
+        r, c = rows[:n], cols[:n]
+        O = r[:, :K, 1]                                            # (n, K, N, N)
+        np.multiply(hbar_c[:, blk, :, None], hbar[:, blk, None, :], out=O.swapaxes(0, 1))
+        r[:, :K, 0] = est.Q[:, blk].transpose(1, 0, 2, 3)
+        r[:, K, 0] = est.Qbar_sum[blk]
+        r[:, K, 1] = s[blk].conj()[:, :, None] * s[blk][:, None, :]
+        R = stats.R[:, blk].transpose(1, 0, 2, 3)
+        np.add(R.swapaxes(-1, -2), O, out=c[:, :, 0])
+        c[:, :, 1] = R
+        v = np.matmul(r.reshape(n, K + 1, 2 * NN),
+                      c.reshape(n, K, 2 * NN).swapaxes(-1, -2), out=var[:n])
+        for row, part in enumerate((v[:, :K], v[:, K])):
+            np.maximum(bounds[row], (np.max(np.abs(part)), np.max(np.abs(part.imag))),
+                       out=bounds[row])
+        p2[:, blk] = v[:, :K].real.transpose(1, 0, 2)
+        c2[blk] = v[:, K].real
+    _check_real(*bounds[0], "private variance terms")
+    _check_real(*bounds[1], "common variance terms")
 
     mu_c, mu_p = normalization_coeffs(stats, est)
-    # Stored contiguous as (i, L, k) and (L, k); the fields are the (k, i, L)
-    # and (k, L) views.
-    return SECache(c1=c1.T, c2=np.ascontiguousarray(c2).T, p1=p1.transpose(2, 0, 1),
-                   p2=np.ascontiguousarray(p2.transpose(1, 0, 2)).transpose(2, 0, 1),
-                   mu_c=mu_c, mu_p=mu_p,
+    return SECache(c1=p1.sum(axis=0).T, c2=c2.T, p1=p1.transpose(2, 0, 1),
+                   p2=p2.transpose(2, 0, 1), mu_c=mu_c, mu_p=mu_p,
                    p_dl=cfg.p_dl_mw, noise=cfg.noise_mw, prelog=cfg.prelog)
 
 
@@ -249,7 +297,7 @@ def _sinr_terms(cache: SECache, rho, eta):
     Tp1 = np.square(z.real) + np.square(z.imag)                    # (i, P, k)
 
     # Every pair (k, i) adds its coherent term: off the pilot groups p1 is the
-    # line-of-sight gain alone, because trQbar is zero there.
+    # line-of-sight gain alone, because only co-pilot pairs carry a trace.
     inter = w.reshape(len(w), K * L) @ p2.reshape(K * L, K) + Tp1.sum(axis=0)
     p_over_k = cache.p_dl / K
     den_c = cache.p_dl * Tc2 + p_over_k * inter + cache.noise

@@ -16,12 +16,16 @@ Every statistic is a product of G: the estimate covariance Q_kl = G_kl G_kl^H,
 the error covariance C_kl = R_kl - Q_kl, and the cross-moment of two co-pilot
 estimates Qbar_kil = G_il G_kl^H, zero when k and i use different pilots.
 
-The closed form needs Qbar only through its traces tr Qbar_kil (K, K, L) and
-its sum over all user pairs, sum_{k,i} Qbar_kil (L, N, N). Both are computed
-per pilot group: the traces as one (m, N^2) @ (N^2, m) GEMM per AP over the
-group's m users (every other entry is zero), and the sum as B_tl B_tl^H with
-B_tl = sum_{i in t} G_il. EstimationStatistics stores those two reductions;
-copilot_cross_moment gives single entries.
+The closed form needs Qbar only through its traces tr Qbar_kil and its sum
+over all user pairs, sum_{k,i} Qbar_kil (L, N, N). Both are computed per
+pilot group: the traces as one (m, N^2) @ (N^2, m) GEMM per AP over the
+group's m users, and the sum as B_tl B_tl^H with B_tl = sum_{i in t} G_il.
+A trace is zero unless k and i share a pilot, so only the co-pilot pairs'
+traces are stored, (P, L) for P = sum_t m_t^2 pairs (160 of 1,600 at K=40,
+tau_p=10), with the pairs themselves in row-major (k, i) order, the order in
+which numpy sums a dense (K, K, L) tensor over both user axes when L >= 2.
+EstimationStatistics stores those reductions; copilot_cross_moment gives
+single entries.
 """
 
 from dataclasses import dataclass
@@ -65,7 +69,8 @@ class EstimationStatistics:
     W: np.ndarray         # (tau_p, L, N, N) whiteners L_tl^-H; no pilots for perfect CSI
     Q: np.ndarray         # (K, L, N, N) estimate covariances, G G^H
     C: np.ndarray         # (K, L, N, N) error covariances, R - Q
-    trQbar: np.ndarray    # (K, K, L) tr Qbar_kil; zero off pilot group, tr Q_kl on the diagonal
+    copilot_pairs: np.ndarray   # (P, 2) user pairs (k, i) on one pilot, row-major; (k, k) among them
+    copilot_traces: np.ndarray  # (P, L) tr Qbar_kil of those pairs; tr Q_kl where i = k
     Qbar_sum: np.ndarray  # (L, N, N) sum of Qbar_kil over all user pairs (k, i)
     ptau: float           # pilot energy p tau_p; 0 for perfect CSI
 
@@ -79,7 +84,8 @@ def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
     ptau = cfg.p_pilot_mw * cfg.tau_p
     W = np.empty((pilots.tau_p, L, N, N), dtype=complex)
     G = np.empty((K, L, N, N), dtype=complex)
-    trQbar = np.zeros((K, K, L), dtype=complex)
+    pair_k, pair_i = np.nonzero(pilots.pilot_of[:, None] == pilots.pilot_of[None, :])
+    traces = np.empty((len(pair_k), L), dtype=complex)
     Qbar_sum = np.zeros((L, N, N), dtype=complex)
     for t in range(pilots.tau_p):
         members = np.flatnonzero(pilots.pilot_of == t)
@@ -95,34 +101,38 @@ def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
         G[members] = G_t
         # tr(G_il G_kl^H) = sum_ab conj(G_kl[a, b]) G_il[a, b], one
         # (m, N^2) @ (N^2, m) product per AP over the group's pairs only.
+        # The members ascend, so the group's pairs in row-major (k, i) order
+        # are the product's (k, i) entries in its own row-major order.
         m = len(members)
         G_flat = G_t.transpose(1, 0, 2, 3).reshape(L, m, N * N)
         tr_t = G_flat.conj() @ G_flat.swapaxes(-1, -2)          # (L, k, i)
-        trQbar[members[:, None], members[None, :]] = tr_t.transpose(1, 2, 0)
+        traces[pilots.pilot_of[pair_k] == t] = tr_t.reshape(L, m * m).T
         B = G_t.sum(axis=0)                                     # (L, N, N)
         Qbar_sum += B @ B.conj().swapaxes(-1, -2)
     Q = G @ G.conj().swapaxes(-1, -2)
-    return EstimationStatistics(G=G, W=W, Q=Q, C=stats.R - Q, trQbar=trQbar,
-                                Qbar_sum=Qbar_sum, ptau=ptau)
+    return EstimationStatistics(G=G, W=W, Q=Q, C=stats.R - Q,
+                                copilot_pairs=np.stack([pair_k, pair_i], axis=1),
+                                copilot_traces=traces, Qbar_sum=Qbar_sum, ptau=ptau)
 
 
 def perfect_csi_statistics(stats: LinkStatistics) -> EstimationStatistics:
     """Statistics of an oracle estimator that returns the true channel.
 
     Q = R and C = 0, and estimates of different users are uncorrelated, so
-    Qbar_kil is R_kl for i = k and zero otherwise. Each user is its own
-    source, G = R^1/2, and there are no pilots to whiten. Keeps the
+    Qbar_kil is R_kl for i = k and zero otherwise: every user is a pilot
+    group of one, whose one pair (k, k) has the trace tr R_kl. Each user is
+    its own source, G = R^1/2, and there are no pilots to whiten. Keeps the
     downstream code path identical.
     """
     K, L, N = stats.K, stats.L, stats.N
-    trQbar = np.zeros((K, K, L), dtype=complex)
-    trQbar[np.arange(K), np.arange(K)] = np.trace(stats.R, axis1=-2, axis2=-1)
+    users = np.arange(K)
     return EstimationStatistics(
         G=hermitian_sqrt(stats.R),
         W=np.zeros((0, L, N, N), dtype=complex),
         Q=stats.R.copy(),
         C=np.zeros((K, L, N, N), dtype=complex),
-        trQbar=trQbar,
+        copilot_pairs=np.stack([users, users], axis=1),
+        copilot_traces=np.trace(stats.R, axis1=-2, axis2=-1),
         Qbar_sum=stats.R.sum(axis=0),
         ptau=0.0,
     )

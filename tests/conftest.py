@@ -6,8 +6,9 @@ in seconds, so most statistical tests run on it. Session scope lets the
 module tests and the acceptance suite share the same statistics objects.
 
 The oracles below (eigenvalue-projected correlation matrices, dense co-pilot
-tensor from inverted observation covariances, subtraction-free error
-covariances, scalar uncorrelated cache,
+tensor from inverted observation covariances, dense co-pilot traces from the
+estimator factors, subtraction-free error covariances, whole-network cache,
+scalar uncorrelated cache,
 per-term einsum SINR assembly, sample-moment SINR assembly, achievable rate
 from the joint channel draw, transmit-power audit, per-parameter training
 loop) are independent routes to quantities the package computes; the tests
@@ -21,8 +22,8 @@ import numpy as np
 import pytest
 
 from cfrs import diffusion
-from cfrs.closed_form import (DegenerateStatisticsError, SECache, build_cache,
-                              normalization_coeffs)
+from cfrs.closed_form import (DegenerateStatisticsError, SECache, _ensure_real,
+                              build_cache, normalization_coeffs)
 from cfrs.config import SystemConfig
 from cfrs.diffusion import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BATCH_SIZE,
                             _time_embedding, forward_diffuse)
@@ -150,6 +151,70 @@ def dense_qbar_perfect(stats):
     Qbar = np.zeros((K, K, L, N, N), dtype=complex)
     Qbar[np.arange(K), np.arange(K)] = stats.R
     return Qbar
+
+
+def dense_copilot_traces(G, copilot):
+    """Reference (K, K, L) co-pilot traces tr Qbar_kil = tr(G_il G_kl^H) from
+    the estimator factors G (K, L, N, N) and the (K, K) co-pilot map, zero
+    where copilot[k, i] is False (an identity map under perfect CSI)."""
+    traces = np.einsum("klab,ilab->kil", G.conj(), G)
+    return traces * copilot[:, :, None]
+
+
+def stored_traces(est):
+    """The estimation statistics' co-pilot traces scattered into a dense
+    (K, K, L) tensor, zero off the stored pairs."""
+    K, L = est.G.shape[:2]
+    dense = np.zeros((K, K, L), dtype=complex)
+    dense[tuple(est.copilot_pairs.T)] = est.copilot_traces
+    return dense
+
+
+def whole_network_variances(stats, est):
+    """The complex (L, K+1, K) variance terms of the cache, the private rows
+    i and the common row against the columns k, as one
+    (K+1, 2N^2) @ (2N^2, K) product per AP over the whole network at once."""
+    K, L, N = stats.K, stats.L, stats.N
+    NN = N * N
+    hbar = stats.hbar
+    O = hbar.conj()[..., :, None] * hbar[..., None, :]             # (K, L, N, N)
+    s = hbar.sum(axis=0)
+    rows = np.empty((L, K + 1, 2, NN), dtype=complex)
+    rows[:, :K, 0] = est.Q.reshape(K, L, NN).transpose(1, 0, 2)
+    rows[:, :K, 1] = O.reshape(K, L, NN).transpose(1, 0, 2)
+    rows[:, K, 0] = est.Qbar_sum.reshape(L, NN)
+    rows[:, K, 1] = (s.conj()[:, :, None] * s[:, None, :]).reshape(L, NN)
+    cols = np.empty((L, K, 2, N, N), dtype=complex)
+    np.add(stats.R.swapaxes(-1, -2), O, out=cols[:, :, 0].transpose(1, 0, 2, 3))
+    cols[:, :, 1] = stats.R.transpose(1, 0, 2, 3)
+    return rows.reshape(L, K + 1, 2 * NN) @ cols.reshape(L, K, 2 * NN).swapaxes(-1, -2)
+
+
+def whole_network_cache(stats, est, cfg):
+    """Reference SECache built for the whole network at once, with the
+    co-pilot traces as a dense (K, K, L) tensor that is zero off the pilot
+    groups: the line-of-sight einsum, the dense trace tensor added to p1 and
+    summed over both user axes into the common normalizer, and the complex
+    variance terms checked for an imaginary residue as a whole."""
+    hbar = stats.hbar
+    trQbar = stored_traces(est)
+    p1 = np.einsum("kln,iln->ilk", hbar.conj(), hbar, order="C")
+    p1 += trQbar.transpose(1, 2, 0)
+    var = whole_network_variances(stats, est)
+    p2 = _ensure_real(var[:, :stats.K], "private variance terms")
+    c2 = _ensure_real(var[:, stats.K], "common variance terms")
+    s = hbar.sum(axis=0)
+    common = np.einsum("ln,ln->l", s.conj(), s) + trQbar.sum(axis=(0, 1))
+    common = _ensure_real(common, "common normalizer")
+    private = (np.einsum("kln,kln->kl", hbar.conj(), hbar)
+               + np.trace(est.Q, axis1=-2, axis2=-1))
+    private = _ensure_real(private, "private normalizer")
+    if np.any(common <= 0) or np.any(private <= 0):
+        raise DegenerateStatisticsError("precoder normalizer is not positive")
+    return SECache(c1=p1.sum(axis=0).T, c2=c2.T, p1=p1.transpose(2, 0, 1),
+                   p2=p2.transpose(2, 1, 0),
+                   mu_c=1.0 / common, mu_p=1.0 / private,
+                   p_dl=cfg.p_dl_mw, noise=cfg.noise_mw, prelog=cfg.prelog)
 
 
 def uncorrelated_cache(beta_los, beta_nlos, pilots, cfg):

@@ -2,11 +2,14 @@
 
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cfrs.closed_form import (PowerAllocation, _sinr_terms, build_cache,
+from cfrs import closed_form
+from cfrs.closed_form import (DegenerateStatisticsError, PowerAllocation,
+                              _ap_blocks, _sinr_terms, build_cache,
                               evaluate_cache, normalization_coeffs,
                               sum_se_batch, upsilon_moments)
 from cfrs.config import SystemConfig
@@ -17,9 +20,10 @@ from cfrs.geometry import (LinkStatistics, draw_geometry, hermitian_sqrt,
 from cfrs.monte_carlo import sample_moments
 from cfrs.rng import substream
 from cfrs.scenario import EnvScenario
-from conftest import (copilot_matrix, dense_qbar, dense_qbar_perfect,
-                      einsum_sinr_terms, max_rel_diff, moment_samples,
-                      random_allocation, uncorrelated_cache)
+from conftest import (copilot_matrix, dense_copilot_traces, dense_qbar,
+                      dense_qbar_perfect, einsum_sinr_terms, max_rel_diff,
+                      moment_samples, random_allocation, uncorrelated_cache,
+                      whole_network_cache, whole_network_variances)
 
 
 def test_power_allocation_roundtrip():
@@ -259,10 +263,14 @@ def _relabelled_drop(stats, est, pilots, users, aps):
 
     stats = dataclasses.replace(stats, **{f.name: link(getattr(stats, f.name))
                                           for f in dataclasses.fields(stats)})
+    pilots = PilotAssignment(pilots.pilot_of[users], pilots.tau_p)
+    copilot = copilot_matrix(pilots)
+    pairs = np.argwhere(copilot)
+    traces = dense_copilot_traces(link(est.G), copilot)[tuple(pairs.T)]
     est = dataclasses.replace(est, G=link(est.G), W=est.W[:, aps], Q=link(est.Q),
-                              C=link(est.C), trQbar=est.trQbar[users][:, users][:, :, aps],
+                              C=link(est.C), copilot_pairs=pairs, copilot_traces=traces,
                               Qbar_sum=est.Qbar_sum[aps])
-    return stats, est, PilotAssignment(pilots.pilot_of[users], pilots.tau_p)
+    return stats, est, pilots
 
 
 @pytest.mark.parametrize("pieces", ["desk_pieces", "full_pieces"])
@@ -378,3 +386,94 @@ def test_statistics_path_needs_no_eigendecomposition(monkeypatch):
     # The spy does see the one caller that still needs an eigendecomposition.
     hermitian_sqrt(stats.R[0, 0])
     assert calls == [(4, 4)]
+
+
+def _drop(balanced=True, **kw):
+    """(cfg, stats, est, pilots) of one drop through the quick-start chain."""
+    cfg = SystemConfig(**kw)
+    stats = link_statistics(cfg, draw_geometry(cfg, substream(cfg.seed, "geometry")))
+    pilots = assign_pilots(cfg.K, cfg.tau_p, substream(cfg.seed, "pilots"), balanced)
+    return cfg, stats, estimation_statistics(stats, pilots, cfg), pilots
+
+
+def _with_block(monkeypatch, stats, n_aps):
+    """Set the block budget to n_aps APs of stats' network."""
+    K, N = stats.K, stats.N
+    monkeypatch.setattr(closed_form, "_BLOCK_ENTRY_BUDGET", n_aps * (K + 1) * max(2 * N * N, K))
+
+
+_BLOCK_CASES = {"multiple": [4, 4], "one_ap_tail": [4, 4, 1], "desk": [2],
+                "single_user": [3, 3, 1], "empty_pilot": [5, 5, 2],
+                "perfect_csi": [7, 7, 6], "K40_L100": [39, 39, 22]}
+
+
+@pytest.mark.parametrize("case, blocks", _BLOCK_CASES.items(), ids=list(_BLOCK_CASES))
+def test_blockwise_cache_equals_whole_network_oracle(case, blocks, monkeypatch, request):
+    """build_cache, one block of APs at a time, returns every field of the
+    whole-network build bit for bit: at every block edge, with a dense trace
+    tensor in place of the co-pilot pairs, and with the dense sum of the
+    common normalizer."""
+    if case == "desk":
+        cfg, stats, est, pilots = request.getfixturevalue("desk_pieces")
+    elif case == "perfect_csi":
+        cfg, stats, _, pilots = request.getfixturevalue("full_pieces")
+        est = perfect_csi_statistics(stats)
+        _with_block(monkeypatch, stats, 7)
+    elif case == "K40_L100":
+        cfg, stats, est, pilots = _drop(K=40, L=100, N=4, tau_p=10, seed=60)
+    elif case == "empty_pilot":
+        cfg, stats, est, pilots = _drop(balanced=False, K=9, L=12, N=4, tau_p=5, seed=60)
+        assert np.bincount(pilots.pilot_of, minlength=cfg.tau_p).min() == 0
+        _with_block(monkeypatch, stats, 5)
+    else:
+        K, L = {"multiple": (5, 8), "one_ap_tail": (5, 9), "single_user": (1, 7)}[case]
+        cfg, stats, est, pilots = _drop(K=K, L=L, N=2, tau_p=2, seed=61)
+        _with_block(monkeypatch, stats, blocks[0])
+    assert [b.stop - b.start for b in _ap_blocks(stats.K, stats.L, stats.N)] == blocks
+    cache = build_cache(stats, est, pilots, cfg)
+    for name, value in vars(whole_network_cache(stats, est, cfg)).items():
+        np.testing.assert_array_equal(getattr(cache, name), value, err_msg=name)
+
+
+def test_imaginary_residue_in_last_block_raises_at_whole_network_threshold(monkeypatch):
+    """An imaginary residue in one AP of the last block is checked against the
+    largest term of the whole network, as the whole-network build checks it:
+    just past the tolerance both raise, just inside it neither does."""
+    cfg, stats, est, pilots = _drop(K=5, L=9, N=2, tau_p=2, seed=61)
+    _with_block(monkeypatch, stats, 4)
+    assert _ap_blocks(stats.K, stats.L, stats.N)[-1] == slice(8, 9)
+
+    def with_residue(eps):
+        # Q_il + j eps [[0, 1], [1, 0]] adds j eps 2 Re X[0, 1] with the
+        # Hermitian X = R_kl^T + O_kl to p2[k, i, l] for every k, and leaves
+        # tr Q_il (the private normalizer) and the common terms alone.
+        Q = est.Q.copy()
+        Q[1, stats.L - 1] += 1j * eps * np.array([[0.0, 1.0], [1.0, 0.0]])
+        return dataclasses.replace(est, Q=Q)
+
+    probe = 1e-3 * np.abs(est.Q).max()
+    var = whole_network_variances(stats, with_residue(probe))[:, :stats.K]
+    threshold = probe * closed_form._REAL_TOL / (np.abs(var.imag).max() / np.abs(var).max())
+    with pytest.raises(DegenerateStatisticsError, match="private variance terms"):
+        whole_network_cache(stats, with_residue(1.001 * threshold), cfg)
+    with pytest.raises(DegenerateStatisticsError, match="private variance terms"):
+        build_cache(stats, with_residue(1.001 * threshold), pilots, cfg)
+    inside = with_residue(0.999 * threshold)
+    cache = build_cache(stats, inside, pilots, cfg)
+    for name, value in vars(whole_network_cache(stats, inside, cfg)).items():
+        np.testing.assert_array_equal(getattr(cache, name), value, err_msg=name)
+
+
+def test_build_cache_peak_memory():
+    """At K=40, L=100 a build holds its returned fields plus about one block's
+    workspaces: at most 4 MiB of temporaries (1 MiB a workspace), where the
+    whole-network build held 7.5 MiB."""
+    cfg, stats, est, pilots = _drop(K=40, L=100, N=4, tau_p=10, seed=60)
+    tracemalloc.start()
+    try:
+        cache = build_cache(stats, est, pilots, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = sum(v.nbytes for v in vars(cache).values() if isinstance(v, np.ndarray))
+    assert peak <= fields + 4 * closed_form._BLOCK_ENTRY_BUDGET * 16

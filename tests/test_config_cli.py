@@ -495,6 +495,35 @@ def test_cli_rejects_bad_train_and_infer_values(argv, code, field, tmp_path, cap
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["bogus"], ["invalid choice", "'bogus'"]),
+    ([], ["required", "command"]),
+    (["infer", "--kappa-db", "x", "--asd-deg", "30"], ["cfrs infer", "--kappa-db", "'x'"]),
+    (["infer", "--asd-deg", "30"], ["cfrs infer", "required", "--kappa-db"]),
+    (["validate", "--draws", "1", "--frobnicate"], ["unrecognized", "--frobnicate"]),
+], ids=["unknown_command", "no_command", "malformed_value", "missing_option",
+        "unknown_option"])
+def test_cli_usage_errors_keep_contract(argv, words, capsys):
+    """A command line argparse rejects exits 2 with one JSON object on stderr
+    naming the problem, not with argparse's usage text."""
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)
+    assert list(err) == ["error"]
+    for word in words:
+        assert word in err["error"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["infer", "--help"]])
+def test_cli_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cfrs") and captured.err == ""
+
+
 def test_cli_non_finite_report_keeps_contract(tmp_path, capsys, monkeypatch):
     """A NaN in a report exits 1 with one JSON object on stderr instead of
     printing a NaN token on stdout."""

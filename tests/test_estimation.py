@@ -11,8 +11,9 @@ from cfrs.estimation import (assign_pilots, copilot_cross_moment,
 from cfrs.geometry import hermitian_sqrt
 from cfrs.rng import substream
 from cfrs.scenario import EnvScenario
-from conftest import (copilot_matrix, dense_qbar, dense_qbar_perfect,
-                      error_covariances, max_rel_diff)
+from conftest import (copilot_matrix, dense_copilot_traces, dense_qbar,
+                      dense_qbar_perfect, error_covariances, max_rel_diff,
+                      stored_traces)
 
 
 def test_assign_pilots_balanced_counts():
@@ -48,14 +49,14 @@ def test_estimation_statistics_identities(desk_pieces):
     # Error and estimate covariances partition R.
     np.testing.assert_allclose(est.Q + est.C, stats.R, atol=1e-14)
     # Diagonal of the cross-moment traces is the trace of the estimate covariance.
+    trQbar = stored_traces(est)
     for k in range(K):
-        np.testing.assert_allclose(est.trQbar[k, k], np.trace(est.Q[k], axis1=-2, axis2=-1),
+        np.testing.assert_allclose(trQbar[k, k], np.trace(est.Q[k], axis1=-2, axis2=-1),
                                    atol=1e-14)
-    # Off pilot group the cross-moments vanish identically.
-    for k in range(K):
-        for i in range(K):
-            if pilots.pilot_of[k] != pilots.pilot_of[i]:
-                assert np.all(est.trQbar[k, i] == 0)
+    # Off pilot group the cross-moments vanish identically, so only the
+    # co-pilot pairs are stored, in row-major (k, i) order.
+    np.testing.assert_array_equal(est.copilot_pairs, np.argwhere(copilot_matrix(pilots)))
+    assert est.copilot_traces.shape == (len(est.copilot_pairs), L)
     # Q and C are PSD.
     for arr in (est.Q, est.C):
         w = np.linalg.eigvalsh(arr.reshape(K * L, cfg.N, cfg.N))
@@ -92,27 +93,34 @@ def test_perfect_csi_statistics(desk_pieces):
     assert est.W.shape[0] == 0 and est.ptau == 0
     assert np.all(est.C == 0)
     np.testing.assert_array_equal(est.Qbar_sum, stats.R.sum(axis=0))
+    # Every user is a pilot group of one: only the pairs (k, k) are stored.
+    np.testing.assert_array_equal(est.copilot_pairs,
+                                  np.argwhere(np.eye(stats.K, dtype=bool)))
+    trQbar = stored_traces(est)
     for k in range(stats.K):
-        np.testing.assert_array_equal(est.trQbar[k, k],
+        np.testing.assert_array_equal(trQbar[k, k],
                                       np.trace(stats.R[k], axis1=-2, axis2=-1))
-        for i in range(stats.K):
-            if i != k:
-                assert np.all(est.trQbar[k, i] == 0)
 
 
 @pytest.mark.parametrize("pieces", ["desk_pieces", "full_pieces", "perfect_csi"])
 def test_reductions_match_dense_oracle(pieces, request):
-    """trQbar, the pair sum and single entries agree with the dense
-    (K, K, L, N, N) cross-moment tensor, and no field stores that tensor."""
+    """The co-pilot traces, the pair sum and single entries agree with the
+    dense (K, K, L, N, N) cross-moment tensor and the traces also with the
+    dense traces of the estimator factors, and no field stores a (K, K, L)
+    or a (K, K, L, N, N) tensor."""
     if pieces == "perfect_csi":
         cfg, stats, _, pilots = request.getfixturevalue("full_pieces")
         est = perfect_csi_statistics(stats)
         Qbar = dense_qbar_perfect(stats)
+        copilot = np.eye(stats.K, dtype=bool)
     else:
         cfg, stats, est, pilots = request.getfixturevalue(pieces)
         Qbar = dense_qbar(stats, pilots, cfg)
+        copilot = copilot_matrix(pilots)
     K, L, N = stats.K, stats.L, stats.N
-    assert max_rel_diff(est.trQbar, np.trace(Qbar, axis1=-2, axis2=-1)) <= 1e-12
+    trQbar = stored_traces(est)
+    assert max_rel_diff(trQbar, np.trace(Qbar, axis1=-2, axis2=-1)) <= 1e-12
+    assert max_rel_diff(trQbar, dense_copilot_traces(est.G, copilot)) <= 1e-12
     assert max_rel_diff(est.Qbar_sum, Qbar.sum(axis=(0, 1))) <= 1e-12
     for k in range(K):
         for i in range(K):
@@ -120,4 +128,4 @@ def test_reductions_match_dense_oracle(pieces, request):
                 entry = copilot_cross_moment(k, i, l, est, pilots)
                 assert max_rel_diff(entry, Qbar[k, i, l]) <= 1e-12
     for name, value in vars(est).items():
-        assert np.shape(value) != (K, K, L, N, N), name
+        assert np.shape(value) not in ((K, K, L), (K, K, L, N, N)), name
