@@ -204,7 +204,8 @@ def build_parser():
     p_train = sub.add_parser("train", help="build the expert dataset and train the optimizer")
     p_train.add_argument("--steps", type=int, default=30000)
     p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--seed", type=int, default=60)
+    p_train.add_argument("--seed", type=int, default=60,
+                         help="seeds the network drop, the GA experts and the training")
     p_train.add_argument("--out-dir", default="results")
     p_train.set_defaults(func=_cmd_train)
 
@@ -212,9 +213,12 @@ def build_parser():
     p_inf.add_argument("--kappa-db", type=float, required=True)
     p_inf.add_argument("--asd-deg", type=float, required=True)
     p_inf.add_argument("--checkpoint", default="results/diffusion.npz")
-    p_inf.add_argument("--seed", type=int, default=60)
+    p_inf.add_argument("--seed", type=int, default=60,
+                       help="seeds the reverse chain; with --evaluate it also picks the "
+                            "drop the allocation is scored on, so pass the seed the "
+                            "checkpoint was trained with to score it on its own drop")
     p_inf.add_argument("--evaluate", action="store_true",
-                       help="also report the closed-form sum SE on the packaged drop")
+                       help="also report the closed-form sum SE on the drop of --seed")
     p_inf.set_defaults(func=_cmd_infer)
 
     p_val = sub.add_parser("validate", help="check closed-form moments against Monte Carlo")

@@ -27,10 +27,15 @@ from .estimation import EstimationStatistics, PilotAssignment, copilot_cross_mom
 from .geometry import LinkStatistics
 
 _REAL_TOL = 1e-10
-# Entries of build_cache's largest temporary per block of APs. 65,536 complex
-# entries take 1 MiB, the budget of achievable_sum_se's chunks: 39 APs a
-# block at K=40, N=4, 97 at K=20, and the whole network at the default scale.
-_BLOCK_ENTRY_BUDGET = 65_536
+# Entries of the largest temporary of one chunk: of APs in build_cache (39 at
+# K=40, N=4), of coherence blocks in achievable_sum_se (8 at K=20, L=100,
+# N=4). 65,536 complex entries take 1 MiB. Small chunks pay only because each
+# call reuses workspaces it allocates once: on 20 paper-scale drops (two
+# 100-block achievable_sum_se calls each, one BLAS thread, 2-vCPU VM), one
+# chunk a call took 5.7k-6.7k minor page faults a drop and 88.7 MB peak RSS;
+# 1 MiB chunks with fresh temporaries 19.9k and 46.6 MB; with the workspace
+# 3.1k and 46.5 MB.
+_ENTRY_BUDGET = 65_536
 
 
 class DegenerateStatisticsError(RuntimeError):
@@ -194,12 +199,11 @@ class SECache:
     prelog: float
 
 
-def _ap_blocks(K, L, N):
-    """Slices covering range(L) with blocks of as many APs as fit
-    _BLOCK_ENTRY_BUDGET entries of build_cache's largest per-block temporary:
-    the (K+1, 2N^2) rows or the (K+1, K) product, per AP."""
-    step = max(1, _BLOCK_ENTRY_BUDGET // ((K + 1) * max(2 * N * N, K)))
-    return [slice(a, min(a + step, L)) for a in range(0, L, step)]
+def _chunks(n, per_item, budget):
+    """Slices covering range(n), each of as many items of per_item entries
+    as fit budget entries, and at least one."""
+    step = max(1, budget // per_item)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def build_cache(stats: LinkStatistics, est: EstimationStatistics,
@@ -229,8 +233,9 @@ def build_cache(stats: LinkStatistics, est: EstimationStatistics,
     # precoder and S_l the outer product of s_l = sum_i hbar_il. The K rows i
     # and one common row meet the K columns k in a single
     # (K+1, 2N^2) @ (2N^2, K) product per AP, in workspaces sized for one
-    # block of APs and reused by every block.
-    blocks = _ap_blocks(K, L, N)
+    # block of APs and reused by every block. A block holds as many APs as
+    # fit their rows or their (K+1, K) product, the larger, in _ENTRY_BUDGET.
+    blocks = _chunks(L, (K + 1) * max(2 * NN, K), _ENTRY_BUDGET)
     nb = blocks[0].stop
     rows = np.empty((nb, K + 1, 2, N, N), dtype=complex)
     cols = np.empty((nb, K, 2, N, N), dtype=complex)

@@ -260,6 +260,21 @@ class ExpertDataset:
     sum_se: np.ndarray    # (M,) closed-form value of each expert
 
     def __post_init__(self):
+        """Name the field of data that would otherwise fail later, unnamed,
+        or pair vectors with the wrong environments."""
+        arrays = {name: np.asarray(getattr(self, name))
+                  for name in ("kappa_db", "asd_deg", "x0", "sum_se")}
+        for name, value in arrays.items():
+            ndim = 2 if name == "x0" else 1
+            if value.ndim != ndim:
+                raise ValueError(f"expert dataset: {name} must be {ndim}-D, not {value.shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"expert dataset: {name} is not finite")
+        lengths = ", ".join(f"{name} {len(value)}" for name, value in arrays.items())
+        if len({len(value) for value in arrays.values()}) > 1:
+            raise ValueError(f"expert dataset: lengths differ: {lengths}")
+        if len(self.x0) == 0:
+            raise ValueError("expert dataset: x0 is empty")
         if np.any(self.x0 < 0.0) or np.any(self.x0 > 1.0):
             raise ValueError("expert vectors must lie in [0, 1]")
 

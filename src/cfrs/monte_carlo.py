@@ -20,7 +20,9 @@ Both draws follow one stream rule: the normals are drawn blocks first
 (rng.complex_normal_blocks), so block b reads the b-th run of the stream
 whatever the chunk it falls in, and the chunking never moves a result.
 achievable_sum_se draws chunks whose (n, K, L, N) tensors take about 1 MiB
-and writes every chunk into one workspace that the call allocates once.
+and writes every chunk into one workspace that the call allocates once:
+draw_estimates and instantaneous_sinrs take that workspace's flat buffers as
+arguments, and draw, whose callers keep its arrays, allocates its own.
 
 The rates of a block then cost the weighted precoders, one (K, L*N) GEMM for
 the effective channels and O(K L N^2) work for the estimation-error terms.
@@ -36,23 +38,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import PowerAllocation, check_allocation_shape, normalization_coeffs
+from .closed_form import (_ENTRY_BUDGET, PowerAllocation, _chunks, check_allocation_shape,
+                          normalization_coeffs)
 from .config import SystemConfig
 from .estimation import EstimationStatistics, PilotAssignment
 from .geometry import LinkStatistics, hermitian_sqrt
 from .rng import complex_normal_blocks
 
-# Entries of a chunk's largest tensor in achievable_sum_se: n blocks of (K, L,
-# N), or of (L, N, N) if N > K. 65,536 complex entries take 1 MiB: 8 blocks at
-# paper scale (K=20, L=100, N=4), 204 at the default scale, 5,461 at desk
-# scale. Small chunks pay only because each call writes every chunk into one
-# workspace. Measured on 20 paper-scale drops in a fresh process (two
-# 100-block calls each, one BLAS thread, 2-vCPU VM): a 1,000,000-entry budget
-# (one chunk a call) took 5.7k-6.7k minor page faults a drop and 88.7 MB peak
-# RSS; this budget with fresh temporaries a chunk, 19.9k faults (every chunk
-# re-faults every temporary) and 46.6 MB; with the workspace, 3.1k faults and
-# 46.5 MB.
-_CHUNK_ENTRY_BUDGET = 65_536
 # Entries of the (K, L, N) draw per chunk of sample_moments: 694 blocks at desk
 # scale (K=3, L=2, N=2). A pass holds one chunk's draws and samples at a time,
 # so this bounds its memory whatever the number of draws.
@@ -81,10 +73,10 @@ class ChannelSampler:
     one (tau_p, K) GEMM and whitened by W^H = L^-1, is the z of the
     estimator step.
 
-    draw_estimates returns ghat alone, for achievable_sum_se: z is drawn
-    directly, tau_p L N complex normals a block, whose products G_kl G_il^H
-    are the cross-moments Qbar exactly, co-pilot pairs included.
-    achievable_sum_se calls its kernel, _draw_estimates, on its workspace.
+    draw_estimates returns ghat alone, for achievable_sum_se, in the
+    buffers of its workspace: z is drawn directly, tau_p L N complex normals
+    a block, whose products G_kl G_il^H are the cross-moments Qbar exactly,
+    co-pilot pairs included.
 
     Statistics without pilot energy (est.ptau == 0, as from
     perfect_csi_statistics) give perfect CSI: the estimate is the channel
@@ -109,20 +101,29 @@ class ChannelSampler:
     def Rhalf(self):
         return hermitian_sqrt(self.stats.R)
 
-    def _estimates(self, z):
-        """draw's hbar + G z[source], C-contiguous (n, K, L, N), from the
-        sources z (n_sources, L, N, n) laid out blocks last."""
-        spread = self.est.G @ z[self.source]                        # (K, L, N, n)
-        return np.add(self.stats.hbar[None], np.moveaxis(spread, -1, 0), order="C")
+    def _estimates(self, z, work, out):
+        """The estimator step ghat = hbar + G z[source] for sources z (n,
+        n_sources, L, N) of any strides. Flat complex buffers of n K L N
+        entries: out holds z[source], then the returned C-contiguous ghat;
+        work holds G z[source] blocks last."""
+        n, K, L, N = len(z), self.stats.K, self.stats.L, self.stats.N
+        # mode="clip" writes straight into out; the default mode buffers it.
+        gathered = np.take(z, self.source, axis=1, out=_view(out, n, K, L, N), mode="clip")
+        spread = np.matmul(self.est.G, np.moveaxis(gathered, 0, -1),
+                           out=_view(work, K, L, N, n))
+        return np.add(self.stats.hbar[None], np.moveaxis(spread, -1, 0), out=gathered)
 
     def draw(self, n, rng):
-        """Return (g, ghat), each C-contiguous of shape (n, K, L, N). A block's
-        K channel normals z[:K] and tau_p pilot-noise normals z[K:] are one
-        block of the stream; Rhalf, the pilot-group sum, the whitening and G
-        act as matmuls on blocks-last (K, L, N, n) views."""
+        """Return (g, ghat), each C-contiguous of shape (n, K, L, N), in fresh
+        memory. A block's K channel normals z[:K] and tau_p pilot-noise
+        normals z[K:] are one block of the stream; Rhalf, the pilot-group
+        sum and the whitening act as matmuls on blocks-last (K, L, N, n)
+        views, and the whitened innovation is the z of the estimator step."""
         stats, est, K = self.stats, self.est, self.stats.K
         n_noise = 0 if self.perfect_csi else self.pilots.tau_p
-        z = complex_normal_blocks(rng, n, (K + n_noise, stats.L, stats.N))
+        size = n * stats.L * stats.N
+        normals = np.empty(size * (K + n_noise), complex)
+        z = complex_normal_blocks(rng, n, (K + n_noise, stats.L, stats.N), normals)
         z = np.moveaxis(z, 0, -1)                                   # (K + tau_p, L, N, n)
         scattered = self.Rhalf @ z[:K]                              # (K, L, N, n)
         g = np.add(stats.hbar[None], np.moveaxis(scattered, -1, 0), order="C")
@@ -132,31 +133,17 @@ class ChannelSampler:
             n_noise, *scattered.shape[1:])                          # (tau_p, L, N, n)
         innovation *= np.sqrt(est.ptau)
         innovation += np.sqrt(self.cfg.noise_mw) * z[K:]
-        return g, self._estimates(est.W.conj().swapaxes(-1, -2) @ innovation)
+        white = est.W.conj().swapaxes(-1, -2) @ innovation
+        return g, self._estimates(np.moveaxis(white, -1, 0), np.empty(size * K, complex),
+                                  np.empty(size * K, complex))
 
-    def draw_estimates(self, n, rng):
-        """Return ghat alone, C-contiguous of shape (n, K, L, N)."""
-        size = n * self.stats.L * self.stats.N
-        return self._draw_estimates(n, rng,
-                                    np.empty(size * max(self.stats.K, self.n_sources), complex),
-                                    np.empty(size * self.stats.K, complex))
-
-    def _draw_estimates(self, n, rng, work, out):
-        """draw_estimates into flat complex buffers: work, of n L N max(K,
-        n_sources) entries, holds the normals and then G z[source] blocks
-        last; out, of n K L N entries, holds the gathered z[source] and then
-        ghat, which is returned. The normals are complex_normal_blocks'
-        numbers, drawn into work's float view."""
-        stats, K = self.stats, self.stats.K
-        L, N = stats.L, stats.N
-        x = rng.standard_normal(out=_view(work.view(float), n, self.n_sources * L * N, 2))
-        x *= 1.0 / np.sqrt(2.0)
-        z = x.view(complex).reshape(n, self.n_sources, L, N)
-        # mode="clip" writes straight into out; the default mode buffers it.
-        gathered = np.take(z, self.source, axis=1, out=_view(out, n, K, L, N), mode="clip")
-        spread = np.matmul(self.est.G, np.moveaxis(gathered, 0, -1),
-                           out=_view(work, K, L, N, n))
-        return np.add(stats.hbar[None], np.moveaxis(spread, -1, 0), out=gathered)
+    def draw_estimates(self, n, rng, work, out):
+        """Return ghat alone, C-contiguous of shape (n, K, L, N), through flat
+        complex buffers: work, of n L N max(K, n_sources) entries, holds the
+        normals and then G z[source] blocks last; out, of n K L N entries,
+        holds the gathered z[source] and then ghat."""
+        z = complex_normal_blocks(rng, n, (self.n_sources, self.stats.L, self.stats.N), work)
+        return self._estimates(z, work, out)
 
 
 def _view(buf, *shape):
@@ -165,15 +152,8 @@ def _view(buf, *shape):
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def _chunks(n, per_block, budget):
-    """Lengths of the chunks that cover n blocks of per_block entries each,
-    at most budget entries a chunk. The draws read their normals blocks
-    first, so the chunking never decides the result."""
-    step = max(1, min(n, budget // per_block))
-    return [min(step, n - start) for start in range(0, n, step)]
-
-
-def instantaneous_sinrs(ghat, C, mu_c, mu_p, alloc: PowerAllocation, cfg: SystemConfig):
+def instantaneous_sinrs(ghat, C, mu_c, mu_p, alloc: PowerAllocation, cfg: SystemConfig,
+                        precoders, work, gram):
     """Per-block SINRs of the common and private messages at every user.
 
     The precoders are maximum ratio, normalized to unit average power by the
@@ -191,22 +171,11 @@ def instantaneous_sinrs(ghat, C, mu_c, mu_p, alloc: PowerAllocation, cfg: System
       sinr_c[k] = p_d |s_c[k]|^2 / (p_d e_c[k] + p (sum_i |s_p[k, i]|^2 + e_p[k]) + s2)
       sinr_p[k] = p |s_p[k, k]|^2 / (p (sum_{i != k} |s_p[k, i]|^2 + e_p[k]) + s2)
 
-    Leading axes of ghat (..., K, L, N) are batch axes; returns (sinr_c,
-    sinr_p), each (..., K).
+    ghat holds n blocks (n, K, L, N); returns (sinr_c, sinr_p), each (n, K).
+    The largest temporaries go into flat complex buffers: u_p into precoders
+    and the conjugates into work (n K L N entries each), the (n, L, N, N)
+    Grams into gram.
     """
-    *batch, K, L, N = ghat.shape
-    ghat = ghat.reshape(-1, K, L, N)
-    size = ghat.size
-    sinr_c, sinr_p = _sinrs(ghat, C, mu_c, mu_p, alloc, cfg, np.empty(size, complex),
-                            np.empty(size, complex), np.empty(size // K * N, complex))
-    return sinr_c.reshape(*batch, K), sinr_p.reshape(*batch, K)
-
-
-def _sinrs(ghat, C, mu_c, mu_p, alloc, cfg, precoders, work, gram):
-    """instantaneous_sinrs of the blocks ghat (n, K, L, N), writing its
-    largest temporaries into flat complex buffers: u_p into precoders and
-    the conjugates into work (n K L N entries each), the (n, L, N, N)
-    Grams into gram."""
     n, K, L, N = ghat.shape
     p_d = cfg.p_dl_mw
     u_c = np.sqrt(alloc.rho * mu_c)[:, None] * ghat.sum(axis=-3)           # (n, L, N)
@@ -251,34 +220,32 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
     """Ergodic achievable sum SE averaged over sampled coherence blocks.
 
     The rates read only the estimates and est.C, so the blocks come from
-    ChannelSampler.draw_estimates. Its stream is blocks first, so the
-    chunking does not move the result: a chunk's (n, K, L, N) tensors take
-    about 1 MiB (_CHUNK_ENTRY_BUDGET), and every chunk is written into one
-    workspace that the call allocates once.
+    ChannelSampler.draw_estimates and their rates from instantaneous_sinrs.
+    The stream is blocks first, so the chunking does not move the result: a
+    chunk's (n, K, L, N) tensors take about 1 MiB (_ENTRY_BUDGET), and every
+    chunk is written into one workspace that the call allocates once.
     """
     _check_count("n_blocks", n_blocks)
     check_allocation_shape(alloc.rho.shape, alloc.eta.shape, stats.K, stats.L)
     mu_c, mu_p = normalization_coeffs(stats, est)
     sampler = ChannelSampler(stats, est, pilots, cfg)
-    chunks = _chunks(n_blocks, stats.L * stats.N * max(stats.K, stats.N),
-                     _CHUNK_ENTRY_BUDGET)
+    chunks = _chunks(n_blocks, stats.L * stats.N * max(stats.K, stats.N), _ENTRY_BUDGET)
     # The workspace, flat buffers that every chunk writes through prefix
     # views, each reused once its contents are dead: work holds the normals,
     # then G z[source], then conj(ghat) and conj(u_p) in turn; estimates the
     # gathered sources, then ghat; precoders u_p; gram S_c, then S_p.
-    size = chunks[0] * stats.L * stats.N
+    size = chunks[0].stop * stats.L * stats.N
     work = np.empty(size * max(stats.K, sampler.n_sources), complex)
     estimates = np.empty(size * stats.K, complex)
     precoders = np.empty(size * stats.K, complex)
     gram = np.empty(size * stats.N, complex)
     se_c, se_p = np.empty(n_blocks), np.empty((n_blocks, stats.K))
-    start = 0
-    for n in chunks:
-        ghat = sampler._draw_estimates(n, rng, work, estimates)
-        sinr_c, sinr_p = _sinrs(ghat, est.C, mu_c, mu_p, alloc, cfg, precoders, work, gram)
-        np.log2(1.0 + sinr_c.min(axis=-1), out=se_c[start:start + n])
-        np.log2(1.0 + sinr_p, out=se_p[start:start + n])
-        start += n
+    for blk in chunks:
+        ghat = sampler.draw_estimates(blk.stop - blk.start, rng, work, estimates)
+        sinr_c, sinr_p = instantaneous_sinrs(ghat, est.C, mu_c, mu_p, alloc, cfg,
+                                             precoders, work, gram)
+        np.log2(1.0 + sinr_c.min(axis=-1), out=se_c[blk])
+        np.log2(1.0 + sinr_p, out=se_p[blk])
     total = se_c + se_p.sum(axis=-1)
     prelog = cfg.prelog
     return AchievableReport(
@@ -322,8 +289,8 @@ def sample_moments(stats: LinkStatistics, est: EstimationStatistics,
     _check_count("n_draws", n_draws)
     sampler = ChannelSampler(stats, est, pilots, cfg)
     shifts, sums = None, None
-    for n in _chunks(n_draws, stats.K * stats.L * stats.N, _MOMENT_ENTRY_BUDGET):
-        chunk = samples(*sampler.draw(n, rng))
+    for blk in _chunks(n_draws, stats.K * stats.L * stats.N, _MOMENT_ENTRY_BUDGET):
+        chunk = samples(*sampler.draw(blk.stop - blk.start, rng))
         if shifts is None:
             shifts = {name: x[0].copy() for name, x in chunk.items()}
             sums = {name: [0.0, 0.0] for name in chunk}

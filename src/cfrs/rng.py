@@ -27,15 +27,17 @@ def substream(seed, *tags):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def complex_normal_blocks(rng, n, shape):
+def complex_normal_blocks(rng, n, shape, out):
     """n blocks of circularly symmetric unit-variance complex Gaussians,
-    shape (n, *shape).
+    shape (n, *shape), written into the first n prod(shape) entries of the
+    flat complex buffer out.
 
-    Draws one (n, M, 2) standard-normal array, M = prod(shape), and views
-    each (real, imaginary) pair as one number, so block b reads numbers
-    [2 M b, 2 M (b + 1)) of the stream: n1 blocks and then n2 blocks are the
-    same numbers as n1 + n2 blocks at once.
+    Draws one (n, M, 2) standard-normal array, M = prod(shape), into out's
+    float view and reads each (real, imaginary) pair as one number, so block
+    b reads numbers [2 M b, 2 M (b + 1)) of the stream: n1 blocks and then
+    n2 blocks are the same numbers as n1 + n2 blocks at once.
     """
-    x = rng.standard_normal((n, math.prod(shape), 2))
+    M = math.prod(shape)
+    x = rng.standard_normal(out=out[:n * M].view(float).reshape(n, M, 2))
     x *= 1.0 / np.sqrt(2.0)
     return x.view(complex).reshape(n, *shape)

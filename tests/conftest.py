@@ -17,18 +17,18 @@ for the sampling passes of the moment tests.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from cfrs import diffusion
-from cfrs.closed_form import (DegenerateStatisticsError, SECache, _ensure_real,
-                              build_cache, normalization_coeffs)
+from cfrs.closed_form import (_ENTRY_BUDGET, DegenerateStatisticsError, SECache, _chunks,
+                              _ensure_real, build_cache, normalization_coeffs)
 from cfrs.config import SystemConfig
 from cfrs.diffusion import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BATCH_SIZE,
                             _time_embedding, forward_diffuse)
-from cfrs.monte_carlo import (_CHUNK_ENTRY_BUDGET, ChannelSampler, _chunks,
-                              instantaneous_sinrs)
+from cfrs.monte_carlo import ChannelSampler, instantaneous_sinrs
 from cfrs.rng import complex_normal_blocks
 from cfrs.scenario import EnvScenario
 
@@ -275,9 +275,30 @@ def unit_precoders(ghat, mu_c, mu_p):
     return np.sqrt(mu_c)[:, None] * ghat.sum(axis=-3), np.sqrt(mu_p)[:, :, None] * ghat
 
 
+def fresh_normals(rng, n, shape):
+    """complex_normal_blocks into fresh memory."""
+    return complex_normal_blocks(rng, n, shape, np.empty(n * math.prod(shape), complex))
+
+
+def fresh_estimates(sampler, n, rng):
+    """sampler.draw_estimates into fresh buffers."""
+    size = n * sampler.stats.L * sampler.stats.N
+    return sampler.draw_estimates(n, rng,
+                                  np.empty(size * max(sampler.stats.K, sampler.n_sources), complex),
+                                  np.empty(size * sampler.stats.K, complex))
+
+
+def fresh_sinrs(ghat, C, mu_c, mu_p, alloc, cfg):
+    """instantaneous_sinrs of the blocks ghat (n, K, L, N) on fresh buffers."""
+    n, K, L, N = ghat.shape
+    return instantaneous_sinrs(ghat, C, mu_c, mu_p, alloc, cfg, np.empty(ghat.size, complex),
+                               np.empty(ghat.size, complex), np.empty(n * L * N * N, complex))
+
+
 def _oracle_chunks(stats, n):
-    """Chunks of the oracles' joint draws, sized like achievable_sum_se's."""
-    return _chunks(n, stats.L * stats.N * max(stats.K, stats.N), _CHUNK_ENTRY_BUDGET)
+    """Chunk lengths of the oracles' joint draws, sized like achievable_sum_se's."""
+    return [blk.stop - blk.start for blk in
+            _chunks(n, stats.L * stats.N * max(stats.K, stats.N), _ENTRY_BUDGET)]
 
 
 def mc_uatf_sinrs(stats, est, pilots, cfg, alloc, n_draws, rng):
@@ -320,7 +341,7 @@ def joint_draw_achievable(stats, est, pilots, cfg, alloc, n_blocks, rng):
     totals = []
     for n in _oracle_chunks(stats, n_blocks):
         _, ghat = sampler.draw(n, rng)
-        sinr_c, sinr_p = instantaneous_sinrs(ghat, est.C, *mu, alloc, cfg)
+        sinr_c, sinr_p = fresh_sinrs(ghat, est.C, *mu, alloc, cfg)
         totals.append(np.log2(1.0 + sinr_c.min(axis=-1)) + np.log2(1.0 + sinr_p).sum(axis=-1))
     total = cfg.prelog * np.concatenate(totals)
     return float(total.mean()), float(total.std(ddof=1) / np.sqrt(n_blocks))
@@ -393,7 +414,7 @@ def sample_tx_power(stats, est, pilots, cfg, alloc, l, n_draws, rng):
     mu = normalization_coeffs(stats, est)
     amp_c = np.sqrt(cfg.p_dl_mw * alloc.rho[l])
     amp_p = np.sqrt(cfg.p_dl_mw * (1.0 - alloc.rho[l]) * alloc.eta[:, l] / stats.K)
-    symbols = complex_normal_blocks(rng, n_draws, (stats.K + 1,))
+    symbols = fresh_normals(rng, n_draws, (stats.K + 1,))
     samples = []
     for n in _oracle_chunks(stats, n_draws):
         _, ghat = sampler.draw(n, rng)

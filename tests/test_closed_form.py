@@ -9,7 +9,7 @@ import pytest
 
 from cfrs import closed_form
 from cfrs.closed_form import (DegenerateStatisticsError, PowerAllocation,
-                              _ap_blocks, _sinr_terms, build_cache,
+                              _chunks, _sinr_terms, build_cache,
                               evaluate_cache, normalization_coeffs,
                               sum_se_batch, upsilon_moments)
 from cfrs.config import SystemConfig
@@ -399,7 +399,21 @@ def _drop(balanced=True, **kw):
 def _with_block(monkeypatch, stats, n_aps):
     """Set the block budget to n_aps APs of stats' network."""
     K, N = stats.K, stats.N
-    monkeypatch.setattr(closed_form, "_BLOCK_ENTRY_BUDGET", n_aps * (K + 1) * max(2 * N * N, K))
+    monkeypatch.setattr(closed_form, "_ENTRY_BUDGET", n_aps * (K + 1) * max(2 * N * N, K))
+
+
+def _build_with_blocks(monkeypatch, stats, est, pilots, cfg):
+    """build_cache's cache and the blocks of APs it worked through."""
+    seen = []
+
+    def spy(*args):
+        seen.append(_chunks(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(closed_form, "_chunks", spy)
+    cache = build_cache(stats, est, pilots, cfg)
+    monkeypatch.setattr(closed_form, "_chunks", _chunks)
+    return cache, seen[0]
 
 
 _BLOCK_CASES = {"multiple": [4, 4], "one_ap_tail": [4, 4, 1], "desk": [2],
@@ -429,8 +443,8 @@ def test_blockwise_cache_equals_whole_network_oracle(case, blocks, monkeypatch, 
         K, L = {"multiple": (5, 8), "one_ap_tail": (5, 9), "single_user": (1, 7)}[case]
         cfg, stats, est, pilots = _drop(K=K, L=L, N=2, tau_p=2, seed=61)
         _with_block(monkeypatch, stats, blocks[0])
-    assert [b.stop - b.start for b in _ap_blocks(stats.K, stats.L, stats.N)] == blocks
-    cache = build_cache(stats, est, pilots, cfg)
+    cache, used = _build_with_blocks(monkeypatch, stats, est, pilots, cfg)
+    assert [b.stop - b.start for b in used] == blocks
     for name, value in vars(whole_network_cache(stats, est, cfg)).items():
         np.testing.assert_array_equal(getattr(cache, name), value, err_msg=name)
 
@@ -441,7 +455,6 @@ def test_imaginary_residue_in_last_block_raises_at_whole_network_threshold(monke
     just past the tolerance both raise, just inside it neither does."""
     cfg, stats, est, pilots = _drop(K=5, L=9, N=2, tau_p=2, seed=61)
     _with_block(monkeypatch, stats, 4)
-    assert _ap_blocks(stats.K, stats.L, stats.N)[-1] == slice(8, 9)
 
     def with_residue(eps):
         # Q_il + j eps [[0, 1], [1, 0]] adds j eps 2 Re X[0, 1] with the
@@ -459,7 +472,8 @@ def test_imaginary_residue_in_last_block_raises_at_whole_network_threshold(monke
     with pytest.raises(DegenerateStatisticsError, match="private variance terms"):
         build_cache(stats, with_residue(1.001 * threshold), pilots, cfg)
     inside = with_residue(0.999 * threshold)
-    cache = build_cache(stats, inside, pilots, cfg)
+    cache, used = _build_with_blocks(monkeypatch, stats, inside, pilots, cfg)
+    assert used[-1] == slice(8, 9)
     for name, value in vars(whole_network_cache(stats, inside, cfg)).items():
         np.testing.assert_array_equal(getattr(cache, name), value, err_msg=name)
 
@@ -476,4 +490,4 @@ def test_build_cache_peak_memory():
     finally:
         tracemalloc.stop()
     fields = sum(v.nbytes for v in vars(cache).values() if isinstance(v, np.ndarray))
-    assert peak <= fields + 4 * closed_form._BLOCK_ENTRY_BUDGET * 16
+    assert peak <= fields + 4 * closed_form._ENTRY_BUDGET * 16

@@ -1,6 +1,7 @@
 """Denoising-diffusion policy: schedule, network, training, sampling."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,43 @@ def test_expert_dataset_validation():
     with pytest.raises(ValueError):
         ExpertDataset(kappa_db=np.zeros(1), asd_deg=np.ones(1),
                       x0=np.array([[1.4]]), sum_se=np.ones(1))
+
+
+def _poison(name, index, value):
+    """Set one entry of a copy of the field name to value."""
+    def corrupt(fields):
+        fields[name] = fields[name].copy()
+        fields[name][index] = value
+    return corrupt
+
+
+_BAD_DATASETS = {
+    "empty": ("x0 is empty", lambda f: f.update(kappa_db=np.zeros(0), asd_deg=np.zeros(0),
+                                                x0=np.zeros((0, 4)), sum_se=np.zeros(0))),
+    "fewer_envs": ("lengths differ: kappa_db 5, asd_deg 5, x0 6, sum_se 6",
+                   lambda f: f.update(kappa_db=f["kappa_db"][:5], asd_deg=f["asd_deg"][:5])),
+    "more_envs": ("lengths differ: kappa_db 7, asd_deg 7, x0 6, sum_se 6",
+                  lambda f: f.update(kappa_db=np.append(f["kappa_db"], 0.0),
+                                     asd_deg=np.append(f["asd_deg"], 30.0))),
+    "x0_1d": ("x0 must be 2-D", lambda f: f.update(x0=f["x0"][:, 0])),
+    "nan_x0": ("x0 is not finite", _poison("x0", (2, 1), np.nan)),
+    "inf_kappa": ("kappa_db is not finite", _poison("kappa_db", 3, np.inf)),
+    "nan_asd": ("asd_deg is not finite", _poison("asd_deg", 0, np.nan)),
+    "nan_sum_se": ("sum_se is not finite", _poison("sum_se", 5, -np.inf)),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_DATASETS)
+def test_expert_dataset_rejects_bad_data(case):
+    """An empty, mismatched, misshapen or non-finite dataset raises a
+    ValueError naming the field, instead of failing later in training (a
+    NaN diverges at step 0), in np.stack or with an IndexError, or pairing
+    vectors with the wrong environments."""
+    message, corrupt = _BAD_DATASETS[case]
+    fields = vars(_toy_dataset()).copy()
+    corrupt(fields)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExpertDataset(**fields)
 
 
 def test_training_reduces_loss_and_is_deterministic():

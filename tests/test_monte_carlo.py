@@ -14,13 +14,13 @@ from cfrs.config import SystemConfig
 from cfrs.estimation import (EstimationError, copilot_cross_moment,
                              estimation_statistics, perfect_csi_statistics)
 from cfrs.geometry import hermitian_sqrt
-from cfrs.monte_carlo import (ChannelSampler, achievable_sum_se,
-                              instantaneous_sinrs, sample_moments)
-from cfrs.rng import complex_normal_blocks, substream
+from cfrs.monte_carlo import ChannelSampler, achievable_sum_se, sample_moments
+from cfrs.rng import substream
 from cfrs.scenario import EnvScenario
-from conftest import (expected_tx_power, joint_draw_achievable, max_rel_diff,
-                      mc_uatf_sinrs, moment_samples, observation_covariances,
-                      random_allocation, sample_tx_power, unit_precoders)
+from conftest import (expected_tx_power, fresh_estimates, fresh_normals, fresh_sinrs,
+                      joint_draw_achievable, max_rel_diff, mc_uatf_sinrs, moment_samples,
+                      observation_covariances, random_allocation, sample_tx_power,
+                      unit_precoders)
 
 
 def _desk_drop_under_los(rician_db):
@@ -76,17 +76,12 @@ def test_instantaneous_sinrs_match_hand_loop(drop, request):
               PowerAllocation.equal_split(stats.K, stats.L, 0.6),
               random_allocation(stats.K, stats.L, substream(79, drop, "alloc"))]
     for alloc in allocs:
-        batched = instantaneous_sinrs(ghat, est.C, *mu, alloc, cfg)
-        grid = instantaneous_sinrs(ghat.reshape(2, 3, *ghat.shape[1:]), est.C, *mu,
-                                   alloc, cfg)
+        batched = fresh_sinrs(ghat, est.C, *mu, alloc, cfg)
         for b in range(ghat.shape[0]):
             ref = _sinrs_by_hand(ghat[b], v_c[b], v_p[b], est.C, alloc, cfg)
-            single = instantaneous_sinrs(ghat[b], est.C, *mu, alloc, cfg)
-            for got in (single, tuple(x[b] for x in batched),
-                        tuple(x[b // 3, b % 3] for x in grid)):
-                for value, expected in zip(got, ref):
-                    assert value.shape == (stats.K,)
-                    np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0)
+            for value, expected in zip((x[b] for x in batched), ref):
+                assert value.shape == (stats.K,)
+                np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("drop", ORACLE_DROPS)
@@ -98,8 +93,7 @@ def test_sampler_draw_matches_per_link_reference(drop, request):
     cfg, stats, est, pilots = request.getfixturevalue(drop)
     n = 5
     g, ghat = ChannelSampler(stats, est, pilots, cfg).draw(n, substream(83, drop))
-    z = complex_normal_blocks(substream(83, drop), n,
-                              (stats.K + pilots.tau_p, stats.L, stats.N))
+    z = fresh_normals(substream(83, drop), n, (stats.K + pilots.tau_p, stats.L, stats.N))
     w, noise = z[:, :stats.K], z[:, stats.K:]
     ptau = cfg.p_pilot_mw * cfg.tau_p
     Rhalf = hermitian_sqrt(stats.R)
@@ -397,7 +391,7 @@ def test_estimate_draw_law(csi, copilot_pieces):
     if csi == "perfect":
         est = perfect_csi_statistics(stats)
     n = 20000
-    ghat = ChannelSampler(stats, est, pilots, cfg).draw_estimates(n, substream(101, csi))
+    ghat = fresh_estimates(ChannelSampler(stats, est, pilots, cfg), n, substream(101, csi))
     z = _covariance_z(ghat - stats.hbar, _estimate_covariances(stats, est, pilots))
     threshold = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * z.size))
     assert z.max() <= threshold, (z.max(), threshold)
@@ -414,28 +408,54 @@ def test_estimate_draw_is_chunk_invariant(csi, copilot_pieces, monkeypatch):
     sampler = ChannelSampler(stats, est, pilots, cfg)
     shape = ((stats.K if csi == "perfect" else pilots.tau_p), stats.L, stats.N)
     rng = substream(103, csi)
-    parts = [complex_normal_blocks(rng, n, shape) for n in (37, 63)]
+    parts = [fresh_normals(rng, n, shape) for n in (37, 63)]
     np.testing.assert_array_equal(np.concatenate(parts),
-                                  complex_normal_blocks(substream(103, csi), 100, shape))
+                                  fresh_normals(substream(103, csi), 100, shape))
 
     alloc = random_allocation(stats.K, stats.L, substream(103, csi, "alloc"))
     mu = normalization_coeffs(stats, est)
 
     def totals(ghat):
-        sinr_c, sinr_p = instantaneous_sinrs(ghat, est.C, *mu, alloc, cfg)
+        sinr_c, sinr_p = fresh_sinrs(ghat, est.C, *mu, alloc, cfg)
         return np.log2(1.0 + sinr_c.min(axis=-1)) + np.log2(1.0 + sinr_p).sum(axis=-1)
 
     rng = substream(107, csi)
-    parts = np.concatenate([totals(sampler.draw_estimates(n, rng)) for n in (37, 63)])
-    whole = totals(sampler.draw_estimates(100, substream(107, csi)))
+    parts = np.concatenate([totals(fresh_estimates(sampler, n, rng)) for n in (37, 63)])
+    whole = totals(fresh_estimates(sampler, 100, substream(107, csi)))
     np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=0)
 
     one = achievable_sum_se(stats, est, pilots, cfg, alloc, 100, substream(109, csi))
     per_block = stats.L * stats.N * max(stats.K, stats.N)
-    monkeypatch.setattr(monte_carlo, "_CHUNK_ENTRY_BUDGET", 37 * per_block)
+    monkeypatch.setattr(monte_carlo, "_ENTRY_BUDGET", 37 * per_block)
     chunked = achievable_sum_se(stats, est, pilots, cfg, alloc, 100, substream(109, csi))
     assert chunked.sum_se == pytest.approx(one.sum_se, rel=1e-12, abs=0)
     assert chunked.stderr == pytest.approx(one.stderr, rel=1e-12, abs=0)
+
+
+def test_achievable_calls_public_kernels_once_per_chunk(copilot_pieces, monkeypatch):
+    """achievable_sum_se runs every chunk through ChannelSampler.draw_estimates
+    and the module-level instantaneous_sinrs, the names a tracer wraps: each
+    is called once per chunk, on that chunk's blocks."""
+    cfg, stats, est, pilots = copilot_pieces
+    seen = {"draw_estimates": [], "instantaneous_sinrs": []}
+
+    def counted(name, fn, blocks):
+        def wrapper(*args, **kwargs):
+            seen[name].append(blocks(args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ChannelSampler, "draw_estimates",
+                        counted("draw_estimates", ChannelSampler.draw_estimates,
+                                lambda args: args[1]))
+    monkeypatch.setattr(monte_carlo, "instantaneous_sinrs",
+                        counted("instantaneous_sinrs", monte_carlo.instantaneous_sinrs,
+                                lambda args: len(args[0])))
+    chunk = 65_536 // (stats.L * stats.N * max(stats.K, stats.N))
+    alloc = PowerAllocation.equal_split(stats.K, stats.L, 0.4)
+    achievable_sum_se(stats, est, pilots, cfg, alloc, 3 * chunk + 5, substream(149, "calls"))
+    assert seen["draw_estimates"] == [chunk, chunk, chunk, 5]
+    assert seen["instantaneous_sinrs"] == [chunk, chunk, chunk, 5]
 
 
 @pytest.mark.parametrize("csi", ["imperfect", "perfect"])
@@ -450,9 +470,9 @@ def test_joint_draw_is_chunk_invariant(csi, copilot_pieces):
     sampler = ChannelSampler(stats, est, pilots, cfg)
     shape = (stats.K + (0 if csi == "perfect" else pilots.tau_p), stats.L, stats.N)
     rng = substream(137, csi)
-    parts = [complex_normal_blocks(rng, n, shape) for n in (37, 63)]
+    parts = [fresh_normals(rng, n, shape) for n in (37, 63)]
     np.testing.assert_array_equal(np.concatenate(parts),
-                                  complex_normal_blocks(substream(137, csi), 100, shape))
+                                  fresh_normals(substream(137, csi), 100, shape))
 
     rng = substream(139, csi)
     parts = [sampler.draw(n, rng) for n in (37, 63)]
@@ -461,7 +481,7 @@ def test_joint_draw_is_chunk_invariant(csi, copilot_pieces):
         np.testing.assert_allclose(np.concatenate(got), expected, rtol=1e-12, atol=0)
     if csi == "perfect":
         np.testing.assert_array_equal(whole[0],
-                                      sampler.draw_estimates(100, substream(139, csi)))
+                                      fresh_estimates(sampler, 100, substream(139, csi)))
 
 
 @pytest.mark.parametrize("drop", ["desk_pieces", "copilot_pieces", "perfect_csi"])
