@@ -2,7 +2,9 @@
 
 Subcommands: run a config file, reproduce a figure-style sweep, train and
 save the conditional optimizer, generate an allocation for an environment,
-and validate the closed forms against their Monte Carlo estimators. validate
+and validate the closed forms against their Monte Carlo estimators. A process
+builds its parser once and reparses a checkpoint only when its bytes change,
+so a repeated in-process infer costs about its reverse chain. validate
 reads the first and second moments and the normalizers from the SECache the
 optimizers score, and the Upsilon cross-moments from upsilon_moments, and
 samples each of its six moments per block in one sample_moments pass. Reports
@@ -10,7 +12,8 @@ are strict JSON on stdout; errors print a single JSON object {"error":
 message} to stderr and exit nonzero so scripts can parse failures. Exit codes:
 
     0  success
-    1  invalid value, I/O failure or non-finite report (ValueError, OSError)
+    1  invalid value or checkpoint (a non-finite weight too), I/O failure or
+       non-finite report (ValueError, OSError)
     2  bad command line (unknown command or option, missing or malformed
        value), bad config or train option, unknown figure or missing file
        (UsageError, ConfigError, FileNotFoundError)
@@ -22,6 +25,7 @@ message} to stderr and exit nonzero so scripts can parse failures. Exit codes:
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -185,7 +189,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The cfrs parser, built by the first call and shared by every later
+    one; parse_args reads it and never changes it."""
     parser = _Parser(
         prog="cfrs",
         description="Rate-splitting cell-free massive MIMO simulator and optimizer")

@@ -10,6 +10,7 @@ gradients.
 """
 
 import csv
+import io
 import json
 import zipfile
 import zlib
@@ -385,12 +386,35 @@ def _checkpoint_array(arrays, path, key, shape=None):
     return value
 
 
+# The bytes of the last checkpoint load_checkpoint parsed and validated, and
+# the (net, schedule) it read from them.
+_last_checkpoint = (None, None, None)
+
+
 def load_checkpoint(path):
     """Load (net, schedule). Raises ValueError, naming the file, when it is
-    not a readable policy checkpoint or an entry is missing or does not
-    match the header."""
+    not a readable policy checkpoint, an entry is missing or does not match
+    the header, or a weight is not finite.
+
+    The file is read once per call and parsed only when its bytes differ
+    from the last ones parsed, so a process that loads one checkpoint
+    repeatedly pays for reading and comparing it. Every call returns its
+    own copies of the arrays."""
+    global _last_checkpoint
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob != _last_checkpoint[0]:
+        _last_checkpoint = (blob, *_parse_checkpoint(blob, path))
+    _, net, schedule = _last_checkpoint
+    return (EpsNetwork(net.dim, hidden=net.hidden,
+                       params={key: value.copy() for key, value in net.params.items()}),
+            Schedule(schedule.v.copy()))
+
+
+def _parse_checkpoint(blob, path):
+    """The (net, schedule) held in a checkpoint file's bytes, validated."""
     try:
-        data = np.load(path, allow_pickle=False)
+        data = np.load(io.BytesIO(blob), allow_pickle=False)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ValueError("not an .npz archive")
         with data:
@@ -420,6 +444,10 @@ def load_checkpoint(path):
               "W2": (hidden, hidden), "b2": (hidden,), "W3": (dim, hidden), "b3": (dim,)}
     params = {key: _checkpoint_array(arrays, path, key, shape)
               for key, shape in shapes.items()}
+    # A saturating tanh can turn an infinite weight into a finite allocation.
+    for key, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{path}: array {key!r} has non-finite entries")
     v = _checkpoint_array(arrays, path, "v")
     try:
         schedule = Schedule(v)

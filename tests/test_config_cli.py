@@ -1,6 +1,9 @@
 """Configuration parsing, experiment plumbing, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -455,6 +458,94 @@ def test_cli_infer_rejects_nan_checkpoint(tmp_path, capsys):
     assert list(err) == ["error"] and "non-finite" in err["error"]
 
 
+@pytest.mark.parametrize("key", ["W1", "W2"])
+def test_cli_infer_rejects_infinite_weight(key, tmp_path, capsys):
+    """One infinite weight feeding a tanh once loaded and printed a finite
+    allocation (exit 0): exit 1 with one JSON object on stderr naming the
+    file and the array."""
+    net = _policy_net()
+    net.params[key][0, 0] = np.inf
+    ckpt = tmp_path / "inf.npz"
+    save_checkpoint(str(ckpt), net, make_schedule())
+    rc = cli.main(["infer", "--kappa-db", "5", "--asd-deg", "30",
+                   "--checkpoint", str(ckpt)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = _strict_json(captured.err)
+    assert list(err) == ["error"]
+    assert str(ckpt) in err["error"] and f"{key!r}" in err["error"]
+    assert "non-finite" in err["error"]
+
+
+_INFER = ["infer", "--kappa-db", "5", "--asd-deg", "30", "--checkpoint"]
+
+
+def _infer_stdout(path, capsys):
+    assert cli.main(_INFER + [str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+def test_cli_infer_reads_a_checkpoint_rewritten_in_place(tmp_path, capsys):
+    """A checkpoint rewritten with other weights of the same shapes, at the
+    same path, size and modification time, is read anew by the next infer."""
+    ckpt, other = tmp_path / "policy.npz", tmp_path / "other.npz"
+    save_checkpoint(str(ckpt), _policy_net(), make_schedule())
+    retrained = EpsNetwork(_policy_net().dim, hidden=16, rng=np.random.default_rng(4))
+    save_checkpoint(str(other), retrained, make_schedule())
+    first, expected = _infer_stdout(ckpt, capsys), _infer_stdout(other, capsys)
+    assert first != expected
+    assert _infer_stdout(ckpt, capsys) == first
+
+    before = ckpt.stat()
+    save_checkpoint(str(ckpt), retrained, make_schedule())
+    os.utime(ckpt, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = ckpt.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert _infer_stdout(ckpt, capsys) == expected
+
+
+def test_cli_infer_fails_on_a_checkpoint_truncated_after_a_good_load(tmp_path, capsys):
+    """A load that succeeded does not excuse the next one: a truncated file
+    exits 1 naming itself, and the restored file loads again."""
+    ckpt = tmp_path / "policy.npz"
+    save_checkpoint(str(ckpt), _policy_net(), make_schedule())
+    good = ckpt.read_bytes()
+    first = _infer_stdout(ckpt, capsys)
+    ckpt.write_bytes(good[:-100])
+    assert cli.main(_INFER + [str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)
+    assert list(err) == ["error"] and str(ckpt) in err["error"]
+    assert "not a policy checkpoint" in err["error"]
+    ckpt.write_bytes(good)
+    assert _infer_stdout(ckpt, capsys) == first
+
+
+def test_cli_infer_in_a_fresh_process_matches_warm_calls(tmp_path, capsys):
+    """A one-shot `python -m cfrs.cli infer` prints byte for byte what the
+    third of three in-process calls prints, so the shared parser and the
+    parsed checkpoint change nothing a one-shot command line sees."""
+    ckpt = tmp_path / "policy.npz"
+    save_checkpoint(str(ckpt), _policy_net(), make_schedule())
+    argv = ["infer", "--kappa-db", "-2.5", "--asd-deg", "60", "--seed", "61",
+            "--checkpoint", str(ckpt)]
+    for _ in range(3):
+        assert cli.main(argv) == 0
+        warm = capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-m", "cfrs.cli"] + argv, capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+                           check=False)
+    assert fresh.returncode == 0, fresh.stderr
+    assert warm.err == ""
+    assert fresh.stdout == warm.out
+
+
 def test_cli_infer_rejects_malformed_checkpoint(tmp_path, capsys):
     """A checkpoint without b2 once raised KeyError out of main as a
     traceback: exit 1 with one JSON object on stderr naming the file and
@@ -522,6 +613,40 @@ def test_cli_help_exits_zero(argv, capsys):
     assert exit_info.value.code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: cfrs") and captured.err == ""
+
+
+def test_cli_builds_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_shared_parser_keeps_every_contract(tmp_path, capsys):
+    """In one process, a usage error, --help, a valid infer and another usage
+    error each report as they do in a fresh process: one JSON object on
+    stderr and exit 2, usage text and exit 0, the allocation and exit 0."""
+    ckpt = tmp_path / "policy.npz"
+    save_checkpoint(str(ckpt), _policy_net(), make_schedule())
+    malformed = ["infer", "--kappa-db", "x", "--asd-deg", "30"]
+    assert cli.main(malformed) == 2
+    first = capsys.readouterr()
+    assert first.out == ""
+    assert list(_strict_json(first.err)) == ["error"] and "'x'" in first.err
+
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["infer", "--help"])
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cfrs infer") and captured.err == ""
+
+    out = _strict_json(_infer_stdout(ckpt, capsys))
+    assert out["in_training_range"] is True and len(out["rho"]) == 8
+
+    assert cli.main(["validate", "--draws", "1", "--frobnicate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)
+    assert list(err) == ["error"] and "--frobnicate" in err["error"]
+    assert cli.main(malformed) == 2
+    assert capsys.readouterr() == first
 
 
 def test_cli_non_finite_report_keeps_contract(tmp_path, capsys, monkeypatch):

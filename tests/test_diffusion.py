@@ -375,6 +375,51 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(a, b)
 
 
+def test_checkpoint_parsed_once_per_content(tmp_path, monkeypatch):
+    """load_checkpoint parses a file only when its bytes differ from the last
+    ones it parsed. A hit returns copies equal to a fresh parse, so mutating
+    a loaded network or schedule changes no later load."""
+    monkeypatch.setattr(diffusion, "_last_checkpoint", (None, None, None))
+    parsed = []
+    parse = diffusion._parse_checkpoint
+
+    def counting_parse(blob, path):
+        parsed.append(path)
+        return parse(blob, path)
+
+    monkeypatch.setattr(diffusion, "_parse_checkpoint", counting_parse)
+    net = EpsNetwork(4, hidden=12, rng=substream(41, "ck"))
+    path = tmp_path / "policy.npz"
+    save_checkpoint(path, net, make_schedule())
+    fresh_net, fresh_schedule = parse(path.read_bytes(), path)
+
+    net1, s1 = load_checkpoint(path)
+    for key in net.params:
+        net1.params[key][...] = 0.0
+    s1.v[...] = 0.5
+    net2, s2 = load_checkpoint(path)
+    assert parsed == [path]
+    assert (net2.dim, net2.hidden) == (4, 12)
+    for key in net.params:
+        np.testing.assert_array_equal(net2.params[key], fresh_net.params[key])
+        np.testing.assert_array_equal(net2.params[key], net.params[key])
+        assert not np.shares_memory(net2.params[key], net1.params[key])
+    for name in ("v", "alpha", "alpha_bar"):
+        np.testing.assert_array_equal(getattr(s2, name), getattr(fresh_schedule, name))
+    assert not np.shares_memory(s2.v, s1.v)
+
+    # The same bytes at another path are the same content; a failed parse
+    # leaves the last good one in place.
+    copy, torn = tmp_path / "copy.npz", tmp_path / "torn.npz"
+    copy.write_bytes(path.read_bytes())
+    torn.write_bytes(path.read_bytes()[:-100])
+    load_checkpoint(copy)
+    with pytest.raises(ValueError, match="not a policy checkpoint"):
+        load_checkpoint(torn)
+    load_checkpoint(path)
+    assert parsed == [path, torn]
+
+
 def _flip_bytes(path, start, n):
     """The bytes of the file at path with n of them inverted from start."""
     data = bytearray(path.read_bytes())
