@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import PowerAllocation, SECache, sum_se_batch
+from .closed_form import PowerAllocation, SECache, sum_se_batch, sum_se_vectors
 
 SPLIT_EPSILON = 1.2  # above 1, so that heuristic_split stays inside (0, 1)
 SPLIT_EXPONENT = 0.5
@@ -166,14 +166,10 @@ def optimize_joint(cache: SECache, ga_cfg: GAConfig, rng, init=None):
 
     Returns (PowerAllocation, GAResult).
     """
-    K = cache.p1.shape[0]
-    L = cache.c1.shape[1]
-
-    def objective(pop):
-        return sum_se_batch(cache, pop[:, :L], pop[:, L:].reshape(len(pop), K, L))
-
+    K, L = cache.mu_p.shape
     init_vecs = None if init is None else [a.to_vector() for a in init]
-    res = ga_optimize(objective, L + K * L, ga_cfg, rng, init=init_vecs)
+    res = ga_optimize(lambda pop: sum_se_vectors(cache, pop), L + K * L, ga_cfg, rng,
+                      init=init_vecs)
     return PowerAllocation.from_vector(res.x, K, L), res
 
 

@@ -111,6 +111,16 @@ class PowerAllocation:
         return cls(rho=vec[:L].copy(), eta=vec[L:].reshape(K, L).copy())
 
 
+def sum_se_vectors(cache: "SECache", x):
+    """sum_se_batch of allocation vectors: the rows of x (P, L + K*L) are laid
+    out as PowerAllocation.to_vector gives them. Returns (P,)."""
+    K, L = cache.mu_p.shape
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != L + K * L:
+        raise ValueError(f"allocation vectors must be (P, {L + K * L}), got {x.shape}")
+    return sum_se_batch(cache, x[:, :L], x[:, L:].reshape(len(x), K, L))
+
+
 @dataclass(frozen=True)
 class SEReport:
     sinr_common: np.ndarray   # (K,) common-message SINR at each user
@@ -126,25 +136,24 @@ class SEReport:
 # readable forms `cfrs validate` checks the sampled Upsilon fields against.
 # ---------------------------------------------------------------------------
 
-def upsilon_moments(k, i, j, l, stats: LinkStatistics, est: EstimationStatistics,
-                    pilots: PilotAssignment):
+def upsilon_moments(k, i, j, l, stats: LinkStatistics, est: EstimationStatistics):
     """Cross-moments that govern the common-precoder interference at user k.
 
     Returns (u4, u5) with
       u4 = E{(ghat_kl^H ghat_il)^* (ghat_kl^H ghat_jl)} and
       u5 = E{ghat_il^H C_kl ghat_jl},
     so that u4 + u5 = E{(g_kl^H ghat_il)^* (g_kl^H ghat_jl)}. The pilot
-    sharing pattern of (k, i, j) decides which coupling terms survive: the
-    cross-moments of users on different pilots are zero.
+    sharing pattern of (k, i, j) in est.pilots decides which coupling terms
+    survive: the cross-moments of users on different pilots are zero.
     """
     hk = stats.hbar[k, l]
     hi = stats.hbar[i, l]
     hj = stats.hbar[j, l]
     a_i = hk.conj() @ hi
     a_j = hk.conj() @ hj
-    Qbar_ij = copilot_cross_moment(i, j, l, est, pilots)
-    tq_i = np.trace(copilot_cross_moment(k, i, l, est, pilots))
-    tq_j = np.trace(copilot_cross_moment(k, j, l, est, pilots))
+    Qbar_ij = copilot_cross_moment(i, j, l, est)
+    tq_i = np.trace(copilot_cross_moment(k, i, l, est))
+    tq_j = np.trace(copilot_cross_moment(k, j, l, est))
     u4 = (np.conj(a_i) * a_j + hi.conj() @ est.Q[k, l] @ hj
           + hk.conj() @ Qbar_ij @ hk + np.trace(Qbar_ij @ est.Q[k, l])
           + np.conj(tq_i) * a_j + tq_j * np.conj(a_i) + np.conj(tq_i) * tq_j)

@@ -25,7 +25,8 @@ traces are stored, (P, L) for P = sum_t m_t^2 pairs (160 of 1,600 at K=40,
 tau_p=10), with the pairs themselves in row-major (k, i) order, the order in
 which numpy sums a dense (K, K, L) tensor over both user axes when L >= 2.
 EstimationStatistics stores those reductions; copilot_cross_moment gives
-single entries.
+single entries. It also records the assignment and the noise power it was
+built from, so nothing downstream reads the pilot groups from anywhere else.
 """
 
 from dataclasses import dataclass
@@ -73,6 +74,8 @@ class EstimationStatistics:
     copilot_traces: np.ndarray  # (P, L) tr Qbar_kil of those pairs; tr Q_kl where i = k
     Qbar_sum: np.ndarray  # (L, N, N) sum of Qbar_kil over all user pairs (k, i)
     ptau: float           # pilot energy p tau_p; 0 for perfect CSI
+    noise_mw: float       # noise power of the pilot observation; 0 for perfect CSI
+    pilots: PilotAssignment  # the pilot groups of G; one pilot per user for perfect CSI
 
 
 def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
@@ -112,7 +115,8 @@ def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
     Q = G @ G.conj().swapaxes(-1, -2)
     return EstimationStatistics(G=G, W=W, Q=Q, C=stats.R - Q,
                                 copilot_pairs=np.stack([pair_k, pair_i], axis=1),
-                                copilot_traces=traces, Qbar_sum=Qbar_sum, ptau=ptau)
+                                copilot_traces=traces, Qbar_sum=Qbar_sum, ptau=ptau,
+                                noise_mw=cfg.noise_mw, pilots=pilots)
 
 
 def perfect_csi_statistics(stats: LinkStatistics) -> EstimationStatistics:
@@ -120,9 +124,9 @@ def perfect_csi_statistics(stats: LinkStatistics) -> EstimationStatistics:
 
     Q = R and C = 0, and estimates of different users are uncorrelated, so
     Qbar_kil is R_kl for i = k and zero otherwise: every user is a pilot
-    group of one, whose one pair (k, k) has the trace tr R_kl. Each user is
-    its own source, G = R^1/2, and there are no pilots to whiten. Keeps the
-    downstream code path identical.
+    group of one, pilot_of = arange(K), whose one pair (k, k) has the trace
+    tr R_kl. Each user is its own source, G = R^1/2, and there is no pilot
+    energy, noise or whitener. Keeps the downstream code path identical.
     """
     K, L, N = stats.K, stats.L, stats.N
     users = np.arange(K)
@@ -135,15 +139,16 @@ def perfect_csi_statistics(stats: LinkStatistics) -> EstimationStatistics:
         copilot_traces=np.trace(stats.R, axis1=-2, axis2=-1),
         Qbar_sum=stats.R.sum(axis=0),
         ptau=0.0,
+        noise_mw=0.0,
+        pilots=PilotAssignment(pilot_of=users, tau_p=K),
     )
 
 
-def copilot_cross_moment(k, i, l, est: EstimationStatistics, pilots: PilotAssignment):
+def copilot_cross_moment(k, i, l, est: EstimationStatistics):
     """One entry Qbar_kil (N, N) of the co-pilot cross-moments: Q_kl for
-    i = k, G_il G_kl^H when k and i share a pilot, else zero (and always
-    zero off the diagonal under perfect CSI)."""
+    i = k, G_il G_kl^H when k and i share a pilot of est.pilots, else zero."""
     if i == k:
         return est.Q[k, l]
-    if pilots.pilot_of[k] != pilots.pilot_of[i] or est.ptau == 0:
+    if est.pilots.pilot_of[k] != est.pilots.pilot_of[i]:
         return np.zeros_like(est.Q[k, l])
     return est.G[i, l] @ est.G[k, l].conj().T

@@ -23,7 +23,8 @@ import numpy as np
 
 from .allocation import (GAConfig, heuristic_control, heuristic_split,
                          optimize_eta, optimize_rho)
-from .closed_form import PowerAllocation, build_cache, evaluate_cache, sum_se_batch
+from .closed_form import (PowerAllocation, build_cache, evaluate_cache, sum_se_batch,
+                          sum_se_vectors)
 from .config import SystemConfig
 from .diffusion import Environment, reverse_sample
 from .estimation import perfect_csi_statistics
@@ -166,7 +167,11 @@ def _pmap(fn, items):
     substream, so the worker count never changes the output.
     """
     items = list(items)
-    workers = int(os.environ.get("CFRS_WORKERS", "1"))
+    raw = os.environ.get("CFRS_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ValueError(f"CFRS_WORKERS must be an integer, got {raw!r}") from None
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -225,9 +230,8 @@ def _cdf_item(args):
     spec, g = args
     cfg = spec.system
     scenario = _scenario(cfg, spec.seed, "cdf", g)
-    pilots = scenario.pilots
     stats, est = scenario.drop_statistics()
-    cache = build_cache(stats, est, pilots, cfg)
+    cache = build_cache(stats, est, scenario.pilots, cfg)
     no_rs = PowerAllocation.no_rs(cfg.K, cfg.L)
     rs, _, _ = scenario.best_equal_split(cache, spec.rho_grid)
     # (sum SE, MC standard error); the closed-form bound has none.
@@ -236,7 +240,7 @@ def _cdf_item(args):
     out[(g, "uatf_rs")] = (evaluate_cache(cache, rs).sum_se, 0.0)
     mc_rng = substream(spec.seed, "cdf", "mc", str(g))
     for variant, alloc in (("achievable_no_rs", no_rs), ("achievable_rs", rs)):
-        rep = achievable_sum_se(stats, est, pilots, cfg, alloc, spec.n_blocks, mc_rng)
+        rep = achievable_sum_se(stats, est, scenario.pilots, cfg, alloc, spec.n_blocks, mc_rng)
         out[(g, variant)] = (rep.sum_se, rep.stderr)
     return out
 
@@ -245,13 +249,12 @@ def _power_item(args):
     spec, g = args
     cfg0 = spec.system
     scenario = _scenario(cfg0, spec.seed, "power", g)
-    pilots = scenario.pilots
     # The estimates do not depend on the downlink power.
     stats, est_i = scenario.drop_statistics()
     est_p = perfect_csi_statistics(stats)
     no_rs = PowerAllocation.no_rs(cfg0.K, cfg0.L)
     # Nor do the cache fields: each power reprices one cache per CSI case.
-    cases = [(csi, est, build_cache(stats, est, pilots, cfg0))
+    cases = [(csi, est, build_cache(stats, est, scenario.pilots, cfg0))
              for csi, est in (("imperfect", est_i), ("perfect", est_p))]
     out = {}
     for p_dbm in spec.power_grid_dbm:
@@ -260,7 +263,7 @@ def _power_item(args):
             cache = replace(cache0, p_dl=cfg.p_dl_mw)
             rs, _, _ = scenario.best_equal_split(cache, spec.rho_grid)
             for variant, alloc in (("no_rs", no_rs), ("rs", rs)):
-                rep = achievable_sum_se(stats, est, pilots, cfg, alloc,
+                rep = achievable_sum_se(stats, est, scenario.pilots, cfg, alloc,
                                         spec.n_blocks,
                                         substream(spec.seed, "power", "mc",
                                                   str(g), csi, variant, repr(float(p_dbm))))
@@ -386,7 +389,6 @@ def _train_policy(spec):
 
 def _run_train_diffusion(spec):
     scenario, dataset, trainer = _train_policy(spec)
-    K, L = scenario.dims
     held = held_out_envs()
     caches = [scenario.cache(env) for env in held]
     eval_every = max(500, spec.train_steps // 40)
@@ -401,8 +403,7 @@ def _run_train_diffusion(spec):
         for i, env in enumerate(held):
             x = reverse_sample(trainer.net, trainer.schedule, env, trainer.net.dim,
                                substream(spec.seed, "eval", str(done), str(i)))
-            alloc = PowerAllocation.from_vector(x, K, L)
-            values.append(sum_se_batch(caches[i], alloc.rho[None], alloc.eta[None])[0])
+            values.append(sum_se_vectors(caches[i], x[None])[0])
         rows.append((done, float(window), float(np.mean(values))))
     extra = {"expert_mean_sum_se": float(dataset.sum_se.mean())}
     return ("step", "loss_window_mean", "held_out_mean_sum_se"), rows, extra
@@ -410,7 +411,6 @@ def _run_train_diffusion(spec):
 
 def _run_eval_dynamic(spec):
     scenario, dataset, trainer = _train_policy(spec)
-    K, L = scenario.dims
     trainer.run(spec.train_steps)
     rows = []
     for i, env in enumerate(held_out_envs()):
@@ -419,8 +419,7 @@ def _run_eval_dynamic(spec):
         _, heur, _ = scenario.best_heuristic(cache)
         x = reverse_sample(trainer.net, trainer.schedule, env, trainer.net.dim,
                            substream(spec.seed, "sample", str(i)))
-        alloc = PowerAllocation.from_vector(x, K, L)
-        diff = float(sum_se_batch(cache, alloc.rho[None], alloc.eta[None])[0])
+        diff = float(sum_se_vectors(cache, x[None])[0])
         _, expert = scenario.expert(cache, spec.ga_config,
                                     substream(spec.seed, "held-expert", str(i)),
                                     candidates=dataset.x0)

@@ -2,15 +2,15 @@
 
 Draws coherence blocks and evaluates the per-block achievable rates
 (successive decoding of the common message, then the private one).
-ChannelSampler draws channels and estimates and knows nothing of precoding;
-instantaneous_sinrs goes from the estimates to the rates in one step, forming
-the power-weighted maximum-ratio precoders itself. ChannelSampler has one
-draw per kind of caller:
+ChannelSampler(stats, est) draws channels and estimates, with the pilot
+groups and noise of est, and knows nothing of precoding; instantaneous_sinrs
+goes from the estimates to the rates in one step, forming the power-weighted
+maximum-ratio precoders itself. ChannelSampler has one draw per kind of caller:
 
 - draw_estimates serves achievable_sum_se, whose rates read only the
   estimates and the error covariance C. It samples ghat from its own
-  Gaussian law: a block costs tau_p L N complex normals (K L N under perfect
-  CSI) and one (N, N) product per (k, l).
+  Gaussian law: a block costs tau_p L N complex normals and one (N, N)
+  product per (k, l).
 - draw serves sample_moments and the tests: the joint law of the channels g
   and their estimates ghat. A block costs (K + tau_p) L N complex normals,
   the R^1/2 product, a (tau_p, K) pilot-group GEMM, the whitening of the
@@ -58,10 +58,10 @@ class ChannelSampler:
     coherence block, so a block's draw does not depend on how many blocks a
     call draws. Both end in the estimator's own step,
 
-        ghat_kl = hbar_kl + G_kl z_{source[k], l},
+        ghat_kl = hbar_kl + G_kl z_{t(k), l},
 
-    with the per-link factors G of the estimation statistics: the sampler
-    owns no estimator matrix.
+    with the per-link factors G, pilots t(k), pilot energy and noise of the
+    estimation statistics: the sampler owns no estimator matrix or assignment.
 
     draw returns the joint law of (g, ghat), for sample_moments and the
     tests. The pilot noise of a coherence block is drawn once per (pilot, AP)
@@ -79,36 +79,29 @@ class ChannelSampler:
     co-pilot pairs included.
 
     Statistics without pilot energy (est.ptau == 0, as from
-    perfect_csi_statistics) give perfect CSI: the estimate is the channel
-    itself, and each user is its own source with G = R^1/2.
+    perfect_csi_statistics) give perfect CSI: each user is its own pilot
+    with G = R^1/2, and draw returns the channel itself as the estimate.
     """
 
-    def __init__(self, stats: LinkStatistics, est: EstimationStatistics,
-                 pilots: PilotAssignment, cfg: SystemConfig):
+    def __init__(self, stats: LinkStatistics, est: EstimationStatistics):
         self.stats = stats
         self.est = est
-        self.pilots = pilots
-        self.cfg = cfg
-        self.perfect_csi = est.ptau == 0
-        self.indicator = (np.arange(pilots.tau_p)[:, None]
-                          == pilots.pilot_of[None, :]).astype(float)
-        if self.perfect_csi:
-            self.source, self.n_sources = np.arange(stats.K), stats.K
-        else:
-            self.source, self.n_sources = pilots.pilot_of, pilots.tau_p
+        pilots = est.pilots
+        self.indicator = (np.arange(pilots.tau_p)[:, None] == pilots.pilot_of).astype(float)
 
     @cached_property
     def Rhalf(self):
         return hermitian_sqrt(self.stats.R)
 
     def _estimates(self, z, work, out):
-        """The estimator step ghat = hbar + G z[source] for sources z (n,
-        n_sources, L, N) of any strides. Flat complex buffers of n K L N
-        entries: out holds z[source], then the returned C-contiguous ghat;
-        work holds G z[source] blocks last."""
+        """The estimator step ghat = hbar + G z[pilot_of] for sources z (n,
+        tau_p, L, N) of any strides. Flat complex buffers of n K L N entries:
+        out holds z[pilot_of], then the returned C-contiguous ghat; work
+        holds G z[pilot_of] blocks last."""
         n, K, L, N = len(z), self.stats.K, self.stats.L, self.stats.N
         # mode="clip" writes straight into out; the default mode buffers it.
-        gathered = np.take(z, self.source, axis=1, out=_view(out, n, K, L, N), mode="clip")
+        gathered = np.take(z, self.est.pilots.pilot_of, axis=1,
+                           out=_view(out, n, K, L, N), mode="clip")
         spread = np.matmul(self.est.G, np.moveaxis(gathered, 0, -1),
                            out=_view(work, K, L, N, n))
         return np.add(self.stats.hbar[None], np.moveaxis(spread, -1, 0), out=gathered)
@@ -120,29 +113,30 @@ class ChannelSampler:
         sum and the whitening act as matmuls on blocks-last (K, L, N, n)
         views, and the whitened innovation is the z of the estimator step."""
         stats, est, K = self.stats, self.est, self.stats.K
-        n_noise = 0 if self.perfect_csi else self.pilots.tau_p
+        n_noise = 0 if est.ptau == 0 else est.pilots.tau_p          # 0 under perfect CSI
         size = n * stats.L * stats.N
         normals = np.empty(size * (K + n_noise), complex)
         z = complex_normal_blocks(rng, n, (K + n_noise, stats.L, stats.N), normals)
         z = np.moveaxis(z, 0, -1)                                   # (K + tau_p, L, N, n)
         scattered = self.Rhalf @ z[:K]                              # (K, L, N, n)
         g = np.add(stats.hbar[None], np.moveaxis(scattered, -1, 0), order="C")
-        if self.perfect_csi:
-            return g, g
+        if not n_noise:
+            return g, g                                             # ghat = g
         innovation = (self.indicator @ scattered.reshape(K, -1)).reshape(
             n_noise, *scattered.shape[1:])                          # (tau_p, L, N, n)
         innovation *= np.sqrt(est.ptau)
-        innovation += np.sqrt(self.cfg.noise_mw) * z[K:]
+        innovation += np.sqrt(est.noise_mw) * z[K:]
         white = est.W.conj().swapaxes(-1, -2) @ innovation
         return g, self._estimates(np.moveaxis(white, -1, 0), np.empty(size * K, complex),
                                   np.empty(size * K, complex))
 
     def draw_estimates(self, n, rng, work, out):
         """Return ghat alone, C-contiguous of shape (n, K, L, N), through flat
-        complex buffers: work, of n L N max(K, n_sources) entries, holds the
-        normals and then G z[source] blocks last; out, of n K L N entries,
-        holds the gathered z[source] and then ghat."""
-        z = complex_normal_blocks(rng, n, (self.n_sources, self.stats.L, self.stats.N), work)
+        complex buffers: work, of n L N max(K, tau_p) entries, holds the
+        normals and then G z[pilot_of] blocks last; out, of n K L N entries,
+        holds the gathered z[pilot_of] and then ghat."""
+        z = complex_normal_blocks(rng, n, (self.est.pilots.tau_p, self.stats.L, self.stats.N),
+                                  work)
         return self._estimates(z, work, out)
 
 
@@ -219,7 +213,8 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
                       alloc: PowerAllocation, n_blocks, rng) -> AchievableReport:
     """Ergodic achievable sum SE averaged over sampled coherence blocks.
 
-    The rates read only the estimates and est.C, so the blocks come from
+    pilots is not read: the pilot groups come with est. The rates read only
+    the estimates and est.C, so the blocks come from
     ChannelSampler.draw_estimates and their rates from instantaneous_sinrs.
     The stream is blocks first, so the chunking does not move the result: a
     chunk's (n, K, L, N) tensors take about 1 MiB (_ENTRY_BUDGET), and every
@@ -228,14 +223,14 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
     _check_count("n_blocks", n_blocks)
     check_allocation_shape(alloc.rho.shape, alloc.eta.shape, stats.K, stats.L)
     mu_c, mu_p = normalization_coeffs(stats, est)
-    sampler = ChannelSampler(stats, est, pilots, cfg)
+    sampler = ChannelSampler(stats, est)
     chunks = _chunks(n_blocks, stats.L * stats.N * max(stats.K, stats.N), _ENTRY_BUDGET)
     # The workspace, flat buffers that every chunk writes through prefix
     # views, each reused once its contents are dead: work holds the normals,
-    # then G z[source], then conj(ghat) and conj(u_p) in turn; estimates the
-    # gathered sources, then ghat; precoders u_p; gram S_c, then S_p.
+    # then G z[pilot_of], then conj(ghat) and conj(u_p) in turn; estimates
+    # the gathered sources, then ghat; precoders u_p; gram S_c, then S_p.
     size = chunks[0].stop * stats.L * stats.N
-    work = np.empty(size * max(stats.K, sampler.n_sources), complex)
+    work = np.empty(size * max(stats.K, est.pilots.tau_p), complex)
     estimates = np.empty(size * stats.K, complex)
     precoders = np.empty(size * stats.K, complex)
     gram = np.empty(size * stats.N, complex)
@@ -274,7 +269,6 @@ class Estimate(NamedTuple):
 
 
 def sample_moments(stats: LinkStatistics, est: EstimationStatistics,
-                   pilots: PilotAssignment, cfg: SystemConfig,
                    samples, n_draws, rng) -> dict:
     """Average per-block samples of the joint draw over n_draws blocks.
 
@@ -287,7 +281,7 @@ def sample_moments(stats: LinkStatistics, est: EstimationStatistics,
     LeVeque 1983).
     """
     _check_count("n_draws", n_draws)
-    sampler = ChannelSampler(stats, est, pilots, cfg)
+    sampler = ChannelSampler(stats, est)
     shifts, sums = None, None
     for blk in _chunks(n_draws, stats.K * stats.L * stats.N, _MOMENT_ENTRY_BUDGET):
         chunk = samples(*sampler.draw(blk.stop - blk.start, rng))

@@ -12,8 +12,7 @@ import numpy as np
 
 from .allocation import (GAConfig, best_on_grid, heuristic_control,
                          heuristic_split, optimize_joint)
-from .closed_form import (PowerAllocation, build_cache, evaluate_cache,
-                          sum_se_batch)
+from .closed_form import PowerAllocation, build_cache, evaluate_cache, sum_se_vectors
 from .config import SystemConfig
 from .diffusion import DiffusionTrainer, EpsNetwork, ExpertDataset, make_schedule
 from .estimation import assign_pilots, estimation_statistics
@@ -94,11 +93,10 @@ class EnvScenario:
         alloc, res = optimize_joint(cache, ga_cfg, rng, init=[heur, equal])
         best, value = alloc, res.value
         if candidates is not None and len(candidates):
-            cand = np.asarray(candidates, dtype=float)
-            vals = sum_se_batch(cache, cand[:, :L], cand[:, L:].reshape(len(cand), K, L))
+            vals = sum_se_vectors(cache, candidates)
             j = int(np.argmax(vals))
             if vals[j] > value:
-                best = PowerAllocation.from_vector(cand[j], K, L)
+                best = PowerAllocation.from_vector(candidates[j], K, L)
                 value = float(vals[j])
         return best, value
 
@@ -116,7 +114,6 @@ def build_expert_dataset(scenario: EnvScenario, envs, ga_cfg: GAConfig,
     unrelated near-optima.
     """
     envs = list(envs)
-    K, L = scenario.dims
     caches, vecs, values = [], [], []
     for env in envs:
         cache = scenario.cache(env)
@@ -129,7 +126,7 @@ def build_expert_dataset(scenario: EnvScenario, envs, ga_cfg: GAConfig,
     for _ in range(4):
         changed = 0
         for m, cache in enumerate(caches):
-            pool = sum_se_batch(cache, vecs[:, :L], vecs[:, L:].reshape(len(envs), K, L))
+            pool = sum_se_vectors(cache, vecs)
             j = int(np.argmax(pool))
             if pool[j] > values[m] + 1e-12:
                 vecs[m] = vecs[j].copy()

@@ -282,10 +282,10 @@ def fresh_normals(rng, n, shape):
 
 def fresh_estimates(sampler, n, rng):
     """sampler.draw_estimates into fresh buffers."""
+    K, tau_p = sampler.stats.K, sampler.est.pilots.tau_p
     size = n * sampler.stats.L * sampler.stats.N
-    return sampler.draw_estimates(n, rng,
-                                  np.empty(size * max(sampler.stats.K, sampler.n_sources), complex),
-                                  np.empty(size * sampler.stats.K, complex))
+    return sampler.draw_estimates(n, rng, np.empty(size * max(K, tau_p), complex),
+                                  np.empty(size * K, complex))
 
 
 def fresh_sinrs(ghat, C, mu_c, mu_p, alloc, cfg):
@@ -308,7 +308,7 @@ def mc_uatf_sinrs(stats, est, pilots, cfg, alloc, n_draws, rng):
     channels g^H u over n_draws blocks and assembles them exactly as the
     closed-form bound does. Returns (sinr_c, sinr_p), each (K,).
     """
-    sampler = ChannelSampler(stats, est, pilots, cfg)
+    sampler = ChannelSampler(stats, est)
     mu = normalization_coeffs(stats, est)
     K, L, N = stats.K, stats.L, stats.N
     amp_c = np.sqrt(alloc.rho)[:, None]
@@ -336,7 +336,7 @@ def joint_draw_achievable(stats, est, pilots, cfg, alloc, n_blocks, rng):
     """Achievable sum SE from the joint (g, ghat) draw: the estimates come
     from sampled channels and pilot noise, not from their own law. Returns
     (sum SE, standard error)."""
-    sampler = ChannelSampler(stats, est, pilots, cfg)
+    sampler = ChannelSampler(stats, est)
     mu = normalization_coeffs(stats, est)
     totals = []
     for n in _oracle_chunks(stats, n_blocks):
@@ -410,7 +410,7 @@ def sample_tx_power(stats, est, pilots, cfg, alloc, l, n_draws, rng):
     """Sample mean and standard error of ||x_l||^2, the power AP l radiates
     with the normalized precoders and fresh unit-power data symbols (the
     common one, then K private ones per block, drawn ahead of the channels)."""
-    sampler = ChannelSampler(stats, est, pilots, cfg)
+    sampler = ChannelSampler(stats, est)
     mu = normalization_coeffs(stats, est)
     amp_c = np.sqrt(cfg.p_dl_mw * alloc.rho[l])
     amp_p = np.sqrt(cfg.p_dl_mw * (1.0 - alloc.rho[l]) * alloc.eta[:, l] / stats.K)

@@ -11,7 +11,7 @@ from cfrs import closed_form
 from cfrs.closed_form import (DegenerateStatisticsError, PowerAllocation,
                               _chunks, _sinr_terms, build_cache,
                               evaluate_cache, normalization_coeffs,
-                              sum_se_batch, upsilon_moments)
+                              sum_se_batch, sum_se_vectors, upsilon_moments)
 from cfrs.config import SystemConfig
 from cfrs.estimation import (PilotAssignment, assign_pilots,
                              estimation_statistics, perfect_csi_statistics)
@@ -66,7 +66,7 @@ def test_power_allocation_validation():
 def desk_moments(desk_pieces):
     """One 40,000-draw pass of every sampled moment on the desk drop."""
     cfg, stats, est, pilots = desk_pieces
-    return sample_moments(stats, est, pilots, cfg, moment_samples(est.C), 40000,
+    return sample_moments(stats, est, moment_samples(est.C), 40000,
                           substream(31, "moments"))
 
 
@@ -85,7 +85,7 @@ def test_upsilon_decomposition_against_sampling(desk_pieces, desk_moments):
     _, stats, est, pilots = desk_pieces
     combos = [(0, 1, 2), (1, 0, 2), (2, 2, 1), (0, 0, 0)]
     for k, i, j in combos:
-        u4, u5 = upsilon_moments(k, i, j, 0, stats, est, pilots)
+        u4, u5 = upsilon_moments(k, i, j, 0, stats, est)
         mc3 = desk_moments["upsilon3"].mean[k, i, j, 0]
         err = desk_moments["upsilon3"].stderr[k, i, j, 0]
         scale = max(abs(u4 + u5), 10 * err)
@@ -124,6 +124,11 @@ def test_batch_matches_scalar_evaluation(desk_cache):
     batch = sum_se_batch(desk_cache, rho, eta)
     single = np.array([evaluate_cache(desk_cache, a).sum_se for a in allocs])
     np.testing.assert_allclose(batch, single, rtol=1e-12)
+    # Rows laid out as to_vector gives them score the same, bit for bit.
+    vectors = np.stack([a.to_vector() for a in allocs])
+    np.testing.assert_array_equal(sum_se_vectors(desk_cache, vectors), batch)
+    with pytest.raises(ValueError, match=r"\(P, 8\), got \(8, 7\)"):
+        sum_se_vectors(desk_cache, vectors[:, 1:])
 
 
 def test_wrapper_equals_cache_path(desk_cfg):

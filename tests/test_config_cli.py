@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import golden
 from cfrs import cli, scenario
 from cfrs.closed_form import DegenerateStatisticsError
 from cfrs.config import SystemConfig, db_to_linear, dbm_to_mw
@@ -244,11 +245,12 @@ _RUNNER_SHAPES = {
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
 def test_every_runner_writes_reproducible_outputs(experiment, tmp_path, monkeypatch):
-    preset = next(p for p in FIGURE_PRESETS.values() if p.experiment == experiment)
-    tiny = ExperimentSpec(**{**preset.__dict__, "n_geometries": 2, "n_blocks": 200,
-                             "ga_pop": 8, "ga_generations": 5, "train_steps": 600})
-    first = run_experiment(ExperimentSpec(**{**tiny.__dict__,
-                                             "out_dir": str(tmp_path / "a")}))
+    tiny = golden.tiny_spec(experiment, tmp_path / "a")
+    first = run_experiment(tiny)
+    # Each output matches its golden copy, recorded by tests/record_golden.py.
+    for path in first:
+        with open(path, encoding="utf-8") as fh:
+            golden.assert_matches(fh.read(), os.path.basename(path))
     header, n_rows = _RUNNER_SHAPES[experiment]
     with open(first[0]) as fh:
         lines = fh.read().splitlines()
@@ -322,6 +324,40 @@ def test_cli_run_and_errors(tmp_path, capsys):
     assert cli.main(["reproduce", "fig99"]) == 2
     err = _strict_json(capsys.readouterr().err)
     assert "figure" in err["error"]
+
+
+def test_cli_reproduce_runs_a_preset(tmp_path, capsys):
+    """reproduce runs the figure's packaged spec: the sidecar's parameters
+    are the preset's, and only --out-dir is overridden."""
+    out = tmp_path / "fig6"
+    assert cli.main(["reproduce", "fig6", "--out-dir", str(out)]) == 0
+    csv_path, sidecar = _strict_json(capsys.readouterr().out)["written"]
+    assert (csv_path, sidecar) == (str(out / "ap_sweep.csv"), str(out / "ap_sweep.csv.json"))
+    with open(csv_path, encoding="utf-8") as fh:
+        assert fh.readline() == "n_aps,variant,sum_se\n"
+    with open(sidecar, encoding="utf-8") as fh:
+        meta = _strict_json(fh.read())
+    preset = FIGURE_PRESETS["fig6"]
+    parameters = {f.name: getattr(preset, f.name) for f in fields(preset)
+                  if f.name not in ("experiment", "seed", "system", "out_dir")}
+    assert meta["parameters"] == json.loads(json.dumps(parameters))
+    assert (meta["experiment"], meta["seed"]) == (preset.experiment, preset.seed)
+
+
+def test_cli_run_names_malformed_workers(tmp_path, capsys, monkeypatch):
+    """A malformed CFRS_WORKERS once failed with int()'s bare message, which
+    named neither the variable nor its role; a count of at most 1 is serial."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TINY_CONFIG)
+    monkeypatch.setenv("CFRS_WORKERS", "two")
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "bad")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_json(captured.err) == {"error": "CFRS_WORKERS must be an integer, "
+                                                   "got 'two'"}
+    monkeypatch.setenv("CFRS_WORKERS", "0")
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
+    assert len(_strict_json(capsys.readouterr().out)["written"]) == 2
 
 
 def test_cli_run_rayleigh_sidecar_is_strict_json(tmp_path, capsys):
@@ -398,7 +434,7 @@ def test_cli_validate_reports_the_named_tuples(capsys):
     cfg = SystemConfig(K=3, L=2, N=2, tau_p=2, seed=seed)
     drop = scenario.EnvScenario(cfg)
     stats, est = drop.drop_statistics()
-    g, ghat = ChannelSampler(stats, est, drop.pilots, cfg).draw(n, substream(seed, "mc"))
+    g, ghat = ChannelSampler(stats, est).draw(n, substream(seed, "mc"))
     for check in checks:
         kind, index = check["name"].rstrip("]").split("[")
         x = _VALIDATE_SAMPLES[kind](g, ghat, est.C, *map(int, index.split(",")))

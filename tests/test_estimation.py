@@ -125,7 +125,7 @@ def test_reductions_match_dense_oracle(pieces, request):
     for k in range(K):
         for i in range(K):
             for l in range(L):
-                entry = copilot_cross_moment(k, i, l, est, pilots)
+                entry = copilot_cross_moment(k, i, l, est)
                 assert max_rel_diff(entry, Qbar[k, i, l]) <= 1e-12
     for name, value in vars(est).items():
         assert np.shape(value) not in ((K, K, L), (K, K, L, N, N)), name

@@ -1,6 +1,7 @@
 """Distance law, Rician split, and spatial correlation structure."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,6 +198,18 @@ def test_draw_geometry_deterministic():
     np.testing.assert_array_equal(g1.cluster_angles, g2.cluster_angles)
     assert g1.zeta.shape == (3, 4)
     assert np.all(g1.zeta > 0)
+
+
+def test_draw_geometry_shadowing():
+    """Shadow fading is the drop's last draw: it leaves every angle as it
+    was and scales each gain by an independent 8 dB lognormal factor."""
+    cfg = SystemConfig(L=100, K=40, seed=5)
+    plain = draw_geometry(cfg, substream(5, "geometry"))
+    shadowed = draw_geometry(replace(cfg, shadowing=True), substream(5, "geometry"))
+    np.testing.assert_array_equal(shadowed.phi, plain.phi)
+    np.testing.assert_array_equal(shadowed.cluster_angles, plain.cluster_angles)
+    sigma_db = np.std(10.0 * np.log10(shadowed.zeta / plain.zeta))
+    assert abs(sigma_db - 8.0) <= 0.5, sigma_db
 
 
 def test_link_statistics_env_overrides_keep_geometry():

@@ -11,7 +11,7 @@ import pytest
 from cfrs import monte_carlo
 from cfrs.closed_form import PowerAllocation, evaluate_cache, normalization_coeffs
 from cfrs.config import SystemConfig
-from cfrs.estimation import (EstimationError, copilot_cross_moment,
+from cfrs.estimation import (EstimationError, PilotAssignment, copilot_cross_moment,
                              estimation_statistics, perfect_csi_statistics)
 from cfrs.geometry import hermitian_sqrt
 from cfrs.monte_carlo import ChannelSampler, achievable_sum_se, sample_moments
@@ -69,7 +69,7 @@ def _sinrs_by_hand(ghat, v_c, v_p, C, alloc, cfg):
 @pytest.mark.parametrize("drop", ORACLE_DROPS)
 def test_instantaneous_sinrs_match_hand_loop(drop, request):
     cfg, stats, est, pilots = request.getfixturevalue(drop)
-    _, ghat = ChannelSampler(stats, est, pilots, cfg).draw(6, substream(79, drop, "draw"))
+    _, ghat = ChannelSampler(stats, est).draw(6, substream(79, drop, "draw"))
     mu = normalization_coeffs(stats, est)
     v_c, v_p = unit_precoders(ghat, *mu)
     allocs = [PowerAllocation.no_rs(stats.K, stats.L),
@@ -92,7 +92,7 @@ def test_sampler_draw_matches_per_link_reference(drop, request):
     each block reads its K channel normals w, then its tau_p noise normals."""
     cfg, stats, est, pilots = request.getfixturevalue(drop)
     n = 5
-    g, ghat = ChannelSampler(stats, est, pilots, cfg).draw(n, substream(83, drop))
+    g, ghat = ChannelSampler(stats, est).draw(n, substream(83, drop))
     z = fresh_normals(substream(83, drop), n, (stats.K + pilots.tau_p, stats.L, stats.N))
     w, noise = z[:, :stats.K], z[:, stats.K:]
     ptau = cfg.p_pilot_mw * cfg.tau_p
@@ -155,11 +155,11 @@ def test_sample_moments_match_hand_loop(drop, n, request):
     on a partial one (of a single block for 695 desk draws). The samples
     function's tuples variant picks the same Upsilon samples."""
     cfg, stats, est, pilots = request.getfixturevalue(drop)
-    moments = sample_moments(stats, est, pilots, cfg, moment_samples(est.C), n,
+    moments = sample_moments(stats, est, moment_samples(est.C), n,
                              substream(97, drop))
     chunk = monte_carlo._MOMENT_ENTRY_BUDGET // (stats.K * stats.L * stats.N)
     assert chunk < n and n % chunk
-    g, ghat = ChannelSampler(stats, est, pilots, cfg).draw(n, substream(97, drop))
+    g, ghat = ChannelSampler(stats, est).draw(n, substream(97, drop))
     names = ["first", "second", "upsilon3", "upsilon4", "upsilon5", "common_norm",
              "private_norm"]
     assert list(moments) == names
@@ -187,7 +187,7 @@ def test_sample_moments_peak_memory(desk_pieces):
     samples = moment_samples(est.C, [(0, 1, 2, 0), (1, 0, 2, 0), (2, 2, 1, 0), (0, 0, 0, 0)])
     tracemalloc.start()
     try:
-        sample_moments(stats, est, pilots, cfg, samples, 5000, substream(97, "memory"))
+        sample_moments(stats, est, samples, 5000, substream(97, "memory"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -241,14 +241,14 @@ def test_block_counts_must_be_integers(count, desk_pieces):
     with pytest.raises(ValueError, match="n_blocks must be an integer"):
         achievable_sum_se(stats, est, pilots, cfg, alloc, count, substream(59, "count"))
     with pytest.raises(ValueError, match="n_draws must be an integer"):
-        sample_moments(stats, est, pilots, cfg, moment_samples(est.C), count,
+        sample_moments(stats, est, moment_samples(est.C), count,
                        substream(97, "count"))
 
 
 def test_sample_moments_rejects_single_draw(desk_pieces):
     cfg, stats, est, pilots = desk_pieces
     with pytest.raises(ValueError):
-        sample_moments(stats, est, pilots, cfg, moment_samples(est.C), 1,
+        sample_moments(stats, est, moment_samples(est.C), 1,
                        substream(97, "one"))
 
 
@@ -268,7 +268,7 @@ def test_expected_tx_power_hand_values():
 def test_sampler_estimates_match_statistics(desk_pieces):
     """The vectorized sampler reproduces the closed estimation statistics."""
     cfg, stats, est, pilots = desk_pieces
-    sampler = ChannelSampler(stats, est, pilots, cfg)
+    sampler = ChannelSampler(stats, est)
     n = 50000
     g, ghat = sampler.draw(n, substream(43, "draw"))
     assert g.shape == ghat.shape == (n, stats.K, stats.L, stats.N)
@@ -286,7 +286,7 @@ def test_sampler_channels_match_statistics():
     cfg = SystemConfig(L=2, K=2, N=2, tau_p=2, seed=13)
     scenario = EnvScenario(cfg)
     stats, est = scenario.drop_statistics()
-    sampler = ChannelSampler(stats, est, scenario.pilots, cfg)
+    sampler = ChannelSampler(stats, est)
     g, _ = sampler.draw(40000, substream(13, "mc"))
     assert g.shape == (40000, 2, 2, 2)
     mean = g.mean(axis=0)
@@ -307,7 +307,7 @@ def test_sampler_estimate_moments(desk_pieces):
     (ghat_i - hbar_i)^H} is Qbar_ik = G_k G_i^H."""
     cfg, stats, est, pilots = desk_pieces
     n = 20000
-    g, ghat = ChannelSampler(stats, est, pilots, cfg).draw(n, substream(21, "mc"))
+    g, ghat = ChannelSampler(stats, est).draw(n, substream(21, "mc"))
     gtilde = g - ghat
     tol = 8 * stats.zeta.max() / np.sqrt(n)
     for k in range(stats.K):
@@ -329,7 +329,7 @@ def test_sampler_estimate_moments(desk_pieces):
                 ck = ghat[:, k, l] - stats.hbar[k, l]
                 ci = ghat[:, i, l] - stats.hbar[i, l]
                 emp = np.einsum("bn,bm->nm", ck, ci.conj()) / n
-                ref = copilot_cross_moment(i, k, l, est, pilots)
+                ref = copilot_cross_moment(i, k, l, est)
                 assert np.abs(emp - ref).max() <= 0.1 * np.abs(ref).max()
                 pairs += 1
     assert pairs > 0
@@ -337,7 +337,7 @@ def test_sampler_estimate_moments(desk_pieces):
 
 def test_sampler_single_draw(desk_pieces):
     cfg, stats, est, pilots = desk_pieces
-    sampler = ChannelSampler(stats, est, pilots, cfg)
+    sampler = ChannelSampler(stats, est)
     g, ghat = sampler.draw(1, substream(5, "one"))
     assert g.shape == ghat.shape == (1, stats.K, stats.L, stats.N)
     # The same stream reproduces the same channel and estimate.
@@ -348,7 +348,7 @@ def test_sampler_single_draw(desk_pieces):
 
 def test_sampler_perfect_csi_returns_truth(desk_pieces):
     cfg, stats, est, pilots = desk_pieces
-    sampler = ChannelSampler(stats, perfect_csi_statistics(stats), pilots, cfg)
+    sampler = ChannelSampler(stats, perfect_csi_statistics(stats))
     g, ghat = sampler.draw(16, substream(43, "perfect"))
     np.testing.assert_array_equal(g, ghat)
 
@@ -378,7 +378,7 @@ def _estimate_covariances(stats, est, pilots):
         if i == k:
             ref[k, i, l] = stats.R[k, l] if perfect else est.Q[k, l]
         elif not perfect and pilots.pilot_of[k] == pilots.pilot_of[i]:
-            ref[k, i, l] = copilot_cross_moment(i, k, l, est, pilots)
+            ref[k, i, l] = copilot_cross_moment(i, k, l, est)
     return ref
 
 
@@ -391,7 +391,7 @@ def test_estimate_draw_law(csi, copilot_pieces):
     if csi == "perfect":
         est = perfect_csi_statistics(stats)
     n = 20000
-    ghat = fresh_estimates(ChannelSampler(stats, est, pilots, cfg), n, substream(101, csi))
+    ghat = fresh_estimates(ChannelSampler(stats, est), n, substream(101, csi))
     z = _covariance_z(ghat - stats.hbar, _estimate_covariances(stats, est, pilots))
     threshold = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * z.size))
     assert z.max() <= threshold, (z.max(), threshold)
@@ -405,7 +405,7 @@ def test_estimate_draw_is_chunk_invariant(csi, copilot_pieces, monkeypatch):
     cfg, stats, est, pilots = copilot_pieces
     if csi == "perfect":
         est = perfect_csi_statistics(stats)
-    sampler = ChannelSampler(stats, est, pilots, cfg)
+    sampler = ChannelSampler(stats, est)
     shape = ((stats.K if csi == "perfect" else pilots.tau_p), stats.L, stats.N)
     rng = substream(103, csi)
     parts = [fresh_normals(rng, n, shape) for n in (37, 63)]
@@ -467,7 +467,7 @@ def test_joint_draw_is_chunk_invariant(csi, copilot_pieces):
     cfg, stats, est, pilots = copilot_pieces
     if csi == "perfect":
         est = perfect_csi_statistics(stats)
-    sampler = ChannelSampler(stats, est, pilots, cfg)
+    sampler = ChannelSampler(stats, est)
     shape = (stats.K + (0 if csi == "perfect" else pilots.tau_p), stats.L, stats.N)
     rng = substream(137, csi)
     parts = [fresh_normals(rng, n, shape) for n in (37, 63)]
@@ -510,6 +510,22 @@ def test_estimate_draw_rejects_indefinite_observation(desk_pieces):
         estimation_statistics(bad, pilots, cfg)
 
 
+def test_achievable_reads_the_pilots_of_its_statistics(copilot_pieces):
+    """The pilot groups come with est alone. Handed an assignment with every
+    user's pilot shifted by one position, achievable_sum_se reports exactly
+    what the right assignment gives; it once sampled the estimates on the
+    shifted groups and moved the rate by ~17 standard errors, with no error."""
+    cfg, stats, est, pilots = copilot_pieces
+    shifted = PilotAssignment(np.roll(pilots.pilot_of, 1), pilots.tau_p)
+    assert np.any(shifted.pilot_of != pilots.pilot_of)
+    alloc = PowerAllocation.equal_split(stats.K, stats.L, 0.5)
+    right, wrong = (achievable_sum_se(stats, est, assignment, cfg, alloc, 400,
+                                      substream(17, "assignment"))
+                    for assignment in (pilots, shifted))
+    for name, value in vars(right).items():
+        np.testing.assert_array_equal(getattr(wrong, name), value, err_msg=name)
+
+
 def test_achievable_rejects_wrong_shaped_allocation(desk_pieces):
     cfg, stats, est, pilots = desk_pieces
     alloc = PowerAllocation.equal_split(1, 1, 0.5)
@@ -519,7 +535,7 @@ def test_achievable_rejects_wrong_shaped_allocation(desk_pieces):
 
 def test_precoders_unit_average_power(desk_pieces):
     cfg, stats, est, pilots = desk_pieces
-    _, ghat = ChannelSampler(stats, est, pilots, cfg).draw(50000, substream(47, "prec"))
+    _, ghat = ChannelSampler(stats, est).draw(50000, substream(47, "prec"))
     v_c, v_p = unit_precoders(ghat, *normalization_coeffs(stats, est))
     pc = np.einsum("bln,bln->bl", v_c.conj(), v_c).real.mean(axis=0)
     np.testing.assert_allclose(pc, 1.0, atol=0.03)
