@@ -18,8 +18,8 @@ from .experiments import (DIFFUSION_SYSTEM, EXPERIMENT_IDS, FIGURE_PRESETS,
                           ConfigError, ExperimentSpec, held_out_envs,
                           parse_config, parse_config_text, run_experiment,
                           training_envs)
-from .geometry import (Geometry, LinkStatistics, Placement, draw_geometry,
-                       link_statistics, path_loss, place_network, rician_split)
+from .geometry import (Geometry, LinkStatistics, draw_geometry, link_statistics,
+                       path_loss, rician_split)
 from .monte_carlo import (AchievableReport, ChannelSampler, achievable_sum_se,
                           instantaneous_sinrs, sample_moments)
 from .rng import substream

@@ -137,14 +137,14 @@ def _validate_samples(C):
 def _cmd_validate(args):
     cfg = SystemConfig(K=3, L=2, N=2, tau_p=2, seed=args.seed)
     scenario = EnvScenario(cfg)
-    stats, est = scenario.drop_statistics()
+    est = scenario.drop_statistics()
     # The cache draws nothing, so building it first fails a degenerate drop
     # before the sampling pass and leaves the stream where it was.
-    cache = build_cache(stats, est, scenario.pilots, cfg)
-    m = sample_moments(stats, est, _validate_samples(est.C[0, 0]), args.draws,
+    cache = build_cache(est.stats, est, scenario.pilots, cfg)
+    m = sample_moments(est, _validate_samples(est.C[0, 0]), args.draws,
                        substream(args.seed, "mc"))
     first = cache.p1[0, 1, 0]
-    u4, u5 = upsilon_moments(0, 1, 2, 0, stats, est)
+    u4, u5 = upsilon_moments(0, 1, 2, 0, est)
 
     checks = []
     for name, closed, tol in [

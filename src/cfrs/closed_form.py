@@ -136,7 +136,7 @@ class SEReport:
 # readable forms `cfrs validate` checks the sampled Upsilon fields against.
 # ---------------------------------------------------------------------------
 
-def upsilon_moments(k, i, j, l, stats: LinkStatistics, est: EstimationStatistics):
+def upsilon_moments(k, i, j, l, est: EstimationStatistics):
     """Cross-moments that govern the common-precoder interference at user k.
 
     Returns (u4, u5) with
@@ -146,9 +146,10 @@ def upsilon_moments(k, i, j, l, stats: LinkStatistics, est: EstimationStatistics
     sharing pattern of (k, i, j) in est.pilots decides which coupling terms
     survive: the cross-moments of users on different pilots are zero.
     """
-    hk = stats.hbar[k, l]
-    hi = stats.hbar[i, l]
-    hj = stats.hbar[j, l]
+    hbar = est.stats.hbar
+    hk = hbar[k, l]
+    hi = hbar[i, l]
+    hj = hbar[j, l]
     a_i = hk.conj() @ hi
     a_j = hk.conj() @ hj
     Qbar_ij = copilot_cross_moment(i, j, l, est)
@@ -161,13 +162,13 @@ def upsilon_moments(k, i, j, l, stats: LinkStatistics, est: EstimationStatistics
     return complex(u4), complex(u5)
 
 
-def normalization_coeffs(stats: LinkStatistics, est: EstimationStatistics):
+def normalization_coeffs(est: EstimationStatistics):
     """Average-power normalizers of the two precoders.
 
     mu_c[l] = 1 / E{|| sum_i ghat_il ||^2} for the common precoder and
     mu_p[i, l] = 1 / E{|| ghat_il ||^2} for the private ones.
     """
-    hbar = stats.hbar
+    hbar = est.stats.hbar
     s = hbar.sum(axis=0)                                     # (L, N)
     common = np.einsum("ln,ln->l", s.conj(), s)              # ||sum_i hbar||^2
     # Summed over the co-pilot pairs in row-major (k, i) order, as numpy sums
@@ -217,8 +218,11 @@ def _chunks(n, per_item, budget):
 
 def build_cache(stats: LinkStatistics, est: EstimationStatistics,
                 pilots: PilotAssignment, cfg: SystemConfig) -> SECache:
-    """The SECache of a drop. pilots is not read: the co-pilot pairs come
-    with the estimation statistics, which also cover perfect CSI."""
+    """The SECache of a drop. stats and pilots are not read: est carries
+    both, so a cache cannot mix two drops or environments. They stay for the
+    positional calls in perfbench/workloads.py and the README quick start
+    until ROADMAP items 1 and 5 change the benchmark."""
+    stats = est.stats
     K, L, N = stats.K, stats.L, stats.N
     NN = N * N
     hbar = stats.hbar
@@ -279,7 +283,7 @@ def build_cache(stats: LinkStatistics, est: EstimationStatistics,
     _check_real(*bounds[0], "private variance terms")
     _check_real(*bounds[1], "common variance terms")
 
-    mu_c, mu_p = normalization_coeffs(stats, est)
+    mu_c, mu_p = normalization_coeffs(est)
     return SECache(c1=p1.sum(axis=0).T, c2=c2.T, p1=p1.transpose(2, 0, 1),
                    p2=p2.transpose(2, 0, 1), mu_c=mu_c, mu_p=mu_p,
                    p_dl=cfg.p_dl_mw, noise=cfg.noise_mw, prelog=cfg.prelog)

@@ -19,18 +19,6 @@ def db_to_linear(db):
     return 10.0 ** (db / 10.0)
 
 
-def check_propagation(rician_db, asd_deg):
-    """Raise ValueError unless rician_db is finite or -inf (Rayleigh) and
-    asd_deg is finite and positive: the propagation environment that
-    SystemConfig and the link_statistics overrides accept."""
-    if math.isnan(rician_db) or rician_db == math.inf:
-        raise ValueError("rician_db must be finite or -inf")
-    if not math.isfinite(asd_deg):
-        raise ValueError("asd_deg must be finite")
-    if asd_deg <= 0:
-        raise ValueError("asd_deg must be positive")
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of one cell-free downlink deployment."""
@@ -56,7 +44,12 @@ class SystemConfig:
         for name in ("area_side", "p_pilot_dbm", "p_dl_dbm", "noise_dbm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        check_propagation(self.rician_db, self.asd_deg)
+        if math.isnan(self.rician_db) or self.rician_db == math.inf:
+            raise ValueError("rician_db must be finite or -inf")
+        if not math.isfinite(self.asd_deg):
+            raise ValueError("asd_deg must be finite")
+        if self.asd_deg <= 0:
+            raise ValueError("asd_deg must be positive")
         # Perfect CSI is recognised by zero pilot energy, so a real pilot
         # power must not underflow to 0 mW.
         if self.p_pilot_mw == 0:

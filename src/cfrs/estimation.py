@@ -25,8 +25,9 @@ traces are stored, (P, L) for P = sum_t m_t^2 pairs (160 of 1,600 at K=40,
 tau_p=10), with the pairs themselves in row-major (k, i) order, the order in
 which numpy sums a dense (K, K, L) tensor over both user axes when L >= 2.
 EstimationStatistics stores those reductions; copilot_cross_moment gives
-single entries. It also records the assignment and the noise power it was
-built from, so nothing downstream reads the pilot groups from anywhere else.
+single entries. It also records what it was built from, the assignment, the
+noise power and the link statistics (hbar, R): a drop's statistics travel as
+one value, and nothing downstream reads them from anywhere else.
 """
 
 from dataclasses import dataclass
@@ -43,8 +44,19 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PilotAssignment:
-    pilot_of: np.ndarray  # (K,) pilot index of each user, in [0, tau_p)
+    pilot_of: np.ndarray  # (K,) pilot index of each user, in [0, tau_p); a read-only copy
     tau_p: int
+
+    def __post_init__(self):
+        if not isinstance(self.tau_p, (int, np.integer)) or self.tau_p < 1:
+            raise ValueError(f"tau_p must be a positive integer, got {self.tau_p!r}")
+        pilot_of = np.array(self.pilot_of)
+        if pilot_of.ndim != 1 or not np.issubdtype(pilot_of.dtype, np.integer):
+            raise ValueError("pilot_of must be a 1-D array of integers")
+        if np.any(pilot_of < 0) or np.any(pilot_of >= self.tau_p):
+            raise ValueError(f"pilot_of entries must lie in [0, tau_p) = [0, {self.tau_p})")
+        pilot_of.flags.writeable = False
+        object.__setattr__(self, "pilot_of", pilot_of)
 
 
 def assign_pilots(K, tau_p, rng, balanced=True) -> PilotAssignment:
@@ -76,6 +88,7 @@ class EstimationStatistics:
     ptau: float           # pilot energy p tau_p; 0 for perfect CSI
     noise_mw: float       # noise power of the pilot observation; 0 for perfect CSI
     pilots: PilotAssignment  # the pilot groups of G; one pilot per user for perfect CSI
+    stats: LinkStatistics    # the link statistics (hbar, R) the estimates are built on
 
 
 def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
@@ -84,6 +97,8 @@ def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
     Raises EstimationError if a pilot observation covariance has no Cholesky
     factor."""
     K, L, N = stats.K, stats.L, stats.N
+    if pilots.pilot_of.shape != (K,):
+        raise ValueError(f"pilot_of has {len(pilots.pilot_of)} entries for K = {K} users")
     ptau = cfg.p_pilot_mw * cfg.tau_p
     W = np.empty((pilots.tau_p, L, N, N), dtype=complex)
     G = np.empty((K, L, N, N), dtype=complex)
@@ -116,7 +131,7 @@ def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
     return EstimationStatistics(G=G, W=W, Q=Q, C=stats.R - Q,
                                 copilot_pairs=np.stack([pair_k, pair_i], axis=1),
                                 copilot_traces=traces, Qbar_sum=Qbar_sum, ptau=ptau,
-                                noise_mw=cfg.noise_mw, pilots=pilots)
+                                noise_mw=cfg.noise_mw, pilots=pilots, stats=stats)
 
 
 def perfect_csi_statistics(stats: LinkStatistics) -> EstimationStatistics:
@@ -141,6 +156,7 @@ def perfect_csi_statistics(stats: LinkStatistics) -> EstimationStatistics:
         ptau=0.0,
         noise_mw=0.0,
         pilots=PilotAssignment(pilot_of=users, tau_p=K),
+        stats=stats,
     )
 
 

@@ -21,7 +21,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .allocation import (GAConfig, heuristic_control, heuristic_split,
+from .allocation import (GAConfig, best_on_grid, heuristic_control, heuristic_split,
                          optimize_eta, optimize_rho)
 from .closed_form import (PowerAllocation, build_cache, evaluate_cache, sum_se_batch,
                           sum_se_vectors)
@@ -230,8 +230,8 @@ def _cdf_item(args):
     spec, g = args
     cfg = spec.system
     scenario = _scenario(cfg, spec.seed, "cdf", g)
-    stats, est = scenario.drop_statistics()
-    cache = build_cache(stats, est, scenario.pilots, cfg)
+    est = scenario.drop_statistics()
+    cache = build_cache(est.stats, est, scenario.pilots, cfg)
     no_rs = PowerAllocation.no_rs(cfg.K, cfg.L)
     rs, _, _ = scenario.best_equal_split(cache, spec.rho_grid)
     # (sum SE, MC standard error); the closed-form bound has none.
@@ -240,7 +240,8 @@ def _cdf_item(args):
     out[(g, "uatf_rs")] = (evaluate_cache(cache, rs).sum_se, 0.0)
     mc_rng = substream(spec.seed, "cdf", "mc", str(g))
     for variant, alloc in (("achievable_no_rs", no_rs), ("achievable_rs", rs)):
-        rep = achievable_sum_se(stats, est, scenario.pilots, cfg, alloc, spec.n_blocks, mc_rng)
+        rep = achievable_sum_se(est.stats, est, scenario.pilots, cfg, alloc, spec.n_blocks,
+                                mc_rng)
         out[(g, variant)] = (rep.sum_se, rep.stderr)
     return out
 
@@ -250,11 +251,11 @@ def _power_item(args):
     cfg0 = spec.system
     scenario = _scenario(cfg0, spec.seed, "power", g)
     # The estimates do not depend on the downlink power.
-    stats, est_i = scenario.drop_statistics()
-    est_p = perfect_csi_statistics(stats)
+    est_i = scenario.drop_statistics()
+    est_p = perfect_csi_statistics(est_i.stats)
     no_rs = PowerAllocation.no_rs(cfg0.K, cfg0.L)
     # Nor do the cache fields: each power reprices one cache per CSI case.
-    cases = [(csi, est, build_cache(stats, est, scenario.pilots, cfg0))
+    cases = [(csi, est, build_cache(est.stats, est, scenario.pilots, cfg0))
              for csi, est in (("imperfect", est_i), ("perfect", est_p))]
     out = {}
     for p_dbm in spec.power_grid_dbm:
@@ -263,7 +264,7 @@ def _power_item(args):
             cache = replace(cache0, p_dl=cfg.p_dl_mw)
             rs, _, _ = scenario.best_equal_split(cache, spec.rho_grid)
             for variant, alloc in (("no_rs", no_rs), ("rs", rs)):
-                rep = achievable_sum_se(stats, est, scenario.pilots, cfg, alloc,
+                rep = achievable_sum_se(est.stats, est, scenario.pilots, cfg, alloc,
                                         spec.n_blocks,
                                         substream(spec.seed, "power", "mc",
                                                   str(g), csi, variant, repr(float(p_dbm))))
@@ -286,18 +287,14 @@ def _split_item(args):
             replace(spec.system, rician_db=float("-inf"))
         scenario = _scenario(cfg, spec.seed, f"split-{channel}", g)
         cache = scenario.cache()
-        K, L = cfg.K, cfg.L
-        zeta = scenario.zeta
-        eta_equal = np.ones((K, L))
-        equal_rhos = np.stack([np.full(L, r) for r in spec.rho_grid])
-        heur_rhos = heuristic_split(zeta, spec.rho_grid)
-        eta_batch = np.broadcast_to(eta_equal, (len(spec.rho_grid), K, L))
-        equal = sum_se_batch(cache, equal_rhos, eta_batch)
-        heur = sum_se_batch(cache, heur_rhos, eta_batch)
-        init = [equal_rhos[int(np.argmax(equal))], heur_rhos[int(np.argmax(heur))]]
+        eta_equal = np.ones((cfg.K, cfg.L))
+        eta_batch = np.broadcast_to(eta_equal, (len(spec.rho_grid),) + eta_equal.shape)
+        equal_best, _, equal = scenario.best_equal_split(cache, spec.rho_grid)
+        heur_best, _, heur = best_on_grid(cache, heuristic_split(scenario.zeta, spec.rho_grid),
+                                          eta_batch)
         res = optimize_rho(cache, eta_equal, spec.ga_config,
                            substream(spec.seed, f"split-{channel}", "ga", str(g)),
-                           init=init)
+                           init=[equal_best.rho, heur_best.rho])
         for i, rho0 in enumerate(spec.rho_grid):
             for variant, value in (("equal", equal[i]), ("heuristic", heur[i]),
                                    ("ga", res.value)):

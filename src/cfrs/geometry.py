@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, check_propagation, db_to_linear
+from .config import SystemConfig, db_to_linear
 
 # Three-slope distance law in dB: -140.7 - 35 log10(d_km) beyond 50 m, a
 # 20 dB/decade segment between 10 m and 50 m, flat inside 10 m. The two inner
@@ -35,20 +35,13 @@ _CLUSTER_HALF_WIDTH_RAD = math.radians(40.0)
 
 
 @dataclass(frozen=True)
-class Placement:
-    """Uniformly drawn positions over the square area, in meters."""
-
-    ap_positions: np.ndarray  # (L, 2)
-    ue_positions: np.ndarray  # (K, 2)
-
-
-@dataclass(frozen=True)
 class Geometry:
     """One network drop: positions plus every per-link random draw that is
     held fixed while propagation parameters (Rician factor, angular spread)
     vary."""
 
-    placement: Placement
+    ap_positions: np.ndarray    # (L, 2) uniform over the square area, meters
+    ue_positions: np.ndarray    # (K, 2)
     phi: np.ndarray             # (K, L) nominal angle of each link, radians
     cluster_angles: np.ndarray  # (K, L, N_c) nominal cluster angles, radians
     zeta: np.ndarray            # (K, L) large-scale channel gain, linear
@@ -75,13 +68,6 @@ class LinkStatistics:
     @property
     def N(self):
         return self.hbar.shape[2]
-
-
-def place_network(cfg: SystemConfig, rng) -> Placement:
-    """Drop L access points and K users uniformly over the square area."""
-    ap = rng.uniform(0.0, cfg.area_side, size=(cfg.L, 2))
-    ue = rng.uniform(0.0, cfg.area_side, size=(cfg.K, 2))
-    return Placement(ap_positions=ap, ue_positions=ue)
 
 
 def path_loss(distance_m):
@@ -168,9 +154,11 @@ def correlation_matrix_from_angles(beta_nlos, angles, asd_rad, N):
 
 
 def draw_geometry(cfg: SystemConfig, rng) -> Geometry:
-    """Drop a network and fix every per-link geometric random draw."""
-    placement = place_network(cfg, rng)
-    delta = placement.ue_positions[:, None, :] - placement.ap_positions[None, :, :]
+    """Drop L access points and K users uniformly over the square area and
+    fix every per-link geometric random draw."""
+    ap = rng.uniform(0.0, cfg.area_side, size=(cfg.L, 2))
+    ue = rng.uniform(0.0, cfg.area_side, size=(cfg.K, 2))
+    delta = ue[:, None, :] - ap[None, :, :]
     phi = np.arctan2(delta[..., 1], delta[..., 0])
     angles = rng.uniform(
         phi[..., None] - _CLUSTER_HALF_WIDTH_RAD,
@@ -180,22 +168,20 @@ def draw_geometry(cfg: SystemConfig, rng) -> Geometry:
     zeta = path_loss(np.linalg.norm(delta, axis=-1))
     if cfg.shadowing:
         zeta = zeta * 10.0 ** (_SHADOW_SIGMA_DB * rng.standard_normal(zeta.shape) / 10.0)
-    return Geometry(placement=placement, phi=phi, cluster_angles=angles, zeta=zeta)
+    return Geometry(ap_positions=ap, ue_positions=ue, phi=phi, cluster_angles=angles,
+                    zeta=zeta)
 
 
-def link_statistics(cfg: SystemConfig, geometry: Geometry,
-                    rician_db=None, asd_deg=None) -> LinkStatistics:
+def link_statistics(cfg: SystemConfig, geometry: Geometry) -> LinkStatistics:
     """Build line-of-sight means and correlation matrices for a geometry.
 
-    rician_db and asd_deg override the config values, which lets one geometry
-    be re-evaluated under different propagation environments; they must pass
-    the checks SystemConfig makes.
+    The propagation environment, the Rician factor and the angular spread,
+    is cfg's own: re-evaluating one geometry under another environment takes
+    a config that states it, replace(cfg, rician_db=..., asd_deg=...), which
+    SystemConfig checks.
     """
-    rician_db = cfg.rician_db if rician_db is None else rician_db
-    asd_deg = cfg.asd_deg if asd_deg is None else asd_deg
-    check_propagation(rician_db, asd_deg)
-    kappa = db_to_linear(rician_db)
-    asd = math.radians(asd_deg)
+    kappa = db_to_linear(cfg.rician_db)
+    asd = math.radians(cfg.asd_deg)
     beta_los, beta_nlos = rician_split(geometry.zeta, kappa)
     n = np.arange(cfg.N)
     hbar = np.sqrt(beta_los)[..., None] * np.exp(

@@ -2,10 +2,11 @@
 
 Draws coherence blocks and evaluates the per-block achievable rates
 (successive decoding of the common message, then the private one).
-ChannelSampler(stats, est) draws channels and estimates, with the pilot
-groups and noise of est, and knows nothing of precoding; instantaneous_sinrs
-goes from the estimates to the rates in one step, forming the power-weighted
-maximum-ratio precoders itself. ChannelSampler has one draw per kind of caller:
+ChannelSampler(est) draws channels and estimates, with the link statistics,
+pilot groups and noise that est carries, and knows nothing of precoding;
+instantaneous_sinrs goes from the estimates to the rates in one step, forming
+the power-weighted maximum-ratio precoders itself. ChannelSampler has one
+draw per kind of caller:
 
 - draw_estimates serves achievable_sum_se, whose rates read only the
   estimates and the error covariance C. It samples ghat from its own
@@ -61,7 +62,8 @@ class ChannelSampler:
         ghat_kl = hbar_kl + G_kl z_{t(k), l},
 
     with the per-link factors G, pilots t(k), pilot energy and noise of the
-    estimation statistics: the sampler owns no estimator matrix or assignment.
+    estimation statistics, and the channel law (hbar, R) they carry: the
+    sampler owns no estimator matrix, assignment or link statistics.
 
     draw returns the joint law of (g, ghat), for sample_moments and the
     tests. The pilot noise of a coherence block is drawn once per (pilot, AP)
@@ -83,8 +85,8 @@ class ChannelSampler:
     with G = R^1/2, and draw returns the channel itself as the estimate.
     """
 
-    def __init__(self, stats: LinkStatistics, est: EstimationStatistics):
-        self.stats = stats
+    def __init__(self, est: EstimationStatistics):
+        self.stats = est.stats
         self.est = est
         pilots = est.pilots
         self.indicator = (np.arange(pilots.tau_p)[:, None] == pilots.pilot_of).astype(float)
@@ -213,17 +215,18 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
                       alloc: PowerAllocation, n_blocks, rng) -> AchievableReport:
     """Ergodic achievable sum SE averaged over sampled coherence blocks.
 
-    pilots is not read: the pilot groups come with est. The rates read only
-    the estimates and est.C, so the blocks come from
+    stats and pilots are not read, as in build_cache: est carries both. The
+    rates read only the estimates and est.C, so the blocks come from
     ChannelSampler.draw_estimates and their rates from instantaneous_sinrs.
     The stream is blocks first, so the chunking does not move the result: a
     chunk's (n, K, L, N) tensors take about 1 MiB (_ENTRY_BUDGET), and every
     chunk is written into one workspace that the call allocates once.
     """
     _check_count("n_blocks", n_blocks)
+    stats = est.stats
     check_allocation_shape(alloc.rho.shape, alloc.eta.shape, stats.K, stats.L)
-    mu_c, mu_p = normalization_coeffs(stats, est)
-    sampler = ChannelSampler(stats, est)
+    mu_c, mu_p = normalization_coeffs(est)
+    sampler = ChannelSampler(est)
     chunks = _chunks(n_blocks, stats.L * stats.N * max(stats.K, stats.N), _ENTRY_BUDGET)
     # The workspace, flat buffers that every chunk writes through prefix
     # views, each reused once its contents are dead: work holds the normals,
@@ -268,8 +271,7 @@ class Estimate(NamedTuple):
     stderr: np.ndarray        # ddof=1; var(re) + var(im) for complex samples
 
 
-def sample_moments(stats: LinkStatistics, est: EstimationStatistics,
-                   samples, n_draws, rng) -> dict:
+def sample_moments(est: EstimationStatistics, samples, n_draws, rng) -> dict:
     """Average per-block samples of the joint draw over n_draws blocks.
 
     samples(g, ghat) maps a chunk's channels and estimates, each (n, K, L,
@@ -281,9 +283,9 @@ def sample_moments(stats: LinkStatistics, est: EstimationStatistics,
     LeVeque 1983).
     """
     _check_count("n_draws", n_draws)
-    sampler = ChannelSampler(stats, est)
+    sampler = ChannelSampler(est)
     shifts, sums = None, None
-    for blk in _chunks(n_draws, stats.K * stats.L * stats.N, _MOMENT_ENTRY_BUDGET):
+    for blk in _chunks(n_draws, est.stats.hbar.size, _MOMENT_ENTRY_BUDGET):
         chunk = samples(*sampler.draw(blk.stop - blk.start, rng))
         if shifts is None:
             shifts = {name: x[0].copy() for name, x in chunk.items()}

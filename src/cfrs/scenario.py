@@ -3,10 +3,12 @@
 The geometry (positions, large-scale gains, scattering-cluster angles) and
 the pilot assignment are frozen from the seed; the Rician factor and angular
 spread can then be swept without redrawing anything, which is what the
-environment-adaptive optimizer trains and evaluates on. This module is the
-only place a drop is built, and the one path from a drop to an expert
-dataset and a trained policy.
+environment-adaptive optimizer trains and evaluates on; an environment is
+applied as a config that states it. This module is the only place a drop is
+built, and the one path from a drop to an expert dataset and a trained policy.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,20 +46,16 @@ class EnvScenario:
     def dims(self):
         return self.cfg.K, self.cfg.L
 
-    def statistics(self, env=None):
-        kwargs = {}
-        if env is not None:
-            kwargs = {"rician_db": env.kappa_db, "asd_deg": env.asd_deg}
-        return link_statistics(self.cfg, self.geometry, **kwargs)
-
     def drop_statistics(self, env=None):
-        """Link and MMSE estimation statistics under env: (stats, est)."""
-        stats = self.statistics(env)
-        return stats, estimation_statistics(stats, self.pilots, self.cfg)
+        """The MMSE estimation statistics under env, the config's own
+        environment by default; est.stats holds the link statistics."""
+        cfg = self.cfg if env is None else replace(self.cfg, rician_db=env.kappa_db,
+                                                   asd_deg=env.asd_deg)
+        return estimation_statistics(link_statistics(cfg, self.geometry), self.pilots, cfg)
 
     def cache(self, env=None):
-        stats, est = self.drop_statistics(env)
-        return build_cache(stats, est, self.pilots, self.cfg)
+        est = self.drop_statistics(env)
+        return build_cache(est.stats, est, self.pilots, self.cfg)
 
     # -- baseline allocations ------------------------------------------------
 

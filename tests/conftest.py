@@ -42,8 +42,8 @@ def desk_cfg():
 def desk_pieces(desk_cfg):
     """(cfg, stats, est, pilots) on the desk-scale network."""
     scenario = EnvScenario(desk_cfg)
-    stats, est = scenario.drop_statistics()
-    return desk_cfg, stats, est, scenario.pilots
+    est = scenario.drop_statistics()
+    return desk_cfg, est.stats, est, scenario.pilots
 
 
 @pytest.fixture(scope="session")
@@ -57,8 +57,8 @@ def full_pieces():
     """One network drop at the default full scale (20 APs, 4 users)."""
     cfg = SystemConfig(seed=3)
     scenario = EnvScenario(cfg)
-    stats, est = scenario.drop_statistics()
-    return cfg, stats, est, scenario.pilots
+    est = scenario.drop_statistics()
+    return cfg, est.stats, est, scenario.pilots
 
 
 @pytest.fixture(scope="session")
@@ -66,8 +66,8 @@ def copilot_pieces():
     """A drop with K=8 users on tau_p=3 pilots over L=6 APs."""
     cfg = SystemConfig(L=6, K=8, N=4, tau_p=3, seed=17)
     scenario = EnvScenario(cfg)
-    stats, est = scenario.drop_statistics()
-    return cfg, stats, est, scenario.pilots
+    est = scenario.drop_statistics()
+    return cfg, est.stats, est, scenario.pilots
 
 
 def random_allocation(K, L, rng):
@@ -308,8 +308,8 @@ def mc_uatf_sinrs(stats, est, pilots, cfg, alloc, n_draws, rng):
     channels g^H u over n_draws blocks and assembles them exactly as the
     closed-form bound does. Returns (sinr_c, sinr_p), each (K,).
     """
-    sampler = ChannelSampler(stats, est)
-    mu = normalization_coeffs(stats, est)
+    sampler = ChannelSampler(est)
+    mu = normalization_coeffs(est)
     K, L, N = stats.K, stats.L, stats.N
     amp_c = np.sqrt(alloc.rho)[:, None]
     amp_p = np.sqrt((1.0 - alloc.rho)[None, :] * alloc.eta)[:, :, None]
@@ -336,8 +336,8 @@ def joint_draw_achievable(stats, est, pilots, cfg, alloc, n_blocks, rng):
     """Achievable sum SE from the joint (g, ghat) draw: the estimates come
     from sampled channels and pilot noise, not from their own law. Returns
     (sum SE, standard error)."""
-    sampler = ChannelSampler(stats, est)
-    mu = normalization_coeffs(stats, est)
+    sampler = ChannelSampler(est)
+    mu = normalization_coeffs(est)
     totals = []
     for n in _oracle_chunks(stats, n_blocks):
         _, ghat = sampler.draw(n, rng)
@@ -410,8 +410,8 @@ def sample_tx_power(stats, est, pilots, cfg, alloc, l, n_draws, rng):
     """Sample mean and standard error of ||x_l||^2, the power AP l radiates
     with the normalized precoders and fresh unit-power data symbols (the
     common one, then K private ones per block, drawn ahead of the channels)."""
-    sampler = ChannelSampler(stats, est)
-    mu = normalization_coeffs(stats, est)
+    sampler = ChannelSampler(est)
+    mu = normalization_coeffs(est)
     amp_c = np.sqrt(cfg.p_dl_mw * alloc.rho[l])
     amp_p = np.sqrt(cfg.p_dl_mw * (1.0 - alloc.rho[l]) * alloc.eta[:, l] / stats.K)
     symbols = fresh_normals(rng, n_draws, (stats.K + 1,))

@@ -65,9 +65,9 @@ def test_criterion_01_moment_formulas_match_sampling(desk_pieces, desk_cache):
     assert (False, False, False) in cases3
     tuples = [(k, i, j, 0) for k, i, j in cases.values()]
     tuples3 = [(*cases3[(False, False, False)], 0)]
-    m = sample_moments(stats, est, moment_samples(est.C, tuples), MC_DRAWS,
+    m = sample_moments(est, moment_samples(est.C, tuples), MC_DRAWS,
                        substream(101, "c1"))
-    m3 = sample_moments(stats, est3, moment_samples(est3.C, tuples3),
+    m3 = sample_moments(est3, moment_samples(est3.C, tuples3),
                         MC_DRAWS, substream(202, "c1"))
 
     # Every (k, i, l) entry of the cache the optimizers score.
@@ -78,7 +78,7 @@ def test_criterion_01_moment_formulas_match_sampling(desk_pieces, desk_cache):
     jobs = [(est, pilots, m, tuples), (est3, pilots3, m3, tuples3)]
     for job_est, job_pilots, job_m, job_tuples in jobs:
         for t, (k, i, j, l) in enumerate(job_tuples):
-            u4, u5 = upsilon_moments(k, i, j, l, stats, job_est)
+            u4, u5 = upsilon_moments(k, i, j, l, job_est)
             worst["upsilon4"] = max(worst["upsilon4"], _rel(job_m["upsilon4"].mean[t], u4))
             worst["upsilon5"] = max(worst["upsilon5"], _rel(job_m["upsilon5"].mean[t], u5))
 
@@ -155,7 +155,8 @@ def geometry_sweep():
     for g in range(50):
         scenario = EnvScenario(cfg, rngs=(substream(1, "sweep", g, "geometry"),
                                           substream(1, "sweep", g, "pilots")))
-        stats, est = scenario.drop_statistics()
+        est = scenario.drop_statistics()
+        stats = est.stats
         pilots = scenario.pilots
         cache = build_cache(stats, est, pilots, cfg)
         no_rs = evaluate_cache(cache, PowerAllocation.no_rs(cfg.K, cfg.L)).sum_se
@@ -264,7 +265,8 @@ def test_criterion_07_power_saturation():
     for g in range(3):
         scenario = EnvScenario(cfg, rngs=(substream(1, "sat", g, "geometry"),
                                           substream(1, "sat", g, "pilots")))
-        stats, est = scenario.drop_statistics()
+        est = scenario.drop_statistics()
+        stats = est.stats
         pilots = scenario.pilots
         closed = {}
         ach = {}

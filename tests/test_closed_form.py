@@ -66,7 +66,7 @@ def test_power_allocation_validation():
 def desk_moments(desk_pieces):
     """One 40,000-draw pass of every sampled moment on the desk drop."""
     cfg, stats, est, pilots = desk_pieces
-    return sample_moments(stats, est, moment_samples(est.C), 40000,
+    return sample_moments(est, moment_samples(est.C), 40000,
                           substream(31, "moments"))
 
 
@@ -85,7 +85,7 @@ def test_upsilon_decomposition_against_sampling(desk_pieces, desk_moments):
     _, stats, est, pilots = desk_pieces
     combos = [(0, 1, 2), (1, 0, 2), (2, 2, 1), (0, 0, 0)]
     for k, i, j in combos:
-        u4, u5 = upsilon_moments(k, i, j, 0, stats, est)
+        u4, u5 = upsilon_moments(k, i, j, 0, est)
         mc3 = desk_moments["upsilon3"].mean[k, i, j, 0]
         err = desk_moments["upsilon3"].stderr[k, i, j, 0]
         scale = max(abs(u4 + u5), 10 * err)
@@ -94,7 +94,7 @@ def test_upsilon_decomposition_against_sampling(desk_pieces, desk_moments):
 
 def test_normalizers_match_sampling(desk_pieces, desk_moments):
     _, stats, est, pilots = desk_pieces
-    mu_c, mu_p = normalization_coeffs(stats, est)
+    mu_c, mu_p = normalization_coeffs(est)
     assert np.all(mu_c > 0) and np.all(mu_p > 0)
     for l in range(stats.L):
         mc = desk_moments["common_norm"].mean[l]
@@ -262,7 +262,8 @@ def test_reduces_to_classical_rayleigh_bound():
 
 def _relabelled_drop(stats, est, pilots, users, aps):
     """The drop with its users reordered by `users` and its APs by `aps`:
-    every per-link statistic, the estimation fields and the pilots alike."""
+    every per-link statistic, the estimation fields and the pilots alike,
+    the link statistics and pilots that est carries included."""
     def link(x):
         return x[users][:, aps]
 
@@ -274,7 +275,7 @@ def _relabelled_drop(stats, est, pilots, users, aps):
     traces = dense_copilot_traces(link(est.G), copilot)[tuple(pairs.T)]
     est = dataclasses.replace(est, G=link(est.G), W=est.W[:, aps], Q=link(est.Q),
                               C=link(est.C), copilot_pairs=pairs, copilot_traces=traces,
-                              Qbar_sum=est.Qbar_sum[aps])
+                              Qbar_sum=est.Qbar_sum[aps], pilots=pilots, stats=stats)
     return stats, est, pilots
 
 
@@ -337,7 +338,8 @@ def test_wrong_shaped_allocation_is_rejected(desk_cache):
 def _paper_scale_pieces():
     cfg = SystemConfig(K=40, L=100, seed=5)
     scenario = EnvScenario(cfg)
-    return (cfg, *scenario.drop_statistics(), scenario.pilots)
+    est = scenario.drop_statistics()
+    return cfg, est.stats, est, scenario.pilots
 
 
 @pytest.mark.parametrize("pieces", ["desk_pieces", "full_pieces", "copilot_pieces",

@@ -433,8 +433,8 @@ def test_cli_validate_reports_the_named_tuples(capsys):
         "upsilon5[0,1,2,0]", "common_normalizer[0]", "private_normalizer[0,0]"]
     cfg = SystemConfig(K=3, L=2, N=2, tau_p=2, seed=seed)
     drop = scenario.EnvScenario(cfg)
-    stats, est = drop.drop_statistics()
-    g, ghat = ChannelSampler(stats, est).draw(n, substream(seed, "mc"))
+    est = drop.drop_statistics()
+    g, ghat = ChannelSampler(est).draw(n, substream(seed, "mc"))
     for check in checks:
         kind, index = check["name"].rstrip("]").split("[")
         x = _VALIDATE_SAMPLES[kind](g, ghat, est.C, *map(int, index.split(",")))
@@ -701,17 +701,17 @@ def test_cli_non_finite_report_keeps_contract(tmp_path, capsys, monkeypatch):
 def test_cli_validate_fails_fast_on_degenerate_drop(capsys, monkeypatch):
     """A drop whose first AP no user reaches has a zero common-precoder
     norm: validate exits 4 from the closed form, before any block is drawn."""
-    statistics = scenario.EnvScenario.statistics
+    link_statistics = scenario.link_statistics
 
-    def unreachable_ap(self, env=None):
-        stats = statistics(self, env)
+    def unreachable_ap(cfg, geometry):
+        stats = link_statistics(cfg, geometry)
         hbar, R = stats.hbar.copy(), stats.R.copy()
         hbar[:, 0] = 0.0
         R[:, 0] = 0.0
         return replace(stats, hbar=hbar, R=R)
 
     sampled = []
-    monkeypatch.setattr(scenario.EnvScenario, "statistics", unreachable_ap)
+    monkeypatch.setattr(scenario, "link_statistics", unreachable_ap)
     monkeypatch.setattr(cli, "sample_moments", lambda *args: sampled.append(args))
     assert cli.main(["validate", "--draws", "100"]) == 4
     assert sampled == []

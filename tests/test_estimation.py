@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cfrs.config import SystemConfig
-from cfrs.estimation import (assign_pilots, copilot_cross_moment,
+from cfrs.estimation import (PilotAssignment, assign_pilots, copilot_cross_moment,
                              estimation_statistics, perfect_csi_statistics)
 from cfrs.geometry import hermitian_sqrt
 from cfrs.rng import substream
@@ -41,6 +41,40 @@ def test_assign_pilots_unbalanced_and_errors():
     assert p.pilot_of.shape == (50,)
     with pytest.raises(ValueError):
         assign_pilots(4, 0, substream(1, "pilots"))
+
+
+@pytest.mark.parametrize("pilot_of, tau_p, field", [
+    ([0, 1, 2], 2, "pilot_of"), ([0, 1, -1], 2, "pilot_of"), ([0.0, 1.0, 1.5], 2, "pilot_of"),
+    ([[0, 1, 1]], 2, "pilot_of"), ([0, 0, 0], 0, "tau_p"), ([0, 1, 1], 2.0, "tau_p"),
+    ([0, 1], 2, "pilot_of has 2 entries for K = 3"),
+])
+def test_pilot_assignment_rejects_bad_groups(desk_pieces, pilot_of, tau_p, field):
+    """An assignment with a pilot outside [0, tau_p), a non-integer or
+    non-1-D pilot_of, or no pilots fails where it is made and names the
+    field; one for another number of users fails in the estimator. A user on
+    a pilot past tau_p once left its G uninitialized and surfaced as a
+    misleading DegenerateStatisticsError in the cache."""
+    cfg, stats, _, _ = desk_pieces
+    with pytest.raises(ValueError, match=field):
+        estimation_statistics(stats, PilotAssignment(np.array(pilot_of), tau_p), cfg)
+
+
+def test_pilot_assignment_is_frozen(desk_cfg):
+    """The groups that the estimation statistics were built on cannot change
+    under them: pilot_of is a read-only copy of the caller's array, shared
+    by the scenario and est.pilots. An in-place edit once desynchronized it
+    from G, W and copilot_pairs with no error."""
+    groups = np.array([0, 1, 1])
+    pilots = PilotAssignment(groups, 2)
+    groups[0] = 1
+    np.testing.assert_array_equal(pilots.pilot_of, [0, 1, 1])
+    scenario = EnvScenario(desk_cfg)
+    est = scenario.drop_statistics()
+    assert est.pilots is scenario.pilots
+    before = scenario.pilots.pilot_of.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        scenario.pilots.pilot_of[:] = np.roll(before, 1)
+    np.testing.assert_array_equal(est.pilots.pilot_of, before)
 
 
 def test_estimation_statistics_identities(desk_pieces):
@@ -79,7 +113,8 @@ def test_error_covariance_matches_subtraction_free_oracle():
     R S^-1 (p tau_p sum_{i != k} R_i + sigma^2 I), relative to its own size."""
     cfg = SystemConfig(K=20, L=100, N=4, tau_p=10, seed=60)
     scenario = EnvScenario(cfg)
-    stats, est = scenario.drop_statistics()
+    est = scenario.drop_statistics()
+    stats = est.stats
     ref = error_covariances(stats, scenario.pilots, cfg)
     err = np.abs(est.C - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
     assert err.max() <= 5e-11

@@ -8,8 +8,7 @@ import pytest
 
 from cfrs.config import SystemConfig, db_to_linear
 from cfrs.geometry import (correlation_matrix_from_angles, draw_geometry,
-                           link_statistics, path_loss, place_network,
-                           rician_split)
+                           link_statistics, path_loss, rician_split)
 from cfrs.rng import substream
 from conftest import eigh_projected_correlation
 
@@ -157,13 +156,14 @@ def test_correlation_matrix_rejects_non_finite(beta, angle):
     ("rician_db", float("nan")), ("rician_db", float("inf")),
 ])
 def test_link_statistics_rejects_bad_overrides(name, value):
-    """The environment overrides pass the checks SystemConfig makes, instead
-    of returning matrices of a negative spread or NaN statistics."""
+    """An environment applied to a config, replace(cfg, ...), passes the
+    checks SystemConfig makes, instead of returning matrices of a negative
+    spread or NaN statistics."""
     cfg = SystemConfig(L=3, K=2, N=3, tau_p=2, seed=4)
     geo = draw_geometry(cfg, substream(4, "geometry"))
     with pytest.raises(ValueError, match=name):
-        link_statistics(cfg, geo, **{name: value})
-    rayleigh = link_statistics(cfg, geo, rician_db=float("-inf"))
+        link_statistics(replace(cfg, **{name: value}), geo)
+    rayleigh = link_statistics(replace(cfg, rician_db=float("-inf")), geo)
     assert np.all(rayleigh.beta_los == 0) and np.all(np.isfinite(rayleigh.R))
 
 
@@ -172,7 +172,7 @@ def test_link_statistics_equals_per_link_matrices():
     for bit as a call for that link alone."""
     cfg = SystemConfig(L=9, K=5, N=4, tau_p=2, seed=12)
     geo = draw_geometry(cfg, substream(12, "geometry"))
-    stats = link_statistics(cfg, geo, asd_deg=25.0)
+    stats = link_statistics(replace(cfg, asd_deg=25.0), geo)
     assert stats.R.shape == (5, 9, 4, 4)
     for k in range(cfg.K):
         for l in range(cfg.L):
@@ -183,7 +183,7 @@ def test_link_statistics_equals_per_link_matrices():
 
 def test_place_network_inside_area():
     cfg = SystemConfig(seed=5)
-    p = place_network(cfg, substream(5, "geometry"))
+    p = draw_geometry(cfg, substream(5, "geometry"))
     assert p.ap_positions.shape == (cfg.L, 2)
     assert p.ue_positions.shape == (cfg.K, 2)
     for arr in (p.ap_positions, p.ue_positions):
@@ -218,7 +218,7 @@ def test_link_statistics_env_overrides_keep_geometry():
     cfg = SystemConfig(L=3, K=2, N=3, tau_p=2, seed=4)
     geo = draw_geometry(cfg, substream(4, "geometry"))
     base = link_statistics(cfg, geo)
-    hot = link_statistics(cfg, geo, rician_db=15.0, asd_deg=40.0)
+    hot = link_statistics(replace(cfg, rician_db=15.0, asd_deg=40.0), geo)
     np.testing.assert_array_equal(base.zeta, hot.zeta)
     assert np.all(hot.beta_los > base.beta_los)
     total_b = base.beta_los ** 2 + base.beta_nlos ** 2

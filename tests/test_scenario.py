@@ -20,17 +20,17 @@ def scenario():
 
 
 def test_environment_sweep_keeps_geometry(scenario):
-    a = scenario.statistics(Environment(-5.0, 10.0))
-    b = scenario.statistics(Environment(15.0, 60.0))
+    a = scenario.drop_statistics(Environment(-5.0, 10.0)).stats
+    b = scenario.drop_statistics(Environment(15.0, 60.0)).stats
     np.testing.assert_array_equal(a.zeta, b.zeta)
     np.testing.assert_array_equal(a.zeta, scenario.zeta)
     assert np.all(b.beta_los > a.beta_los)
     assert scenario.dims == (2, 3)
     # Default environment falls back to the config's propagation values.
-    base = scenario.statistics()
+    base = scenario.drop_statistics().stats
     np.testing.assert_array_equal(
-        base.beta_los, scenario.statistics(Environment(CFG.rician_db,
-                                                       CFG.asd_deg)).beta_los)
+        base.beta_los, scenario.drop_statistics(Environment(CFG.rician_db,
+                                                            CFG.asd_deg)).stats.beta_los)
 
 
 def test_baselines_score_consistently(scenario):
