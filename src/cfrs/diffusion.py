@@ -7,6 +7,14 @@ running the reverse chain from Gaussian noise emits an allocation for an
 unseen environment in milliseconds, amortizing the genetic search that
 produced the experts. Everything is plain float64 numpy with hand-derived
 gradients.
+
+The network's forward and backward passes run in preallocated buffers, one
+workspace per batch size, and the step embedding is a lookup in a table
+built on first use; the reverse chain updates its sample in place with
+gains computed once per chain. The buffers change where results are
+stored, not which floating-point operations run or in what order, so
+trained weights and sampled allocations are the bits the same expressions
+give on fresh arrays.
 """
 
 import csv
@@ -116,17 +124,25 @@ def reverse_sample(model, schedule: Schedule, env: Environment, dim, rng):
     at every step except the last, and the result is clamped to [0, 1].
     Raises ValueError if the chain ends non-finite (a diverged or corrupted
     model), since clamping would pass NaN through as an allocation.
+
+    Step t maps x to x / sqrt(alpha_t) - v_t / sqrt(alpha_t (1 - abar_t)) eps
+    + sqrt(v_t) z. The three gains are computed once per chain, and x and
+    the noise z are updated in one buffer each.
     """
     feats = env.features()[None, :]
+    x_gain = np.sqrt(schedule.alpha)
+    eps_gain = schedule.v / np.sqrt(schedule.alpha * (1.0 - schedule.alpha_bar))
+    noise_gain = np.sqrt(schedule.v)
     x = rng.standard_normal((1, dim))
+    z = np.empty_like(x)
     for t in range(schedule.T, 0, -1):
-        vt = schedule.v[t - 1]
-        at = schedule.alpha[t - 1]
-        abt = schedule.alpha_bar[t - 1]
         eps = model(x, np.array([t]), feats)
-        x = x / np.sqrt(at) - vt / np.sqrt(at * (1.0 - abt)) * eps
+        x /= x_gain[t - 1]
+        x -= np.multiply(eps_gain[t - 1], eps, out=z)
         if t > 1:
-            x = x + np.sqrt(vt) * rng.standard_normal(x.shape)
+            rng.standard_normal(out=z)
+            z *= noise_gain[t - 1]
+            x += z
     if not np.all(np.isfinite(x)):
         raise ValueError("reverse chain produced a non-finite allocation; "
                          "the model or checkpoint is corrupt")
@@ -137,23 +153,57 @@ def reverse_sample(model, schedule: Schedule, env: Environment, dim, rng):
 # Noise-prediction network: two tanh hidden layers, manual backprop.
 # ---------------------------------------------------------------------------
 
+# The step-embedding rows of steps 0..n, for the largest step n embedded so
+# far: built on first use and rebuilt only for a larger step. A row's bits do
+# not depend on the table's size, so every network and caller can share it.
+_step_rows = np.empty((0, T_EMBED))
+
+
 def _time_embedding(t):
-    """Sinusoidal features of the (1-based) step index, shape (B, T_EMBED)."""
-    half = T_EMBED // 2
-    freqs = 10000.0 ** (-np.arange(half) / half)
-    ang = np.asarray(t, dtype=float)[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    """Sinusoidal features of the (1-based) integer steps t, shape
+    (B, T_EMBED), looked up in the table of steps 0..max(t)."""
+    global _step_rows
+    try:
+        return _step_rows[t]
+    except IndexError:
+        half = T_EMBED // 2
+        freqs = 10000.0 ** (-np.arange(half) / half)
+        ang = np.arange(np.max(t) + 1, dtype=float)[:, None] * freqs[None, :]
+        _step_rows = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+        return _step_rows[t]
+
+
+class _Workspace:
+    """The buffers of one batch size B: the input rows, with views of their
+    noised-vector, step-embedding and environment columns; both hidden
+    activations and the output of the forward pass; and the backward's
+    output gradient and hidden-layer gradients."""
+
+    def __init__(self, B, dim, hidden):
+        self.inp = np.empty((B, dim + T_EMBED + 2))
+        self.x, self.emb, self.env = np.split(self.inp, [dim, dim + T_EMBED], axis=1)
+        self.a1 = np.empty((B, hidden))
+        self.a2 = np.empty((B, hidden))
+        self.out = np.empty((B, dim))
+        self.dout = np.empty((B, dim))
+        self.dz1 = np.empty((B, hidden))
+        self.dz2 = np.empty((B, hidden))
 
 
 class EpsNetwork:
     """MLP eps_theta(x_t, t, env) with parameters exposed for plain numpy
     training. Input is the noised vector, a sinusoidal step embedding, and
-    the two environment features."""
+    the two environment features.
+
+    The forward and backward passes run in a workspace per batch size,
+    allocated on first use and reused by every later call at that size, so
+    one network must not be called from two threads at once."""
 
     def __init__(self, dim, hidden=128, params=None, rng=None):
         self.dim = dim
         self.hidden = hidden
         self.in_dim = dim + T_EMBED + 2
+        self._workspaces = {}
         if params is not None:
             self.params = params
         else:
@@ -167,51 +217,65 @@ class EpsNetwork:
                 "W3": glorot(dim, hidden), "b3": np.zeros(dim),
             }
 
-    def _assemble(self, x, t, env, emb=None):
-        x = np.asarray(x, dtype=float)
-        env = np.broadcast_to(np.asarray(env, dtype=float), (x.shape[0], 2))
-        if emb is None:
-            emb = _time_embedding(t)
-        return np.concatenate([x, emb, env], axis=1)
-
-    def _forward(self, inp):
+    def _forward(self, x, t, env):
+        """Run the batch through the network in the workspace of its size,
+        and return that workspace."""
+        B = len(x)
+        ws = self._workspaces.get(B)
+        if ws is None:
+            ws = self._workspaces[B] = _Workspace(B, self.dim, self.hidden)
+        ws.x[...] = x
+        ws.emb[...] = _time_embedding(t)
+        ws.env[...] = env
         p = self.params
-        z1 = inp @ p["W1"].T + p["b1"]
-        a1 = np.tanh(z1)
-        z2 = a1 @ p["W2"].T + p["b2"]
-        a2 = np.tanh(z2)
-        out = a2 @ p["W3"].T + p["b3"]
-        return out, (inp, a1, a2)
+        np.matmul(ws.inp, p["W1"].T, out=ws.a1)
+        ws.a1 += p["b1"]
+        np.tanh(ws.a1, out=ws.a1)
+        np.matmul(ws.a1, p["W2"].T, out=ws.a2)
+        ws.a2 += p["b2"]
+        np.tanh(ws.a2, out=ws.a2)
+        np.matmul(ws.a2, p["W3"].T, out=ws.out)
+        ws.out += p["b3"]
+        return ws
 
     def __call__(self, x, t, env):
-        out, _ = self._forward(self._assemble(x, t, env))
-        return out
+        return self._forward(x, t, env).out.copy()
 
-    def loss_and_grads(self, x, t, env, target, out=None, emb=None):
+    def loss_and_grads(self, x, t, env, target, out=None):
         """Mean squared noise-prediction error over the batch and its exact
         gradient for every parameter.
 
         The gradients are written into out, a dict of arrays shaped like the
         parameters, and out is returned; without it they are fresh arrays.
-        emb, if given, holds the step-embedding rows of t."""
+        The backward pass overwrites the workspace's activations with the
+        tanh derivatives 1 - a^2 once it has used them."""
         p = self.params
-        pred, (inp, a1, a2) = self._forward(self._assemble(x, t, env, emb))
-        diff = pred - target
-        B = x.shape[0]
-        loss = float((diff ** 2).sum() / B)
-        dout = 2.0 * diff / B
+        ws = self._forward(x, t, env)
+        B = len(ws.out)
+        diff = ws.out
+        diff -= target
+        dout = np.square(diff, out=ws.dout)
+        loss = float(dout.sum() / B)
+        np.multiply(2.0, diff, out=dout)
+        dout /= B
         grads = out if out is not None else {k: np.empty_like(v) for k, v in p.items()}
-        np.matmul(dout.T, a2, out=grads["W3"])
+        np.matmul(dout.T, ws.a2, out=grads["W3"])
         np.sum(dout, axis=0, out=grads["b3"])
-        da2 = dout @ p["W3"]
-        dz2 = da2 * (1.0 - a2 ** 2)
-        np.matmul(dz2.T, a1, out=grads["W2"])
+        dz2 = np.matmul(dout, p["W3"], out=ws.dz2)
+        dz2 *= _tanh_derivative(ws.a2)
+        np.matmul(dz2.T, ws.a1, out=grads["W2"])
         np.sum(dz2, axis=0, out=grads["b2"])
-        da1 = dz2 @ p["W2"]
-        dz1 = da1 * (1.0 - a1 ** 2)
-        np.matmul(dz1.T, inp, out=grads["W1"])
+        dz1 = np.matmul(dz2, p["W2"], out=ws.dz1)
+        dz1 *= _tanh_derivative(ws.a1)
+        np.matmul(dz1.T, ws.inp, out=grads["W1"])
         np.sum(dz1, axis=0, out=grads["b1"])
         return loss, grads
+
+
+def _tanh_derivative(a):
+    """Overwrite the activations a = tanh(z) with 1 - a^2 and return them."""
+    np.square(a, out=a)
+    return np.subtract(1.0, a, out=a)
 
 
 class Adam:
@@ -317,8 +381,7 @@ class DiffusionTrainer:
     The network's parameters are packed once into one flat vector, and
     net.params is rebound to views into it; the gradient is written into
     views of a second one, so Adam updates the whole network with a few
-    in-place vector operations. The step embeddings of the schedule's T
-    steps are looked up in a table.
+    in-place vector operations.
     """
 
     def __init__(self, net: EpsNetwork, schedule: Schedule,
@@ -328,7 +391,6 @@ class DiffusionTrainer:
         self.rng = rng
         self.x0 = dataset.x0
         self.feats = dataset.features()
-        self.step_table = _time_embedding(np.arange(1, schedule.T + 1))
         self.flat_params = np.concatenate([p.ravel() for p in net.params.values()])
         self.flat_grad = np.empty_like(self.flat_params)
         net.params = _flat_views(self.flat_params, net.params)
@@ -345,8 +407,7 @@ class DiffusionTrainer:
         if EXPLORE_NOISE > 0.0:
             x0 = np.clip(x0 + EXPLORE_NOISE * rng.standard_normal(x0.shape), 0.0, 1.0)
         x_t = forward_diffuse(x0, t, eps, self.schedule)
-        loss, _ = self.net.loss_and_grads(x_t, t, self.feats[idx], eps,
-                                          out=self.grads, emb=self.step_table[t - 1])
+        loss, _ = self.net.loss_and_grads(x_t, t, self.feats[idx], eps, out=self.grads)
         if not np.isfinite(loss):
             raise TrainingError(f"loss diverged at step {len(self.loss_history)}")
         self.opt.step(self.flat_params, self.flat_grad)

@@ -95,10 +95,15 @@ def estimation_statistics(stats: LinkStatistics, pilots: PilotAssignment,
                           cfg: SystemConfig) -> EstimationStatistics:
     """Second-order statistics of the MMSE channel estimates for all links.
     Raises EstimationError if a pilot observation covariance has no Cholesky
-    factor."""
+    factor. Raises ValueError if the assignment does not hold one pilot
+    index per user, or its pilot count is not the configured tau_p, which
+    sets the pilot energy here and the pilot overhead in the rates."""
     K, L, N = stats.K, stats.L, stats.N
     if pilots.pilot_of.shape != (K,):
         raise ValueError(f"pilot_of has {len(pilots.pilot_of)} entries for K = {K} users")
+    if pilots.tau_p != cfg.tau_p:
+        raise ValueError(f"the pilot assignment has tau_p = {pilots.tau_p} pilots, "
+                         f"the config tau_p = {cfg.tau_p}")
     ptau = cfg.p_pilot_mw * cfg.tau_p
     W = np.empty((pilots.tau_p, L, N, N), dtype=complex)
     G = np.empty((K, L, N, N), dtype=complex)

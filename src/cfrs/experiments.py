@@ -23,8 +23,7 @@ import numpy as np
 
 from .allocation import (GAConfig, best_on_grid, heuristic_control, heuristic_split,
                          optimize_eta, optimize_rho)
-from .closed_form import (PowerAllocation, build_cache, evaluate_cache, sum_se_batch,
-                          sum_se_vectors)
+from .closed_form import PowerAllocation, build_cache, evaluate_cache, sum_se_vectors
 from .config import SystemConfig
 from .diffusion import Environment, reverse_sample
 from .estimation import perfect_csi_statistics
@@ -310,10 +309,9 @@ def _control_item(args):
     cache = scenario.cache()
     eta_equal = np.ones((K, L))
     eta_heur = heuristic_control(scenario.zeta)
-    n = len(spec.rho_grid)
-    rhos = np.stack([np.full(L, r) for r in spec.rho_grid])
-    equal = sum_se_batch(cache, rhos, np.broadcast_to(eta_equal, (n, K, L)))
-    heur = sum_se_batch(cache, rhos, np.broadcast_to(eta_heur, (n, K, L)))
+    rhos = np.repeat(np.asarray(spec.rho_grid, dtype=float)[:, None], L, axis=1)
+    _, _, equal = scenario.best_equal_split(cache, spec.rho_grid)
+    _, _, heur = best_on_grid(cache, rhos, np.broadcast_to(eta_heur, (len(rhos), K, L)))
     out = {}
     for i, rho0 in enumerate(spec.rho_grid):
         res = optimize_eta(cache, rhos[i], spec.ga_config,

@@ -11,9 +11,9 @@ estimator factors, subtraction-free error covariances, whole-network cache,
 scalar uncorrelated cache,
 per-term einsum SINR assembly, sample-moment SINR assembly, achievable rate
 from the joint channel draw, transmit-power audit, per-parameter training
-loop) are independent routes to quantities the package computes; the tests
-compare the two. moment_samples forms every closed-form moment per block
-for the sampling passes of the moment tests.
+loop, reverse chain on fresh arrays) are independent routes to quantities
+the package computes; the tests compare the two. moment_samples forms every
+closed-form moment per block for the sampling passes of the moment tests.
 """
 
 import itertools
@@ -26,8 +26,8 @@ from cfrs import diffusion
 from cfrs.closed_form import (_ENTRY_BUDGET, DegenerateStatisticsError, SECache, _chunks,
                               _ensure_real, build_cache, normalization_coeffs)
 from cfrs.config import SystemConfig
-from cfrs.diffusion import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BATCH_SIZE,
-                            _time_embedding, forward_diffuse)
+from cfrs.diffusion import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BATCH_SIZE, T_EMBED,
+                            forward_diffuse)
 from cfrs.monte_carlo import ChannelSampler, instantaneous_sinrs
 from cfrs.rng import complex_normal_blocks
 from cfrs.scenario import EnvScenario
@@ -427,11 +427,21 @@ def sample_tx_power(stats, est, pilots, cfg, alloc, l, n_draws, rng):
     return float(samples.mean()), float(np.sqrt(samples.var(ddof=1) / n_draws))
 
 
+def fresh_time_embedding(t):
+    """Sinusoidal features of the (1-based) steps t, shape (B, T_EMBED),
+    computed afresh for every row."""
+    half = T_EMBED // 2
+    freqs = 10000.0 ** (-np.arange(half) / half)
+    ang = np.asarray(t, dtype=float)[:, None] * freqs[None, :]
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
 def dict_loss_and_grads(params, x, t, env, target):
     """Noise-prediction loss of the tanh MLP and its gradient as fresh
     per-parameter arrays, computed from the integer steps t."""
     B = x.shape[0]
-    inp = np.concatenate([x, _time_embedding(t), np.broadcast_to(env, (B, 2))], axis=1)
+    inp = np.concatenate([x, fresh_time_embedding(t), np.broadcast_to(env, (B, 2))],
+                         axis=1)
     a1 = np.tanh(inp @ params["W1"].T + params["b1"])
     a2 = np.tanh(a1 @ params["W2"].T + params["b2"])
     diff = a2 @ params["W3"].T + params["b3"] - target
@@ -486,3 +496,21 @@ def dict_train(params, schedule, dataset, lr, rng, n_steps):
         opt.step(params, grads)
         losses.append(loss)
     return np.asarray(losses)
+
+
+def reference_reverse_sample(model, schedule, env, dim, rng):
+    """The reverse chain with fresh arrays and scalar coefficients at every
+    step: the same generator calls, in the same order, as reverse_sample."""
+    feats = env.features()[None, :]
+    x = rng.standard_normal((1, dim))
+    for t in range(schedule.T, 0, -1):
+        vt = schedule.v[t - 1]
+        at = schedule.alpha[t - 1]
+        abt = schedule.alpha_bar[t - 1]
+        eps = model(x, np.array([t]), feats)
+        x = x / np.sqrt(at) - vt / np.sqrt(at * (1.0 - abt)) * eps
+        if t > 1:
+            x = x + np.sqrt(vt) * rng.standard_normal(x.shape)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("reverse chain produced a non-finite allocation")
+    return np.clip(x, 0.0, 1.0)[0]

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cfrs.diffusion import (Adam, DiffusionTrainer, Environment, EpsNetwork,
                             forward_diffuse, load_checkpoint, make_schedule,
                             reverse_sample, save_checkpoint)
 from cfrs.rng import substream
-from conftest import dict_train
+from conftest import dict_train, fresh_time_embedding, reference_reverse_sample
 
 
 def test_environment_features_and_range():
@@ -144,6 +145,72 @@ def test_reverse_sample_rejects_nonfinite_chain(clip_bounds):
                        substream(13, "rev"))
 
 
+def _perturbed_network(dim, hidden, seed):
+    """A network whose weights, biases included, are far from their
+    initialization, so that no layer is near zero or saturated."""
+    rng = substream(seed, "perturbed", hidden)
+    net = EpsNetwork(dim, hidden=hidden, rng=rng)
+    for value in net.params.values():
+        value += 0.3 * rng.standard_normal(value.shape)
+    return net
+
+
+@pytest.mark.parametrize("T", [1, 10])
+@pytest.mark.parametrize("dim, hidden", [(40, 128), (3, 7)])
+def test_reverse_sample_matches_reference_chain(dim, hidden, T):
+    """The in-place chain returns the bits of the allocating one, at 200
+    seeded environments inside and outside the training ranges."""
+    s = Schedule(np.linspace(0.02, 0.2, T))
+    net = _perturbed_network(dim, hidden, 59)
+    inside = 0
+    for i in range(200):
+        draw = substream(59, "env", i)
+        env = Environment(draw.uniform(-30.0, 40.0), draw.uniform(1.0, 150.0))
+        inside += env.in_training_range()
+        got = reverse_sample(net, s, env, dim, substream(59, "rev", i))
+        want = reference_reverse_sample(net, s, env, dim, substream(59, "rev", i))
+        assert np.array_equal(got, want), (i, env)
+    assert 0 < inside < 200
+
+
+def test_workspaces_keep_calls_independent():
+    """Interleaved calls at batch sizes 1 and 64 on one network give the
+    bits of a fresh network, and no array a call returned changes later."""
+    net = _perturbed_network(5, 16, 61)
+    rng = substream(61, "calls")
+    returned = []
+    for B in (1, 64, 1, 64, 64, 1):
+        x = rng.standard_normal((B, 5))
+        t = rng.integers(1, 11, size=B)
+        env = rng.uniform(-1, 1, size=(B, 2))
+        target = rng.standard_normal((B, 5))
+        out = net(x, t, env)
+        loss, grads = net.loss_and_grads(x, t, env, target)
+        assert np.array_equal(out, EpsNetwork(5, hidden=16, params=net.params)(x, t, env))
+        fresh_loss, fresh_grads = EpsNetwork(5, hidden=16, params=net.params).loss_and_grads(
+            x, t, env, target)
+        assert loss == fresh_loss
+        for key in grads:
+            assert np.array_equal(grads[key], fresh_grads[key]), (B, key)
+        returned.append((out, out.copy(), grads, {k: g.copy() for k, g in grads.items()}))
+    assert sorted(net._workspaces) == [1, 64]
+    for out, kept, grads, kept_grads in returned:
+        assert np.array_equal(out, kept)
+        for key in grads:
+            assert np.array_equal(grads[key], kept_grads[key])
+
+
+def test_time_embedding_rows_match_fresh_embedding(monkeypatch):
+    """Rows looked up in the step table, as it grows, are the bits of the
+    sinusoids computed afresh; the table holds the steps 0 to the largest
+    one asked for."""
+    monkeypatch.setattr(diffusion, "_step_rows", np.empty((0, diffusion.T_EMBED)))
+    for t in ([3], [1, 2, 3], [10, 4, 10, 1], [7], [1000, 1, 500]):
+        t = np.array(t)
+        assert np.array_equal(diffusion._time_embedding(t), fresh_time_embedding(t)), t
+    assert len(diffusion._step_rows) == 1001
+
+
 def test_split_allocation_layout():
     # A sampled policy vector holds the L splitting factors first, then eta
     # row by row.
@@ -203,8 +270,7 @@ def test_loss_and_grads_writes_into_out():
     env = rng.uniform(-1, 1, size=(6, 2))
     target = rng.standard_normal((6, 5))
     loss, fresh = net.loss_and_grads(x, t, env, target)
-    loss_out, grads = net.loss_and_grads(x, t, env, target, out=trainer.grads,
-                                         emb=trainer.step_table[t - 1])
+    loss_out, grads = net.loss_and_grads(x, t, env, target, out=trainer.grads)
     assert grads is trainer.grads and loss_out == loss
     for key, arr in grads.items():
         assert np.shares_memory(arr, trainer.flat_grad)
@@ -226,6 +292,28 @@ def test_trainer_matches_dict_oracle():
     assert np.array_equal(losses, oracle)
     for key, arr in params.items():
         assert np.array_equal(net.params[key], arr), key
+
+
+def test_training_step_stays_off_the_allocator():
+    """Once warm, 50 training steps of the packaged policy's network (dim
+    40 = L + K L at K=4, L=8; hidden 128) peak below 256 KiB of new
+    allocations: the passes run in the network's workspace, and only the
+    batch's draws and its noised targets are fresh arrays."""
+    trainer = DiffusionTrainer(EpsNetwork(40, rng=substream(67, "init")), make_schedule(),
+                               _toy_dataset(dim=40), 1e-3, substream(67, "train"))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        trainer.run(5)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trainer.run(50)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 256 * 1024, f"{peak / 1024:.0f} KiB"
 
 
 def test_adam_minimizes_quadratic():

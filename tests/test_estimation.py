@@ -47,13 +47,16 @@ def test_assign_pilots_unbalanced_and_errors():
     ([0, 1, 2], 2, "pilot_of"), ([0, 1, -1], 2, "pilot_of"), ([0.0, 1.0, 1.5], 2, "pilot_of"),
     ([[0, 1, 1]], 2, "pilot_of"), ([0, 0, 0], 0, "tau_p"), ([0, 1, 1], 2.0, "tau_p"),
     ([0, 1], 2, "pilot_of has 2 entries for K = 3"),
+    ([0, 1, 2], 3, "tau_p = 3 pilots, the config tau_p = 2"),
 ])
 def test_pilot_assignment_rejects_bad_groups(desk_pieces, pilot_of, tau_p, field):
     """An assignment with a pilot outside [0, tau_p), a non-integer or
     non-1-D pilot_of, or no pilots fails where it is made and names the
     field; one for another number of users fails in the estimator. A user on
     a pilot past tau_p once left its G uninitialized and surfaced as a
-    misleading DegenerateStatisticsError in the cache."""
+    misleading DegenerateStatisticsError in the cache. One whose pilot count
+    is not the config's tau_p fails in the estimator too: it once modelled
+    tau_p orthogonal pilots at the energy and overhead of cfg.tau_p."""
     cfg, stats, _, _ = desk_pieces
     with pytest.raises(ValueError, match=field):
         estimation_statistics(stats, PilotAssignment(np.array(pilot_of), tau_p), cfg)
