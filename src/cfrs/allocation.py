@@ -66,8 +66,8 @@ def heuristic_control(zeta):
 
 @dataclass(frozen=True)
 class GAConfig:
-    pop_size: int = 50
-    generations: int = 200
+    pop_size: int
+    generations: int
 
     def __post_init__(self):
         # Elites plus at least one child, and two parents to breed from.

@@ -71,7 +71,7 @@ def _cmd_train(args):
     spec = ExperimentSpec(train_steps=args.steps, train_lr=args.lr)
     _, dataset, trainer = train_policy(DIFFUSION_SYSTEM, args.seed, training_envs(),
                                        spec.ga_config, spec.train_lr)
-    losses = trainer.run(spec.train_steps)
+    trainer.run(spec.train_steps)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt = os.path.join(args.out_dir, "diffusion.npz")
     ds_path = os.path.join(args.out_dir, "expert_dataset.csv")
@@ -80,7 +80,7 @@ def _cmd_train(args):
     print(json.dumps({
         "written": [ckpt, ds_path],
         "steps": spec.train_steps,
-        "final_loss": float(np.mean(losses[-min(200, len(losses)):])),
+        "final_loss": trainer.window_loss(),
         "expert_mean_sum_se": float(dataset.sum_se.mean()),
     }, allow_nan=False))
     return 0

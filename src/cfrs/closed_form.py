@@ -132,6 +132,51 @@ class SEReport:
 
 
 # ---------------------------------------------------------------------------
+# The rate-splitting model, stated once: the closed form evaluates it on the
+# statistical means of the received powers, the Monte Carlo on each sampled
+# coherence block.
+# ---------------------------------------------------------------------------
+
+def power_weights(rho, eta, mu_c, mu_p):
+    """The squared precoder weights of an allocation: rho_l mu_c,l on the
+    common precoder at AP l and (1 - rho_l) eta_il mu_p,il on the private
+    one of user i. rho is (..., L) and eta (..., K, L); returns (..., L) and
+    (..., K, L)."""
+    return rho * mu_c, (1.0 - rho)[..., None, :] * eta * mu_p
+
+
+def sinr_law(coh_c, var_c, private, own, p_dl, noise):
+    """The SINRs (sinr_c, sinr_p) of common-then-private decoding at each of
+    K users, from four received powers per unit of transmit power, each
+    (..., K): the common message's coherent gain coh_c and variance var_c,
+    the total power of the K private streams, and the coherent power of the
+    user's own stream. The common message is sent with p_dl and each private
+    stream with p = p_dl / K. A user decodes the common message with every
+    private stream as noise, strips it, then decodes its own stream:
+
+      sinr_c = p_dl coh_c / (p_dl var_c + p private + noise)
+      sinr_p = p own / (p (private - own) + noise)
+
+    Raises DegenerateStatisticsError when a denominator is not positive.
+    """
+    p = p_dl / own.shape[-1]
+    den_c = p_dl * var_c + p * private + noise
+    if np.any(den_c <= 0):
+        raise DegenerateStatisticsError("common SINR denominator is not positive")
+    den_p = p * (private - own) + noise
+    if np.any(den_p <= 0):
+        raise DegenerateStatisticsError("private SINR denominator is not positive")
+    return p_dl * coh_c / den_c, p * own / den_p
+
+
+def rate_law(sinr_c, sinr_p):
+    """Spectral efficiencies before the prelog. Every user decodes the common
+    message, so its rate is the weakest user's, log2(1 + min_k sinr_c), of
+    shape (...,) for sinr_c (..., K); each private rate is log2(1 + sinr_p)."""
+    return np.log2(1.0 + sinr_c.min(axis=-1)), np.log2(1.0 + sinr_p)
+
+
+# ---------------------------------------------------------------------------
 # Per-tuple cross-moments of the common-precoder interference: the slow,
 # readable forms `cfrs validate` checks the sampled Upsilon fields against.
 # ---------------------------------------------------------------------------
@@ -290,53 +335,41 @@ def build_cache(stats: LinkStatistics, est: EstimationStatistics,
 
 
 def _sinr_terms(cache: SECache, rho, eta):
-    """Batched SINR assembly. rho is (P, L), eta is (P, K, L); returns
-    (sinr_common, sinr_private), each (P, K).
+    """The sinr_law of the bound for a batch of allocations. rho is (P, L),
+    eta is (P, K, L); returns (sinr_common, sinr_private), each (P, K).
 
-    Each coherent gain |sum_l x_pl g_kl|^2 is one real product against the
-    complex operand viewed as (re, im) float pairs:
-      Tc1[p, k]    = |sqrt(rho mu_c)[p] @ c1 (L, K)|^2
-      Tp1[i, p, k] = |sqrt(w)[i, p] @ p1[i] (L, K)|^2, batched over streams i,
-    with w[p, i, l] = (1 - rho) eta mu_p. The variances enter only summed,
-    so Tc2 = (rho mu_c) @ c2 (L, K) and sum_i Tp2 = w (P, K*L) @ p2 (K*L, K).
+    The received powers are statistical means under the power_weights r (P,
+    L) and w (P, K, L). Each coherent gain |sum_l x_pl g_kl|^2 is one real
+    product against the complex operand viewed as (re, im) float pairs:
+      Tc1[p, k]    = |sqrt(r)[p] @ c1 (L, K)|^2
+      Tp1[i, p, k] = |sqrt(w)[i, p] @ p1[i] (L, K)|^2, batched over streams i.
+    The variances enter only summed, so Tc2 = r @ c2 (L, K) and
+    sum_i Tp2 = w (P, K*L) @ p2 (K*L, K).
     """
     c1 = np.ascontiguousarray(cache.c1.T)                          # (L, K)
     c2 = np.ascontiguousarray(cache.c2.T)
     p1 = np.ascontiguousarray(cache.p1.transpose(1, 2, 0))         # (i, L, k)
     p2 = np.ascontiguousarray(cache.p2.transpose(1, 2, 0))
     K, L, _ = p1.shape
-    r = rho * cache.mu_c                                           # (P, L)
+    r, w = power_weights(rho, eta, cache.mu_c, cache.mu_p)         # (P, L), (P, K, L)
     y = (np.sqrt(r) @ c1.view(float)).view(complex)                # (P, K)
     Tc1 = np.square(y.real) + np.square(y.imag)
-    Tc2 = r @ c2
-
-    w = (1.0 - rho)[:, None, :] * eta * cache.mu_p                 # (P, K, L)
     z = (np.sqrt(w.transpose(1, 0, 2)) @ p1.view(float)).view(complex)
     Tp1 = np.square(z.real) + np.square(z.imag)                    # (i, P, k)
 
     # Every pair (k, i) adds its coherent term: off the pilot groups p1 is the
     # line-of-sight gain alone, because only co-pilot pairs carry a trace.
-    inter = w.reshape(len(w), K * L) @ p2.reshape(K * L, K) + Tp1.sum(axis=0)
-    p_over_k = cache.p_dl / K
-    den_c = cache.p_dl * Tc2 + p_over_k * inter + cache.noise
-    if np.any(den_c <= 0):
-        raise DegenerateStatisticsError("common SINR denominator is not positive")
-    sinr_c = cache.p_dl * Tc1 / den_c
-
+    private = w.reshape(len(w), K * L) @ p2.reshape(K * L, K) + Tp1.sum(axis=0)
     own = np.diagonal(Tp1, axis1=0, axis2=2)                       # (P, K): i = k
-    den_p = p_over_k * (inter - own) + cache.noise
-    if np.any(den_p <= 0):
-        raise DegenerateStatisticsError("private SINR denominator is not positive")
-    sinr_p = p_over_k * own / den_p
-    return sinr_c, sinr_p
+    return sinr_law(Tc1, r @ c2, private, own, cache.p_dl, cache.noise)
 
 
 def evaluate_cache(cache: SECache, alloc: PowerAllocation) -> SEReport:
     check_allocation_shape(alloc.rho.shape, alloc.eta.shape, *cache.mu_p.shape)
     sinr_c, sinr_p = _sinr_terms(cache, alloc.rho[None], alloc.eta[None])
     sinr_c, sinr_p = sinr_c[0], sinr_p[0]
-    se_common = cache.prelog * np.log2(1.0 + sinr_c.min())
-    se_private = cache.prelog * np.log2(1.0 + sinr_p)
+    rate_c, rate_p = rate_law(sinr_c, sinr_p)
+    se_common, se_private = cache.prelog * rate_c, cache.prelog * rate_p
     return SEReport(sinr_common=sinr_c, sinr_private=sinr_p,
                     se_common=float(se_common), se_private=se_private,
                     sum_se=float(se_common + se_private.sum()), prelog=cache.prelog)
@@ -350,6 +383,5 @@ def sum_se_batch(cache: SECache, rho, eta):
     """
     rho, eta = np.asarray(rho, dtype=float), np.asarray(eta, dtype=float)
     check_allocation_shape(rho.shape, eta.shape, *cache.mu_p.shape)
-    sinr_c, sinr_p = _sinr_terms(cache, rho, eta)
-    se = np.log2(1.0 + sinr_c.min(axis=1)) + np.log2(1.0 + sinr_p).sum(axis=1)
-    return cache.prelog * se
+    rate_c, rate_p = rate_law(*_sinr_terms(cache, rho, eta))
+    return cache.prelog * (rate_c + rate_p.sum(axis=1))

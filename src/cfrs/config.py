@@ -9,14 +9,16 @@ from dataclasses import dataclass
 
 
 def dbm_to_mw(dbm):
-    return 10.0 ** (dbm / 10.0)
+    return db_to_linear(dbm)
 
 
 def db_to_linear(db):
-    """Convert a dB ratio to linear scale. -inf maps to 0."""
-    if math.isinf(db) and db < 0:
-        return 0.0
-    return 10.0 ** (db / 10.0)
+    """Convert a dB ratio to linear scale. -inf maps to 0, and a ratio past
+    the float range to inf."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -41,19 +43,18 @@ class SystemConfig:
     balanced_pilots: bool = True
 
     def __post_init__(self):
-        for name in ("area_side", "p_pilot_dbm", "p_dl_dbm", "noise_dbm"):
+        for name in ("area_side", "asd_deg"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if math.isnan(self.rician_db) or self.rician_db == math.inf:
-            raise ValueError("rician_db must be finite or -inf")
-        if not math.isfinite(self.asd_deg):
-            raise ValueError("asd_deg must be finite")
+        # A power that overflows or underflows fails here, not later as a NaN
+        # rate; a pilot power of 0 mW would also read as perfect CSI.
+        for name in ("p_pilot_dbm", "p_dl_dbm", "noise_dbm"):
+            if not 0 < dbm_to_mw(getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must give a finite, positive power in mW")
+        if not db_to_linear(self.rician_db) < math.inf:
+            raise ValueError("rician_db must be -inf or give a finite linear factor")
         if self.asd_deg <= 0:
             raise ValueError("asd_deg must be positive")
-        # Perfect CSI is recognised by zero pilot energy, so a real pilot
-        # power must not underflow to 0 mW.
-        if self.p_pilot_mw == 0:
-            raise ValueError("p_pilot_dbm is too small: the pilot power underflows to 0")
         if self.L < 1:
             raise ValueError("L must be a positive integer")
         if self.K < 1:

@@ -40,12 +40,14 @@ SCHEDULE_V_MIN = 0.02
 SCHEDULE_V_MAX = 0.2
 
 # Records per training step; the jitter on the expert targets, clamped to the
-# box; Adam's decay rates and guard (Kingma & Ba's).
+# box; Adam's decay rates and guard (Kingma & Ba's); the steps a reported loss
+# averages.
 BATCH_SIZE = 64
 EXPLORE_NOISE = 0.01
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LOSS_WINDOW = 200
 
 CHECKPOINT_VERSION = 1
 
@@ -418,6 +420,10 @@ class DiffusionTrainer:
         for _ in range(n_steps):
             self.step()
         return np.asarray(self.loss_history)
+
+    def window_loss(self):
+        """Mean loss of the last LOSS_WINDOW steps, or of every step if fewer."""
+        return float(np.mean(self.loss_history[-LOSS_WINDOW:]))
 
 
 # ---------------------------------------------------------------------------

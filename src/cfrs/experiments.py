@@ -393,13 +393,13 @@ def _run_train_diffusion(spec):
         n = min(eval_every, spec.train_steps - done)
         trainer.run(n)
         done += n
-        window = np.mean(trainer.loss_history[-min(200, done):])
+        window = trainer.window_loss()
         values = []
         for i, env in enumerate(held):
             x = reverse_sample(trainer.net, trainer.schedule, env, trainer.net.dim,
                                substream(spec.seed, "eval", str(done), str(i)))
             values.append(sum_se_vectors(caches[i], x[None])[0])
-        rows.append((done, float(window), float(np.mean(values))))
+        rows.append((done, window, float(np.mean(values))))
     extra = {"expert_mean_sum_se": float(dataset.sum_se.mean())}
     return ("step", "loss_window_mean", "held_out_mean_sum_se"), rows, extra
 

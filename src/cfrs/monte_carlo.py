@@ -1,7 +1,8 @@
 """Monte Carlo evaluation of the rate-splitting downlink.
 
 Draws coherence blocks and evaluates the per-block achievable rates
-(successive decoding of the common message, then the private one).
+(successive decoding of the common message, then the private one) with the
+model that closed_form states once: power_weights, sinr_law and rate_law.
 ChannelSampler(est) draws channels and estimates, with the link statistics,
 pilot groups and noise that est carries, and knows nothing of precoding;
 instantaneous_sinrs goes from the estimates to the rates in one step, forming
@@ -40,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .closed_form import (_ENTRY_BUDGET, PowerAllocation, _chunks, check_allocation_shape,
-                          normalization_coeffs)
+                          normalization_coeffs, power_weights, rate_law, sinr_law)
 from .config import SystemConfig
 from .estimation import EstimationStatistics, PilotAssignment
 from .geometry import LinkStatistics, hermitian_sqrt
@@ -150,22 +151,23 @@ def _view(buf, *shape):
 
 def instantaneous_sinrs(ghat, C, mu_c, mu_p, alloc: PowerAllocation, cfg: SystemConfig,
                         precoders, work, gram):
-    """Per-block SINRs of the common and private messages at every user.
+    """Per-block SINRs of the common and private messages at every user: the
+    sinr_law of closed_form, evaluated on the powers each block delivers.
 
     The precoders are maximum ratio, normalized to unit average power by the
-    normalization_coeffs mu_c (L,) and mu_p (K, L), then weighted by the
-    power split rho and the power control eta:
+    normalization_coeffs mu_c (L,) and mu_p (K, L), with the power_weights
+    r (L,) and w (K, L) of the allocation:
 
-      u_c,l = sqrt(rho_l mu_c,l) sum_i ghat_il,  u_il = sqrt((1 - rho_l) eta_il mu_p,il) ghat_il
+      u_c,l = sqrt(r_l) sum_i ghat_il,  u_il = sqrt(w_il) ghat_il
 
-    Each user decodes the common message first (all private streams are
-    noise), strips it, then decodes its own private stream. With p = p_d / K
-    and the noise power s2:
+    User k receives them through its estimates and, with covariance C_kl,
+    their errors:
 
       s_c[k] = sum_l ghat_kl^H u_c,l,   e_c[k] = sum_l u_c,l^H C_kl u_c,l
       s_p[k, i] = sum_l ghat_kl^H u_il, e_p[k] = sum_il u_il^H C_kl u_il
-      sinr_c[k] = p_d |s_c[k]|^2 / (p_d e_c[k] + p (sum_i |s_p[k, i]|^2 + e_p[k]) + s2)
-      sinr_p[k] = p |s_p[k, k]|^2 / (p (sum_{i != k} |s_p[k, i]|^2 + e_p[k]) + s2)
+
+    so the four powers of the law are |s_c[k]|^2, e_c[k],
+    sum_i |s_p[k, i]|^2 + e_p[k] and |s_p[k, k]|^2.
 
     ghat holds n blocks (n, K, L, N); returns (sinr_c, sinr_p), each (n, K).
     The largest temporaries go into flat complex buffers: u_p into precoders
@@ -173,10 +175,9 @@ def instantaneous_sinrs(ghat, C, mu_c, mu_p, alloc: PowerAllocation, cfg: System
     Grams into gram.
     """
     n, K, L, N = ghat.shape
-    p_d = cfg.p_dl_mw
-    u_c = np.sqrt(alloc.rho * mu_c)[:, None] * ghat.sum(axis=-3)           # (n, L, N)
-    u_p = np.multiply(np.sqrt((1.0 - alloc.rho) * alloc.eta * mu_p)[:, :, None], ghat,
-                      out=_view(precoders, n, K, L, N))
+    r, w = power_weights(alloc.rho, alloc.eta, mu_c, mu_p)
+    u_c = np.sqrt(r)[:, None] * ghat.sum(axis=-3)                          # (n, L, N)
+    u_p = np.multiply(np.sqrt(w)[:, :, None], ghat, out=_view(precoders, n, K, L, N))
     # s_c[k] = sum_l h_kl^H u_c,l and s_p[k, i] = sum_l h_kl^H u_il, one GEMM
     # each over the flattened (L*N) antennas.
     hH = np.conjugate(ghat, out=_view(work, n, K, L, N)).reshape(n, K, L * N)
@@ -194,10 +195,9 @@ def instantaneous_sinrs(ghat, C, mu_c, mu_p, alloc: PowerAllocation, cfg: System
     u_l_conj = np.moveaxis(np.conjugate(u_p, out=_view(work, n, K, L, N)), -3, -2)
     S_p = np.matmul(u_l_conj.swapaxes(-1, -2), u_l, out=_view(gram, n, L, N, N))
     err_p = (S_p.reshape(n, -1) @ Ct).real
-    den_c = p_d * err_c + (p_d / K) * (coh.sum(axis=-1) + err_p) + cfg.noise_mw
     own = coh[..., np.arange(K), np.arange(K)]
-    den_p = (p_d / K) * (coh.sum(axis=-1) - own + err_p) + cfg.noise_mw
-    return p_d * np.abs(s_c) ** 2 / den_c, (p_d / K) * own / den_p
+    return sinr_law(np.abs(s_c) ** 2, err_c, coh.sum(axis=-1) + err_p, own,
+                    cfg.p_dl_mw, cfg.noise_mw)
 
 
 @dataclass(frozen=True)
@@ -240,10 +240,8 @@ def achievable_sum_se(stats: LinkStatistics, est: EstimationStatistics,
     se_c, se_p = np.empty(n_blocks), np.empty((n_blocks, stats.K))
     for blk in chunks:
         ghat = sampler.draw_estimates(blk.stop - blk.start, rng, work, estimates)
-        sinr_c, sinr_p = instantaneous_sinrs(ghat, est.C, mu_c, mu_p, alloc, cfg,
-                                             precoders, work, gram)
-        np.log2(1.0 + sinr_c.min(axis=-1), out=se_c[blk])
-        np.log2(1.0 + sinr_p, out=se_p[blk])
+        sinrs = instantaneous_sinrs(ghat, est.C, mu_c, mu_p, alloc, cfg, precoders, work, gram)
+        se_c[blk], se_p[blk] = rate_law(*sinrs)
     total = se_c + se_p.sum(axis=-1)
     prelog = cfg.prelog
     return AchievableReport(

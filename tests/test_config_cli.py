@@ -66,7 +66,8 @@ def test_system_config_validation_names_fields():
     ("p_pilot_dbm", float("nan")), ("p_dl_dbm", float("nan")), ("p_dl_dbm", float("inf")),
     ("noise_dbm", float("-inf")), ("area_side", float("nan")), ("area_side", float("inf")),
     ("asd_deg", float("inf")), ("rician_db", float("nan")), ("rician_db", float("inf")),
-    ("p_pilot_dbm", -4000.0),
+    ("p_pilot_dbm", -4000.0), ("p_pilot_dbm", 4000.0), ("p_dl_dbm", 4000.0),
+    ("noise_dbm", 4000.0), ("rician_db", 4000.0), ("noise_dbm", -4000.0),
 ])
 def test_system_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=name):
@@ -378,10 +379,13 @@ def test_cli_run_rayleigh_sidecar_is_strict_json(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["p_dl_dbm = nan", "area_side = nan",
                                   "power_grid_dbm = 3, inf", "ue_grid = 2, 2",
                                   "n_blocks = 1", "ap_grid = 0, 4", "ue_grid = 0",
-                                  "rho_grid = 0.5, 1.5", "ga_pop = 2"])
+                                  "rho_grid = 0.5, 1.5", "ga_pop = 2",
+                                  "p_pilot_dbm = 4000", "p_dl_dbm = 4000",
+                                  "noise_dbm = 4000", "rician_db = 4000"])
 def test_cli_run_rejects_non_finite_and_repeated_values(line, tmp_path, capsys):
-    """Such a config once ran to NaN rows, duplicate rows, a traceback, or a
-    failure partway through the run."""
+    """Such a config once ran to NaN rows, duplicate rows, a traceback (an
+    OverflowError for a dB setting past the float range), or a failure
+    partway through the run."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_CONFIG + line + "\n")
     assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
@@ -390,6 +394,35 @@ def test_cli_run_rejects_non_finite_and_repeated_values(line, tmp_path, capsys):
     err = _strict_json(captured.err)
     assert list(err) == ["error"] and line.split()[0] in err["error"]
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_a_noise_power_that_underflows(tmp_path, capsys):
+    """A noise power that underflowed to 0 mW once ran the smallest cdf sweep
+    to NaN achievable rates (exit 0): exit 2 with one JSON object naming the
+    setting."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("experiment = cdf\nn_geometries = 1\nn_blocks = 20\n"
+                   "K = 1\nL = 2\nN = 2\ntau_p = 1\nnoise_dbm = -4000\n")
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)
+    assert list(err) == ["error"] and "noise_dbm" in err["error"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_infer_rejects_a_rician_factor_past_the_float_range(tmp_path, capsys):
+    """--kappa-db 4000 with --evaluate once ended in an OverflowError
+    traceback: exit 1 with one JSON object on stderr."""
+    ckpt = tmp_path / "policy.npz"
+    save_checkpoint(str(ckpt), _policy_net(), make_schedule())
+    rc = cli.main(["infer", "--kappa-db", "4000", "--asd-deg", "10", "--checkpoint",
+                   str(ckpt), "--evaluate"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = _strict_json(captured.err)
+    assert list(err) == ["error"] and "rician_db" in err["error"]
 
 
 def test_cli_validate(capsys):
