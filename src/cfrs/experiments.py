@@ -85,10 +85,18 @@ class ExperimentSpec:
                 raise ConfigError(f"{f.name} must not repeat a value")
         if not all(0.0 <= r <= 1.0 for r in self.rho_grid):
             raise ConfigError("rho_grid must hold values in [0, 1]")
-        # The sweeps use these entries as the drops' L and K.
+        # The sweeps use these entries as the drops' L and K, and as the
+        # system's downlink power and Rician factor.
         for name in ("ap_grid", "ue_grid"):
             if min(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must hold values of at least 1")
+        for name, setting in (("power_grid_dbm", "p_dl_dbm"), ("kappa_grid_db", "rician_db")):
+            for value in getattr(self, name):
+                try:
+                    replace(self.system, **{setting: float(value)})
+                except ValueError as exc:
+                    raise ConfigError(f"{name} entry {value!r} is not a valid {setting}: "
+                                      f"{exc}") from exc
         if not (math.isfinite(self.train_lr) and self.train_lr > 0):
             raise ConfigError("train_lr must be positive and finite")
         try:

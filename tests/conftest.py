@@ -292,7 +292,8 @@ def fresh_sinrs(ghat, C, mu_c, mu_p, alloc, cfg):
     """instantaneous_sinrs of the blocks ghat (n, K, L, N) on fresh buffers."""
     n, K, L, N = ghat.shape
     return instantaneous_sinrs(ghat, C, mu_c, mu_p, alloc, cfg, np.empty(ghat.size, complex),
-                               np.empty(ghat.size, complex), np.empty(n * L * N * N, complex))
+                               np.empty(n * L * N * max(K, 2 * N), complex),
+                               np.empty(n * L * N * N, complex))
 
 
 def _oracle_chunks(stats, n):

@@ -396,6 +396,24 @@ def test_cli_run_rejects_non_finite_and_repeated_values(line, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, grid", [("power_sweep", "power_grid_dbm = 3, 4000"),
+                                              ("rician_sweep", "kappa_grid_db = 0, 4000")])
+def test_cli_run_rejects_a_grid_entry_that_gives_no_system(experiment, grid, tmp_path,
+                                                            capsys):
+    """A sweep entry past the float range once passed parsing and failed
+    inside the sweep with exit 1, naming the system setting it was copied
+    into: exit 2 before anything runs, naming the grid."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"experiment = {experiment}\nn_geometries = 1\nn_blocks = 20\n"
+                   f"K = 2\nL = 2\nN = 2\ntau_p = 1\n{grid}\n")
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)
+    assert list(err) == ["error"] and f"{grid.split()[0]} entry 4000.0" in err["error"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_rejects_a_noise_power_that_underflows(tmp_path, capsys):
     """A noise power that underflowed to 0 mW once ran the smallest cdf sweep
     to NaN achievable rates (exit 0): exit 2 with one JSON object naming the

@@ -117,6 +117,62 @@ def test_sampler_draw_matches_per_link_reference(drop, request):
     assert max_rel_diff(ghat, ghat_ref) <= 1e-12
 
 
+@pytest.mark.parametrize("P, Q", [(1, 1), (2, 2), (4, 4), (2, 4), (4, 3), (1, 4)])
+def test_real_block_identity(P, Q):
+    """x.view(float) @ _real_block(b) is (x @ b).view(float) on a stack of
+    complex matrices, for rows x laid out as the sampler lays out its
+    sources: blocks first, moved behind the stack axes."""
+    rng = np.random.default_rng(10 * P + Q)
+    b, x = (rng.standard_normal((*shape, 2)).view(complex)[..., 0]
+            for shape in ((3, 5, P, Q), (7, 3, 5, P)))
+    rows = np.moveaxis(x, 0, -2)                                    # (3, 5, 7, P)
+    got = rows.view(float) @ monte_carlo._real_block(b)
+    assert got.shape == (3, 5, 7, 2 * Q)
+    assert max_rel_diff(got, (rows @ b).view(float)) <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def unbalanced_pieces(copilot_pieces):
+    """The co-pilot drop on groups of five, none and three users."""
+    cfg, stats, _, _ = copilot_pieces
+    pilots = PilotAssignment(np.array([0, 0, 2, 0, 2, 0, 2, 0]), cfg.tau_p)
+    return cfg, stats, estimation_statistics(stats, pilots, cfg), pilots
+
+
+@pytest.mark.parametrize("drop", ["desk_pieces", "copilot_pieces", "unbalanced_pieces",
+                                  "perfect_csi"])
+def test_estimate_draw_matches_complex_oracle(drop, request):
+    """draw_estimates, whose estimator step runs as real block products, is
+    hbar + G z[pilot_of] in complex arithmetic on the same normals."""
+    cfg, stats, est, pilots = request.getfixturevalue(
+        "desk_pieces" if drop == "perfect_csi" else drop)
+    if drop == "perfect_csi":
+        est = perfect_csi_statistics(stats)
+    n = 9
+    ghat = fresh_estimates(ChannelSampler(est), n, substream(151, drop))
+    z = fresh_normals(substream(151, drop), n, (est.pilots.tau_p, stats.L, stats.N))
+    expected = stats.hbar + (est.G @ z[:, est.pilots.pilot_of, ..., None])[..., 0]
+    assert max_rel_diff(ghat, expected) <= 1e-13
+
+
+@pytest.mark.parametrize("drop", ORACLE_DROPS)
+def test_private_gram_matches_complex_sum(drop, request):
+    """instantaneous_sinrs returns with the private precoders u_p in its
+    precoders buffer and the private Gram, built from a real Gram, in its
+    gram buffer: S_p,l = sum_i conj(u_il) u_il^T in complex arithmetic."""
+    cfg, stats, est, pilots = request.getfixturevalue(drop)
+    _, ghat = ChannelSampler(est).draw(6, substream(157, drop))
+    n, K, L, N = ghat.shape
+    precoders, gram = np.empty(ghat.size, complex), np.empty(n * L * N * N, complex)
+    alloc = random_allocation(K, L, substream(157, drop, "alloc"))
+    monte_carlo.instantaneous_sinrs(ghat, est.C, *normalization_coeffs(est), alloc, cfg,
+                                    precoders, np.empty(n * L * N * max(K, 2 * N), complex),
+                                    gram)
+    u_p = precoders.reshape(n, K, L, N)
+    expected = np.einsum("nkla,nklb->nlab", u_p.conj(), u_p)
+    assert max_rel_diff(gram.reshape(n, L, N, N), expected) <= 1e-13
+
+
 def _moment_samples_by_hand(g, ghat, C):
     """Every moment_samples sample, tuple by tuple as its docstring defines
     them, each (n, *field shape); g and ghat are (n, K, L, N)."""
